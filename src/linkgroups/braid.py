@@ -402,15 +402,24 @@ def random_braid(strands: int, length: int, theory: str, seed) -> BraidWord:
     return random_braid_from(random.Random(seed), strands, length, theory)
 
 
-def random_braid_from(rng: random.Random, strands: int, length: int, theory: str) -> BraidWord:
-    if strands < 2:
-        raise ValueError("need at least 2 strands to draw letters")
-    alphabet = []
+@lru_cache(maxsize=None)
+def alphabet(strands: int, theory: str) -> tuple[BraidLetter, ...]:
+    """Every letter of the theory on this many strands, position by
+    position: sigma_i, sigma_i^-1, then rho_i or alpha_i.  The random
+    draws index into this order, so it fixes which word a seed gives."""
+    letters = []
     for i in range(1, strands):
         for fam in _FAMILIES[theory]:
             if fam == "s":
-                alphabet.append(sigma(i))
-                alphabet.append(sigma(i, -1))
+                letters.append(sigma(i))
+                letters.append(sigma(i, -1))
             else:
-                alphabet.append(BraidLetter(fam, i, 1))
-    return BraidWord(strands, theory, tuple(rng.choice(alphabet) for _ in range(length)))
+                letters.append(BraidLetter(fam, i, 1))
+    return tuple(letters)
+
+
+def random_braid_from(rng: random.Random, strands: int, length: int, theory: str) -> BraidWord:
+    if strands < 2:
+        raise ValueError("need at least 2 strands to draw letters")
+    letters = alphabet(strands, theory)
+    return BraidWord(strands, theory, tuple(rng.choice(letters) for _ in range(length)))

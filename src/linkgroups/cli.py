@@ -15,15 +15,6 @@ from . import braid, homcount, markov, present, reps
 from .freegroup import WordLengthError, format_word, gen_name, parse_word
 
 _REP_CHOICES = ("artin", "virtual", "welded", "wada1", "wada2", "wada3", "wada4")
-_REP_THEORY = {
-    "artin": "classical",
-    "virtual": "virtual",
-    "welded": "welded",
-    "wada1": "welded",
-    "wada2": "welded",
-    "wada3": "welded",
-    "wada4": "welded",
-}
 
 
 def _build_parser():
@@ -99,12 +90,6 @@ def _group_from_flag(flag: str):
     return homcount.builtin_group(flag)
 
 
-def _rep_from_flags(name: str, strands: int, h: int) -> reps.Representation:
-    if name.startswith("wada"):
-        return reps.wada(strands, int(name[4:]), h)
-    return reps.representation(name, strands)
-
-
 def _cmd_parse(args) -> int:
     b = braid.parse(args.word, args.strands, args.theory)
     print(braid.serialize(b))
@@ -112,7 +97,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    rep = _rep_from_flags(args.rep, args.strands, args.wada_h)
+    rep = reps.representation(args.rep, args.strands, args.wada_h)
     b = braid.parse(args.word, args.strands, rep.theory)
     e = rep.evaluate(b)
     if args.on is not None:
@@ -125,16 +110,8 @@ def _cmd_act(args) -> int:
 
 def _cmd_present(args) -> int:
     b = braid.parse(args.word, args.strands, args.theory)
-    if args.rep != "default":
-        if args.theory != "welded":
-            raise ValueError("Wada groups are built from welded braid words")
-        p = present.wada_group(b, int(args.rep[4:]), args.wada_h)
-    elif args.theory == "virtual":
-        p = present.group_of_virtual_link(b)
-    elif args.theory == "welded":
-        p = present.group_of_welded_link(b)
-    else:
-        p = present.group_of_classical_link(b)
+    wada_type = None if args.rep == "default" else int(args.rep[4:])
+    p = present.closure_group(b, wada_type, args.wada_h)
     print(present.format_presentation(p, structured=args.format == "structured"))
     return 0
 
@@ -164,7 +141,7 @@ def _cmd_homcount(args) -> int:
 
 
 def _cmd_check_relations(args) -> int:
-    rep = _rep_from_flags(args.rep, args.strands, args.wada_h)
+    rep = reps.representation(args.rep, args.strands, args.wada_h)
     extra = braid.forbidden_relations(args.strands) if args.include_forbidden else ()
     if extra and rep.theory != "virtual":
         raise ValueError("the forbidden relations are expressed over the virtual alphabet")

@@ -132,21 +132,6 @@ def _parity(p):
     return inv % 2
 
 
-def direct_product(g: FiniteGroupTable, h: FiniteGroupTable, name=None) -> FiniteGroupTable:
-    m, k = g.order, h.order
-    name = name or f"{g.name}x{h.name}"
-    table = [
-        [
-            (g.table[a1][b1]) * k + h.table[a2][b2]
-            for b1 in range(m)
-            for b2 in range(k)
-        ]
-        for a1 in range(m)
-        for a2 in range(k)
-    ]
-    return make_table(name, table)
-
-
 def load_table_text(text: str, name: str = "custom") -> FiniteGroupTable:
     """Parse the custom group file format: line 1 `order m`, then m lines
     of m whitespace-separated element ids."""
@@ -268,34 +253,25 @@ def _count_chunk(args):
 
 
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None, jobs: int = 1) -> int:
-    """The exact number of homomorphisms from the presented group to g."""
+    """The exact number of homomorphisms from the presented group to g.
+
+    jobs processes split the first generator's images between them; jobs
+    is clamped to the CPU count and to |g|."""
     if not p.relators:
         return g.order ** len(p.generators)
     active, by_depth = _prepare(p, g, cap)
     k = len(active)
     free = len(p.generators) - k
+    jobs = min(jobs, os.cpu_count() or 1, g.order)
     if jobs <= 1 or k == 0:
         total = _count_assignments(g, k, by_depth, range(g.order))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = _partition(g.order, jobs)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            total = sum(pool.map(_count_chunk, [(g, k, by_depth, c) for c in chunks]))
+        chunks = [(g, k, by_depth, range(start, g.order, jobs)) for start in range(jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            total = sum(pool.map(_count_chunk, chunks))
     return g.order ** free * total
-
-
-def _partition(order: int, parts: int):
-    return [range(start, order, parts) for start in range(min(parts, order))]
-
-
-def count_homs_partitioned(p: Presentation, g: FiniteGroupTable, parts: int, cap=None):
-    """Partition the enumeration by the first generator's image and return
-    the per-partition counts; their sum is bit-identical to the sequential
-    count."""
-    active, by_depth = _prepare(p, g, cap)
-    k = len(active)
-    return [_count_assignments(g, k, by_depth, chunk) for chunk in _partition(g.order, parts)]
 
 
 # ---------------------------------------------------------------------------

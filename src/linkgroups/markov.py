@@ -15,12 +15,14 @@ fingerprint on the form it continues from.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .braid import (
     BraidWord,
+    alphabet,
     conjugate,
     defining_relations,
     exchange_pair,
@@ -32,7 +34,7 @@ from .braid import (
 )
 from .freegroup import WordLengthError
 from .homcount import CapExceeded, default_battery, fingerprint
-from .present import group_of_virtual_link, group_of_welded_link, tietze_simplify, wada_group
+from .present import closure_group, tietze_simplify
 
 
 @dataclass(frozen=True)
@@ -79,20 +81,6 @@ def _relation_sites(b: BraidWord):
     return sites
 
 
-def _alphabet(b: BraidWord):
-    from .braid import BraidLetter, _FAMILIES
-
-    out = []
-    for i in range(1, b.strands):
-        for fam in _FAMILIES[b.theory]:
-            if fam == "s":
-                out.append(BraidLetter("s", i, 1))
-                out.append(BraidLetter("s", i, -1))
-            else:
-                out.append(BraidLetter(fam, i, 1))
-    return out
-
-
 def random_move(b: BraidWord, rng: random.Random) -> tuple[Move, BraidWord]:
     """One legal move applied to b; moves with no applicable site are
     resampled.  Exchange moves return the virtual form and carry the
@@ -111,7 +99,7 @@ def random_move(b: BraidWord, rng: random.Random) -> tuple[Move, BraidWord]:
         if kind == "conjugate":
             if b.strands < 2:
                 continue
-            g = rng.choice(_alphabet(b))
+            g = rng.choice(alphabet(b.strands, b.theory))
             return Move("conjugate", f"by {serialize(BraidWord(b.strands, b.theory, (g,)))}"), conjugate(b, g)
         if kind == "stabilize":
             stab = rng.choice(["positive", "negative", "virtual"])
@@ -165,16 +153,8 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _group_of(b: BraidWord, wada_type):
-    if b.theory == "virtual":
-        return group_of_virtual_link(b)
-    if wada_type:
-        return wada_group(b, wada_type)
-    return group_of_welded_link(b)
-
-
 def _fingerprint_of(b: BraidWord, battery, wada_type, cap):
-    simplified = tietze_simplify(_group_of(b, wada_type)).presentation
+    simplified = tietze_simplify(closure_group(b, wada_type)).presentation
     return fingerprint(simplified, battery, cap=cap)
 
 
@@ -231,16 +211,23 @@ def fuzz(
     cap=None,
     jobs: int = 1,
 ) -> FuzzReport:
-    """Run the campaign; deterministic for a fixed seed regardless of jobs."""
+    """Run the campaign; deterministic for a fixed seed regardless of jobs.
+
+    jobs is clamped to the CPU count and the number of trials."""
     if theory not in ("virtual", "welded"):
         raise ValueError("fuzzing is defined for virtual and welded braids")
     if wada_type is not None and theory != "welded":
         raise ValueError("Wada fingerprints apply to welded braids")
+    for name, value, least in (("trials", trials, 0), ("strands", strands, 2),
+                               ("length", length, 0), ("depth", depth, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     battery = default_battery() if battery is None else tuple(battery)
     args = [
         (i, theory, strands, length, depth, seed, battery, wada_type, cap)
         for i in range(trials)
     ]
+    jobs = min(jobs, os.cpu_count() or 1, trials)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -96,21 +96,21 @@ def group_of_virtual_link(b: BraidWord) -> Presentation:
     """<x1..xn, y | x_i = (image of x_i)> for a virtual braid word."""
     if b.theory != "virtual":
         raise ValueError(f"expected a virtual braid, got {b.theory}")
-    return _relators_from(reps.virtual(b.strands), b)
+    return _relators_from(reps.representation("virtual", b.strands), b)
 
 
 def group_of_welded_link(b: BraidWord) -> Presentation:
     """<x1..xn | x_i = (image of x_i)> for a welded braid word."""
     if b.theory != "welded":
         raise ValueError(f"expected a welded braid, got {b.theory}")
-    return _relators_from(reps.welded(b.strands), b)
+    return _relators_from(reps.representation("welded", b.strands), b)
 
 
 def group_of_classical_link(b: BraidWord) -> Presentation:
     """The link group presentation from the Artin action of a classical braid."""
     if b.theory != "classical":
         raise ValueError(f"expected a classical braid, got {b.theory}")
-    return _relators_from(reps.artin(b.strands), b)
+    return _relators_from(reps.representation("artin", b.strands), b)
 
 
 def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
@@ -129,7 +129,22 @@ def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
             "sigma_(i+1) sigma_i alpha_(i+1) fails); only types 1 and 2 "
             "define link invariants"
         )
-    return _relators_from(reps.wada(b.strands, k, h), b)
+    return _relators_from(reps.representation(f"wada{k}", b.strands, h), b)
+
+
+def closure_group(b: BraidWord, wada_type: Optional[int] = None, h: int = 1) -> Presentation:
+    """The closure presentation of b: under the Wada action of type
+    wada_type (1 or 2, welded braids only) when given, otherwise under the
+    representation of b's theory."""
+    # the builders are looked up as module globals at call time, so a
+    # wrapper installed on this module sees every build
+    if wada_type:
+        return wada_group(b, wada_type, h)
+    if b.theory == "virtual":
+        return group_of_virtual_link(b)
+    if b.theory == "welded":
+        return group_of_welded_link(b)
+    return group_of_classical_link(b)
 
 
 def quotient_y(p: Presentation) -> Presentation:
@@ -195,20 +210,11 @@ def tietze_step(p: Presentation) -> Optional[Presentation]:
         return out
 
     gens = tuple(g for g in p.generators if g != gid)
-    new_ambient = p.ambient  # keep the ambient; membership is checked per generator list
-    relators = [
-        Word(new_ambient, substitute(r.letters))
-        for k, r in enumerate(p.relators)
-        if k != ri
-    ]
-    # rebuild against the shrunken generator list (same ambient indices)
-    return _rebuild(gens, relators)
-
-
-def _rebuild(gens, relator_words) -> Presentation:
     ambient = _ambient_for(gens)
-    rebuilt = [Word(ambient, w.letters) for w in relator_words]
-    return Presentation(gens, rebuilt)
+    relators = [
+        Word(ambient, substitute(r.letters)) for k, r in enumerate(p.relators) if k != ri
+    ]
+    return Presentation(gens, relators)
 
 
 @dataclass(frozen=True)
@@ -270,10 +276,6 @@ class IntegerMatrix:
     def ncols(self):
         return self._ncols
 
-    @staticmethod
-    def identity(k: int) -> "IntegerMatrix":
-        return IntegerMatrix([[1 if i == j else 0 for j in range(k)] for i in range(k)])
-
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -290,31 +292,6 @@ class IntegerMatrix:
 
     def __repr__(self):
         return f"IntegerMatrix({[list(r) for r in self.rows]})"
-
-    def determinant(self) -> int:
-        """Fraction-free (Bareiss) determinant; square matrices only."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 def relation_matrix(p: Presentation) -> IntegerMatrix:
@@ -468,6 +445,13 @@ def _gid_of(name: str) -> int:
     raise ValueError(f"bad generator name {name!r}")
 
 
+def _string_list(payload: dict, key: str, default) -> list:
+    value = payload.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"structured presentation: {key!r} must be a list of strings")
+    return value
+
+
 def parse_presentation(text: str) -> Presentation:
     """Read either the line-oriented text form or the structured JSON form."""
     text = text.strip()
@@ -475,9 +459,9 @@ def parse_presentation(text: str) -> Presentation:
         raise ValueError("empty presentation input")
     if text.startswith("{"):
         payload = json.loads(text)
-        gens = tuple(_gid_of(n) for n in payload["generators"])
+        gens = tuple(_gid_of(n) for n in _string_list(payload, "generators", None))
         ambient = _ambient_for(gens)
-        relators = [parse_word(s, ambient) for s in payload.get("relators", [])]
+        relators = [parse_word(s, ambient) for s in _string_list(payload, "relators", [])]
         return Presentation(gens, relators)
     gens = None
     rel_lines = []

@@ -10,6 +10,7 @@ l1 l2 acts by l1 first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .braid import (
@@ -127,33 +128,35 @@ class Representation:
 
 
 def artin(n: int) -> Representation:
-    return Representation("artin", n)
+    return representation("artin", n)
 
 
 def virtual(n: int) -> Representation:
-    return Representation("virtual", n)
+    return representation("virtual", n)
 
 
 def welded(n: int) -> Representation:
-    return Representation("welded", n)
+    return representation("welded", n)
 
 
 def wada(n: int, k: int, h: int = 1) -> Representation:
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"Wada type must be 1..4, got {k}")
-    return Representation(f"wada{k}", n, wada_type=k, conj_power=h)
+    return representation(f"wada{k}", n, h)
 
 
-_NAMED = {"artin": artin, "virtual": virtual, "welded": welded}
-
-
+@lru_cache(maxsize=None)
 def representation(name: str, strands: int, h: int = 1) -> Representation:
-    """Build a representation from its CLI name (artin, virtual, welded,
-    wada1..wada4)."""
-    if name in _NAMED:
-        return _NAMED[name](strands)
+    """The representation with this CLI name (artin, virtual, welded,
+    wada1..wada4); h is the conjugation power of wada1.
+
+    Cached per argument tuple, so each generator action is built and its
+    inverse verified once per process; callers must not mutate the result.
+    """
+    if h < 1:
+        raise ValueError(f"conjugation power h must be at least 1, got {h}")
+    if name in ("artin", "virtual", "welded"):
+        return Representation(name, strands)
     if name.startswith("wada") and name[4:] in "1234" and len(name) == 5:
-        return wada(strands, int(name[4:]), h)
+        return Representation(name, strands, wada_type=int(name[4:]), conj_power=h)
     raise ValueError(f"unknown representation {name!r}")
 
 

@@ -1,4 +1,30 @@
+import concurrent.futures
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by an in-process stand-in that starts no
+    process; the returned list records the max_workers of each pool."""
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return opened

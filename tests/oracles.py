@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the
 package: repeated-scan reduction, plain substitution, brute-force hom
-counting over full tuple products, and schoolbook matrix multiplication.
+counting over full tuple products, schoolbook matrix multiplication,
+cofactor determinants and direct products of multiplication tables.
 """
 
 import itertools
@@ -94,3 +95,24 @@ def mat_mul(a, b):
 
 def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_det(a):
+    """Determinant by cofactor expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * mat_det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
+def direct_product_table(g, h):
+    """The multiplication table of G x H from the tables of G and H; the
+    pair (a, b) gets the id a * |H| + b."""
+    m, k = len(g), len(h)
+    return [
+        [g[a1][b1] * k + h[a2][b2] for b1 in range(m) for b2 in range(k)]
+        for a1 in range(m)
+        for a2 in range(k)
+    ]

@@ -77,6 +77,25 @@ def test_present_wada_requires_welded(capsys):
     assert code == 1 and "welded" in err
 
 
+def one_line_error(code, out, err):
+    return code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("h", ["0", "-1"])
+def test_act_rejects_nonpositive_wada_h(capsys, h):
+    result = invoke(capsys, "act", "--rep", "wada1", "--wada-h", h, "--strands", "2", "--word", "s1")
+    assert one_line_error(*result)
+
+
+@pytest.mark.parametrize(
+    "payload", ['{"generators": 5}', '{"generators": ["x1"], "relators": "x1"}']
+)
+def test_structured_input_is_type_checked(capsys, monkeypatch, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    result = invoke(capsys, "abelianize")
+    assert one_line_error(*result) and "must be a list of strings" in result[2]
+
+
 def test_pipeline_simplify_abelianize_homcount(capsys, monkeypatch, tmp_path):
     code, out, _ = invoke(
         capsys, "present", "--theory", "virtual", "--strands", "2", "--word", "s1 s1 r1"
@@ -172,6 +191,12 @@ def test_markov_fuzz_cli(capsys):
     )
     assert code == 0
     assert "mismatches=0" in out
+
+
+@pytest.mark.parametrize("flags", [["--trials", "-2"], ["--trials", "2", "--strands", "1"]])
+def test_markov_fuzz_rejects_bad_sizes(capsys, flags):
+    result = invoke(capsys, "markov-fuzz", "--theory", "welded", *flags)
+    assert one_line_error(*result) and "must be at least" in result[2]
 
 
 def test_examples_pass(capsys):

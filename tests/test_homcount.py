@@ -1,5 +1,6 @@
 """Hom counting: builtin tables, brute-force agreement, invariances."""
 
+import os
 import random
 
 import pytest
@@ -10,9 +11,7 @@ from linkgroups.homcount import (
     Fingerprint,
     builtin_group,
     count_homs,
-    count_homs_partitioned,
     default_battery,
-    direct_product,
     effective_cap,
     fingerprint,
     load_table_text,
@@ -20,7 +19,7 @@ from linkgroups.homcount import (
 )
 from linkgroups.present import Presentation, abelian_invariants
 
-from oracles import brute_count_homs
+from oracles import brute_count_homs, direct_product_table
 
 
 def P(gens, relator_letter_tuples):
@@ -109,7 +108,7 @@ def test_count_invariant_under_reordering_and_cycling():
 
 def test_count_multiplicative_over_direct_product():
     c2, c3, c6 = builtin_group("c2"), builtin_group("c3"), builtin_group("c6")
-    prod = direct_product(c2, c3)
+    prod = make_table("c2xc3", direct_product_table(c2.table, c3.table))
     p = P((1, 2), [(1, 1, 2, -1, -2)])
     assert count_homs(p, prod) == count_homs(p, c2) * count_homs(p, c3)
     assert count_homs(p, prod) == count_homs(p, c6)
@@ -118,11 +117,21 @@ def test_count_multiplicative_over_direct_product():
 def test_partitioned_counts_sum_to_sequential():
     g = builtin_group("sym3")
     p = P((1, 2), [(1, 2, -1, -2)])
-    parts = count_homs_partitioned(p, g, 4)
-    assert sum(parts) * 1 == count_homs(p, g)
-    assert len(parts) == 4
     # parallel path gives the identical total
     assert count_homs(p, g, jobs=2) == count_homs(p, g)
+
+
+def test_jobs_clamped_to_cpus_and_group_order(inline_pool, monkeypatch):
+    p = P((1, 2), [(1, 2, -1, -2)])
+    sym3 = builtin_group("sym3")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # four partitions of the first generator's images sum to the sequential count
+    assert count_homs(p, sym3, jobs=10 ** 6) == 18
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert count_homs(p, builtin_group("c3"), jobs=10 ** 6) == 9
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert count_homs(p, sym3, jobs=8) == 18  # CPU count unknown: no pool
+    assert inline_pool == [4, 3]
 
 
 def test_cap_exceeded():

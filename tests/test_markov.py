@@ -1,5 +1,6 @@
 """The move harness: legal moves, determinism, invariance campaigns."""
 
+import os
 import random
 
 import pytest
@@ -102,6 +103,16 @@ def test_fuzz_argument_validation():
         fuzz("classical", 1, 3, 5, 2, seed=0)
     with pytest.raises(ValueError):
         fuzz("virtual", 1, 3, 5, 2, seed=0, wada_type=1)
+    for trials, strands, length, depth in ((-2, 3, 5, 2), (1, 1, 5, 2), (1, 3, -1, 2), (1, 3, 5, -1)):
+        with pytest.raises(ValueError, match="must be at least"):
+            fuzz("virtual", trials, strands, length, depth, seed=0)
+
+
+def test_fuzz_jobs_clamped_to_trials(inline_pool, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    par = fuzz("welded", 3, 3, 6, 3, seed=4, jobs=10 ** 6)
+    assert inline_pool == [3]
+    assert par.render() == fuzz("welded", 3, 3, 6, 3, seed=4).render()
 
 
 def test_exchange_trial_example():

@@ -109,6 +109,14 @@ def test_representation_factory():
         representation("nope", 3)
     with pytest.raises(ValueError):
         wada(3, 7)
+    for h in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            representation("wada1", 3, h)
+
+
+def test_representations_are_cached():
+    assert virtual(3) is virtual(3)
+    assert representation("wada1", 3, 2) is wada(3, 1, 2)
 
 
 @pytest.mark.parametrize("n", [3, 4])
