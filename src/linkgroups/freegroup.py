@@ -236,9 +236,6 @@ class Automorphism:
     def __call__(self, w: Word) -> Word:
         return self.forward(w)
 
-    def inverted(self) -> "Automorphism":
-        return Automorphism(self.inverse, self.forward)
-
     def __repr__(self):
         return f"Automorphism({self.forward!r})"
 

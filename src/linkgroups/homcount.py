@@ -17,12 +17,14 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .present import AbelianInvariants, Presentation, abelian_invariants
 
 DEFAULT_CAP = 10 ** 8
 _CAP_ENV = "LINKGROUPS_HOM_CAP"
+# the largest order of a c<k> or table: group; its table has order^2 entries
+MAX_GROUP_ORDER = 1024
 
 
 class CapExceeded(RuntimeError):
@@ -123,8 +125,14 @@ def builtin_group(name: str) -> FiniteGroupTable:
         k = int(name[1:])
         if k < 1:
             raise ValueError("cyclic order must be positive")
+        _check_order(k)
         return make_table(name, [[(i + j) % k for j in range(k)] for i in range(k)])
     raise ValueError(f"unknown builtin group {name!r}")
+
+
+def _check_order(m: int):
+    if m > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {m} exceeds the ceiling {MAX_GROUP_ORDER}")
 
 
 def _parity(p):
@@ -136,9 +144,11 @@ def load_table_text(text: str, name: str = "custom") -> FiniteGroupTable:
     """Parse the custom group file format: line 1 `order m`, then m lines
     of m whitespace-separated element ids."""
     lines = [l for l in (s.strip() for s in text.splitlines()) if l and not l.startswith("#")]
-    if not lines or not lines[0].startswith("order"):
+    head = lines[0].split() if lines else []
+    if len(head) < 2 or not head[0].startswith("order"):
         raise ValueError("first line must be 'order m'")
-    m = int(lines[0].split()[1])
+    m = int(head[1])
+    _check_order(m)
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} table rows, got {len(lines) - 1}")
     table = [[int(v) for v in line.split()] for line in lines[1:]]
@@ -149,9 +159,16 @@ def load_table_text(text: str, name: str = "custom") -> FiniteGroupTable:
 # counting
 
 
-def _prepare(p: Presentation, g: FiniteGroupTable, cap):
-    """Order the relator-bearing generators by descending occurrence and
-    encode relators for the backtracking enumeration."""
+def _compile(p: Presentation, g: FiniteGroupTable, cap):
+    """Encode the relators for the backtracking enumeration, in one pass.
+
+    The generators that occur in some relator are ordered by descending
+    occurrence (first listed first on ties) and the cap is checked.  Each
+    relator goes to the depth of its deepest generator, split into that
+    generator's occurrences and the constant segments between them, so each
+    tree node evaluates the constants once and the per-value work is one
+    fold over the occurrences.  Returns the deduplicated (segments,
+    exponents) pairs of each depth, in relator order."""
     occ = {gid: 0 for gid in p.generators}
     for r in p.relators:
         for v in r.letters:
@@ -159,53 +176,32 @@ def _prepare(p: Presentation, g: FiniteGroupTable, cap):
     active = [gid for gid in p.generators if occ[gid]]
     active.sort(key=lambda gid: (-occ[gid], p.generators.index(gid)))
     k = len(active)
-    if g.order ** k > effective_cap(cap):
-        raise CapExceeded(
-            f"{g.order}^{k} assignments exceed the cap {effective_cap(cap)}"
-        )
+    cap = effective_cap(cap)
+    if g.order ** k > cap:
+        raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")
     slot = {gid: s for s, gid in enumerate(active)}
-    by_depth = [[] for _ in range(k)]
+    compiled = [{} for _ in range(k)]  # insertion-ordered sets
     for r in p.relators:
-        encoded = tuple((slot[abs(v)], 1 if v > 0 else -1) for v in r.letters)
+        encoded = [(slot[abs(v)], 1 if v > 0 else -1) for v in r.letters]
         depth = max(s for s, _ in encoded)
-        by_depth[depth].append(encoded)
-    return active, by_depth
+        segs, exps, cur = [], [], []
+        for s, sg in encoded:
+            if s == depth:
+                segs.append(tuple(cur))
+                cur = []
+                exps.append(sg)
+            else:
+                cur.append((s, sg))
+        segs.append(tuple(cur))
+        compiled[depth][(tuple(segs), tuple(exps))] = None
+    return [list(rels) for rels in compiled]
 
 
-def _compile(by_depth):
-    """Split every relator into the occurrences of its deepest generator
-    and the constant segments between them, so each tree node evaluates
-    the constants once and the per-value work is one fold over the
-    occurrences."""
-    compiled = []
-    for depth, rels in enumerate(by_depth):
-        out = []
-        seen = set()
-        for rel in rels:
-            segs, exps, cur = [], [], []
-            for s, sg in rel:
-                if s == depth:
-                    segs.append(tuple(cur))
-                    cur = []
-                    exps.append(sg)
-                else:
-                    cur.append((s, sg))
-            segs.append(tuple(cur))
-            key = (tuple(segs), tuple(exps))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-        compiled.append(out)
-    return compiled
-
-
-def _count_assignments(g: FiniteGroupTable, k, by_depth, first_values):
-    if k == 0:
-        return 1
+def _count_assignments(g: FiniteGroupTable, compiled, first_values):
     mul = g.table
     inv = g.inverse
     order = g.order
-    compiled = _compile(by_depth)
+    k = len(compiled)
     assign = [0] * k
 
     def rec(depth):
@@ -247,11 +243,6 @@ def _count_assignments(g: FiniteGroupTable, k, by_depth, first_values):
     return rec(0)
 
 
-def _count_chunk(args):
-    g, k, by_depth, chunk = args
-    return _count_assignments(g, k, by_depth, chunk)
-
-
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None, jobs: int = 1) -> int:
     """The exact number of homomorphisms from the presented group to g.
 
@@ -259,18 +250,17 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None, jobs: int = 1) ->
     is clamped to the CPU count and to |g|."""
     if not p.relators:
         return g.order ** len(p.generators)
-    active, by_depth = _prepare(p, g, cap)
-    k = len(active)
-    free = len(p.generators) - k
+    compiled = _compile(p, g, cap)
+    free = len(p.generators) - len(compiled)
     jobs = min(jobs, os.cpu_count() or 1, g.order)
-    if jobs <= 1 or k == 0:
-        total = _count_assignments(g, k, by_depth, range(g.order))
+    if jobs <= 1:
+        total = _count_assignments(g, compiled, range(g.order))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [(g, k, by_depth, range(start, g.order, jobs)) for start in range(jobs)]
+        chunks = [range(start, g.order, jobs) for start in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            total = sum(pool.map(_count_chunk, chunks))
+            total = sum(pool.map(partial(_count_assignments, g, compiled), chunks))
     return g.order ** free * total
 
 

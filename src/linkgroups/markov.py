@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .braid import (
@@ -33,7 +34,7 @@ from .braid import (
     stabilize,
 )
 from .freegroup import WordLengthError
-from .homcount import CapExceeded, default_battery, fingerprint
+from .homcount import CapExceeded, fingerprint
 from .present import closure_group, tietze_simplify
 
 
@@ -153,16 +154,16 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _fingerprint_of(b: BraidWord, battery, wada_type, cap):
-    simplified = tietze_simplify(closure_group(b, wada_type)).presentation
-    return fingerprint(simplified, battery, cap=cap)
+def _fingerprint_of(b: BraidWord, wada_type):
+    """The default-battery fingerprint of b's simplified closure group."""
+    return fingerprint(tietze_simplify(closure_group(b, wada_type)).presentation)
 
 
 def _trial_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
-def run_trial(index, theory, max_strands, max_length, max_depth, seed, battery, wada_type, cap):
+def run_trial(index, theory, max_strands, max_length, max_depth, seed, wada_type):
     """One fuzz trial; returns (index, status, payload)."""
     rng = random.Random(_trial_seed(seed, index))
     n = rng.randint(2, max_strands)
@@ -171,25 +172,25 @@ def run_trial(index, theory, max_strands, max_length, max_depth, seed, battery, 
     b = normalize(random_braid_from(rng, n, length, theory))
     trace = MoveTrace(theory, b)
     try:
-        expected = _fingerprint_of(b, battery, wada_type, cap)
+        expected = _fingerprint_of(b, wada_type)
         for _ in range(depth):
             move, nxt = random_move(b, rng)
             trace.record(move, nxt)
             if move.kind == "exchange":
-                pre = _fingerprint_of(b, battery, wada_type, cap)
+                pre = _fingerprint_of(b, wada_type)
                 if pre != expected:
                     return index, "mismatch", Mismatch(
                         index, "pre-exchange chain", str(expected), str(pre), trace.render()
                     )
-                first = _fingerprint_of(move.partner, battery, wada_type, cap)
-                second = _fingerprint_of(nxt, battery, wada_type, cap)
+                first = _fingerprint_of(move.partner, wada_type)
+                second = _fingerprint_of(nxt, wada_type)
                 if first != second:
                     return index, "mismatch", Mismatch(
                         index, "exchange pair", str(first), str(second), trace.render()
                     )
                 expected = second
             b = nxt
-        final = _fingerprint_of(b, battery, wada_type, cap)
+        final = _fingerprint_of(b, wada_type)
         if final != expected:
             return index, "mismatch", Mismatch(
                 index, "end of chain", str(expected), str(final), trace.render()
@@ -206,9 +207,7 @@ def fuzz(
     length: int,
     depth: int,
     seed: int,
-    battery=None,
     wada_type: Optional[int] = None,
-    cap=None,
     jobs: int = 1,
 ) -> FuzzReport:
     """Run the campaign; deterministic for a fixed seed regardless of jobs.
@@ -222,24 +221,17 @@ def fuzz(
                                ("length", length, 0), ("depth", depth, 0)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
-    battery = default_battery() if battery is None else tuple(battery)
-    args = [
-        (i, theory, strands, length, depth, seed, battery, wada_type, cap)
-        for i in range(trials)
-    ]
+    trial = partial(run_trial, theory=theory, max_strands=strands, max_length=length,
+                    max_depth=depth, seed=seed, wada_type=wada_type)
     jobs = min(jobs, os.cpu_count() or 1, trials)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_trial_args, args))
+            results = list(pool.map(trial, range(trials)))
     else:
-        results = [run_trial(*a) for a in args]
-    results.sort(key=lambda r: r[0])
+        results = list(map(trial, range(trials)))
     mismatches = tuple(payload for _, status, payload in results if status == "mismatch")
     skipped = tuple((i, payload) for i, status, payload in results if status == "skipped")
     return FuzzReport(theory, trials, seed, wada_type, mismatches, skipped)
 
-
-def _run_trial_args(args):
-    return run_trial(*args)

@@ -135,7 +135,9 @@ def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
 def closure_group(b: BraidWord, wada_type: Optional[int] = None, h: int = 1) -> Presentation:
     """The closure presentation of b: under the Wada action of type
     wada_type (1 or 2, welded braids only) when given, otherwise under the
-    representation of b's theory."""
+    representation of b's theory.  h, the conjugation power of wada1, must
+    be 1 for every other action."""
+    reps.check_conj_power(f"wada{wada_type}" if wada_type else b.theory, h)
     # the builders are looked up as module globals at call time, so a
     # wrapper installed on this module sees every build
     if wada_type:
@@ -256,45 +258,11 @@ def free_rank_certificate(p: Presentation, budget: int = TIETZE_BUDGET) -> Optio
 # Integer matrices, Smith normal form, abelian invariants
 
 
-class IntegerMatrix:
-    """A rectangular matrix of exact integers."""
-
-    __slots__ = ("rows", "_ncols")
-
-    def __init__(self, rows, ncols: Optional[int] = None):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        self.rows = rows
-        self._ncols = len(rows[0]) if rows else (ncols or 0)
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return self._ncols
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.ncols
-        return IntegerMatrix(
-            [
-                [sum(a * other.rows[k][j] for k, a in enumerate(row)) for j in range(cols)]
-                for row in self.rows
-            ]
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"IntegerMatrix({[list(r) for r in self.rows]})"
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def relation_matrix(p: Presentation) -> IntegerMatrix:
+def relation_matrix(p: Presentation) -> list[list[int]]:
     """Rows = relators, columns = generators, entries = exponent sums."""
     col = {g: j for j, g in enumerate(p.generators)}
     rows = []
@@ -303,23 +271,26 @@ def relation_matrix(p: Presentation) -> IntegerMatrix:
         for v in r.letters:
             row[col[abs(v)]] += 1 if v > 0 else -1
         rows.append(row)
-    return IntegerMatrix(rows, ncols=len(p.generators))
+    return rows
 
 
 @dataclass(frozen=True)
 class SmithForm:
     diagonal: tuple[int, ...]
-    U: IntegerMatrix
-    V: IntegerMatrix
-    D: IntegerMatrix
+    U: list[list[int]]
+    V: list[list[int]]
+    D: list[list[int]]
 
 
-def smith_normal_form(m: IntegerMatrix) -> SmithForm:
-    """Diagonalize by unimodular row/column operations: U @ m @ V = D with
-    d1 | d2 | ... and nonnegative diagonal.  The factorization is verified
-    by multiplication before returning."""
-    R, C = m.nrows, m.ncols
-    a = [list(r) for r in m.rows]
+def smith_normal_form(m: list[list[int]]) -> SmithForm:
+    """Diagonalize the matrix m, given as a list of rows, by unimodular
+    row/column operations: U m V = D with d1 | d2 | ... and nonnegative
+    diagonal.  The factorization is verified by multiplication before
+    returning."""
+    R, C = len(m), len(m[0]) if m else 0
+    if any(len(r) != C for r in m):
+        raise ValueError("ragged rows")
+    a = [list(r) for r in m]
     u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
     v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
 
@@ -385,10 +356,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    U = IntegerMatrix(u)
-    V = IntegerMatrix(v)
-    D = IntegerMatrix(a)
-    if U @ m @ V != D:
+    if _matmul(_matmul(u, m), v) != a:
         raise AssertionError("smith normal form verification failed")
     diag = tuple(a[k][k] for k in range(min(R, C)))
     for b, c in zip(diag, diag[1:]):
@@ -396,7 +364,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithForm:
             raise AssertionError("divisibility chain violated")
         if b == 0 and c != 0:
             raise AssertionError("zero before nonzero on the diagonal")
-    return SmithForm(diag, U, V, D)
+    return SmithForm(diag, u, v, a)
 
 
 @dataclass(frozen=True)

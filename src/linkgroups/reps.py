@@ -143,16 +143,29 @@ def wada(n: int, k: int, h: int = 1) -> Representation:
     return representation(f"wada{k}", n, h)
 
 
-@lru_cache(maxsize=None)
+def check_conj_power(name: str, h: int) -> None:
+    """h is the conjugation power of wada1: at least 1, and 1 for every
+    other representation or theory name."""
+    if h < 1:
+        raise ValueError(f"conjugation power h must be at least 1, got {h}")
+    if h != 1 and name != "wada1":
+        raise ValueError(f"conjugation power h={h} applies only to wada1, not {name}")
+
+
 def representation(name: str, strands: int, h: int = 1) -> Representation:
     """The representation with this CLI name (artin, virtual, welded,
     wada1..wada4); h is the conjugation power of wada1.
 
-    Cached per argument tuple, so each generator action is built and its
-    inverse verified once per process; callers must not mutate the result.
+    Cached per (name, strands, h), however h is passed, so each generator
+    action is built and its inverse verified once per process; callers
+    must not mutate the result.
     """
-    if h < 1:
-        raise ValueError(f"conjugation power h must be at least 1, got {h}")
+    check_conj_power(name, h)
+    return _representation(name, strands, h)
+
+
+@lru_cache(maxsize=None)
+def _representation(name: str, strands: int, h: int) -> Representation:
     if name in ("artin", "virtual", "welded"):
         return Representation(name, strands)
     if name.startswith("wada") and name[4:] in "1234" and len(name) == 5:

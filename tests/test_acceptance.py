@@ -7,31 +7,19 @@ lines and timings.
 import random
 import time
 
+from linkgroups import examples
 from linkgroups.braid import (
     BraidWord,
-    braid_inverse,
-    exchange_pair,
     forbidden_relations,
     is_knot_closure,
-    parse,
     random_braid_from,
     sigma,
     to_welded,
 )
-from linkgroups.freegroup import Word, YID, format_word, parse_word
-from linkgroups.homcount import builtin_group, count_homs, fingerprint
+from linkgroups.freegroup import Word, YID, abelianized_matrix, format_word
 from linkgroups.markov import fuzz
-from linkgroups.present import (
-    AbelianInvariants,
-    Presentation,
-    abelian_invariants,
-    free_rank_certificate,
-    group_of_virtual_link,
-    quotient_y,
-    tietze_simplify,
-)
-from linkgroups.reps import artin, check_relations, project_y, virtual, wada, welded
-from linkgroups.freegroup import abelianized_matrix
+from linkgroups.present import AbelianInvariants, abelian_invariants, group_of_virtual_link
+from linkgroups.reps import check_relations, project_y, virtual, wada, welded
 
 from oracles import mat_identity, mat_mul
 
@@ -55,106 +43,43 @@ class Timer:
         return False
 
 
+def passes(check):
+    label, ok, detail = check()
+    assert ok, f"{label}: {detail}"
+
+
 def test_criterion_01_representation_suite():
     with Timer("criterion-1 representation suite", 10.0):
-        for n in (3, 4):
-            for rep in (
-                artin(n),
-                virtual(n),
-                welded(n),
-                wada(n, 1, 1),
-                wada(n, 1, 2),
-                wada(n, 1, 3),
-                wada(n, 2),
-            ):
-                assert all(r.holds for r in check_relations(rep)), f"{rep.name} n={n}"
-            for k in (3, 4):
-                reports = check_relations(wada(n, k))
-                failing = {r.relation.name for r in reports if not r.holds}
-                assert failing == {"mixed"}, f"wada{k} n={n} fails at {failing}"
-                for r in reports:
-                    if r.relation.name == "mixed":
-                        assert not r.holds and r.witness is not None
-        reports = check_relations(virtual(3), forbidden_relations(3))
-        forbidden = [r for r in reports if r.relation.name in ("F1", "F2")]
-        assert forbidden and all(not r.holds for r in forbidden)
-        for r in forbidden:
-            g, left, right = r.witness
-            print(
-                f"  {r.label()} fails: {format_word(Word(left.ambient, (g,)))} maps to "
-                f"{format_word(left)} vs {format_word(right)}"
-            )
+        passes(examples.check_representations)
+        passes(examples.check_wada_classification)
+        passes(examples.check_forbidden_moves)
+        for r in check_relations(virtual(3), forbidden_relations(3)):
+            if r.relation.name in ("F1", "F2"):
+                g, left, right = r.witness
+                print(
+                    f"  {r.label()} fails: {format_word(Word(left.ambient, (g,)))} maps to "
+                    f"{format_word(left)} vs {format_word(right)}"
+                )
 
 
 def test_criterion_02_virtual_trefoil():
     with Timer("criterion-2 virtual trefoil group", 1.0):
-        p = group_of_virtual_link(parse("s1 s1 r1", 2, "virtual"))
-        assert abelian_invariants(p) == AbelianInvariants(2, ())
-        sym3 = builtin_group("sym3")
-        count = count_homs(p, sym3)
-        assert count == 30  # pinned from the enumeration oracle on first run
-        free2 = Presentation((1, YID))
-        assert count_homs(free2, sym3) == 36
-        assert count < 36  # the closure group is not free of rank 2
+        passes(examples.check_virtual_trefoil)
 
 
 def test_criterion_03_kishino_closure():
     with Timer("criterion-3 kishino closure", 1.0):
-        b = parse("r1 s1 s2 s1 r1 s1^-1 s2^-1 s1^-1", 3, "virtual")
-        rep = virtual(3)
-        e = rep.evaluate(b)
-        amb = rep.ambient
-        displays = {
-            1: "y y x3^-1 x2 x3 y^-1 y^-1 x3 y y x3^-1 x2^-1 x3 y^-1 y^-1",
-            2: "x3^-1 x2 x3 y^-1 y^-1 x3 y x3^-1 x2^-1 x1 x2 x3 y^-1 x3^-1 y y x3^-1 x2^-1 x3",
-            3: "y x3^-1 x2 x3 y^-1",
-        }
-        for gid, text in displays.items():
-            assert e.images[gid] == parse_word(text, amb), f"image of x{gid}"
-        assert e.images[YID] == Word(amb, (YID,))
-        p = group_of_virtual_link(b)
-        assert free_rank_certificate(p) == 2
-        q = quotient_y(p)
-        assert abelian_invariants(q) == AbelianInvariants(1, ())
-        assert count_homs(q, builtin_group("sym3")) == 6
+        passes(examples.check_kishino_closure)
 
 
 def test_criterion_04_exchange_pair():
     with Timer("criterion-4 exchange pair", 1.0):
-        b1 = parse("s1 r1 s1", 2, "virtual")
-        b2 = braid_inverse(b1)
-        classical_form, virtual_form = exchange_pair(b1, b2, "right")
-        fp_c = fingerprint(tietze_simplify(group_of_virtual_link(classical_form)).presentation)
-        fp_v = fingerprint(tietze_simplify(group_of_virtual_link(virtual_form)).presentation)
-        assert fp_c == fp_v
-        p = group_of_virtual_link(virtual_form)
-        assert free_rank_certificate(p) == 2
-        sym3 = builtin_group("sym3")
-        count = count_homs(p, sym3)
-        trivial = count_homs(Presentation((1, 2, YID)), sym3)
-        assert count == 36 and trivial == 216 and count != trivial
-        # the one-relator form the group passes through while simplifying
-        from linkgroups.freegroup import Ambient
-
-        displayed = Presentation(
-            (1, 2, YID), [parse_word("y x1 y^-1 x2^-1", Ambient(2, True))]
-        )
-        res = tietze_simplify(displayed)
-        assert len(res.presentation.generators) == 2 and not res.presentation.relators
-        assert fingerprint(res.presentation) == fp_v
+        passes(examples.check_exchange_link)
 
 
 def test_criterion_05_kishino_braid_nontrivial():
     with Timer("criterion-5 kishino braid image", 1.0):
-        word = (
-            "s2 s1 r2 s1^-1 s2^-1 r1 s2^-1 s1^-1 r2 s1 s2 "
-            "s2 s1 r2 s1^-1 s2^-1 r1 s2^-1 s1^-1 r2 s1 s2"
-        )
-        b = parse(word, 3, "virtual")
-        e = virtual(3).evaluate(b)
-        from linkgroups.freegroup import is_identity
-
-        assert not is_identity(e)
+        passes(examples.check_kishino_braid)
 
 
 def test_criterion_06_projection_identity():

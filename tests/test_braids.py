@@ -29,6 +29,8 @@ from linkgroups.braid import (
     underlying_permutation,
 )
 
+from linkgroups.examples import EXCHANGE_BRAID, KISHINO_CLOSURE, VIRTUAL_TREFOIL
+
 from oracles import perm_compose, perm_of_positions
 
 
@@ -75,11 +77,11 @@ def test_round_trip_randomized():
 
 
 def test_permutation_examples():
-    assert underlying_permutation(parse("s1 s1 r1", 2, "virtual")) == (2, 1)
-    assert is_knot_closure(parse("s1 s1 r1", 2, "virtual"))
+    assert underlying_permutation(parse(VIRTUAL_TREFOIL, 2, "virtual")) == (2, 1)
+    assert is_knot_closure(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     assert underlying_permutation(BraidWord(3, "virtual", ())) == (1, 2, 3)
     assert len(permutation_cycles((1, 2, 3))) == 3
-    kishino = parse("r1 s1 s2 s1 r1 s1^-1 s2^-1 s1^-1", 3, "virtual")
+    kishino = parse(KISHINO_CLOSURE, 3, "virtual")
     expected = perm_of_positions([1, 1, 2, 1, 1, 1, 2, 1], 3)
     assert underlying_permutation(kishino) == expected
     assert is_knot_closure(kishino)
@@ -109,8 +111,8 @@ def test_conjugate_theory_mismatch():
 
 
 def test_stabilize_examples():
-    b = parse("s1 s1 r1", 2, "virtual")
-    assert stabilize(b, "positive") == parse("s1 s1 r1 s2", 3, "virtual")
+    b = parse(VIRTUAL_TREFOIL, 2, "virtual")
+    assert stabilize(b, "positive") == parse(VIRTUAL_TREFOIL + " s2", 3, "virtual")
     assert stabilize(BraidWord(1, "virtual", ()), "virtual") == parse("r1", 2, "virtual")
     assert stabilize(parse("s1", 2, "virtual"), "negative") == parse("s1 s2^-1", 3, "virtual")
     assert stabilize(parse("a1", 2, "welded"), "virtual") == parse("a1 a2", 3, "welded")
@@ -130,7 +132,7 @@ def test_exchange_pair_right_trivial():
 
 
 def test_exchange_pair_right_example():
-    b1 = parse("s1 r1 s1", 2, "virtual")
+    b1 = parse(EXCHANGE_BRAID, 2, "virtual")
     b2 = braid_inverse(b1)
     cf, vf = exchange_pair(b1, b2, "right")
     assert vf == parse("s1 r1 s1 r2 s1^-1 r1 s1^-1 r2", 3, "virtual")

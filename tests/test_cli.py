@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from linkgroups import examples
 from linkgroups.cli import run
+from linkgroups.examples import EXCHANGE_RELATOR, KISHINO_CLOSURE, TREFOIL_SYM3, VIRTUAL_TREFOIL
+from linkgroups.homcount import MAX_GROUP_ORDER
 
 
 def invoke(capsys, *argv):
@@ -49,7 +52,7 @@ def test_act_on_word(capsys):
 
 def test_present_text(capsys):
     code, out, _ = invoke(
-        capsys, "present", "--theory", "virtual", "--strands", "2", "--word", "s1 s1 r1"
+        capsys, "present", "--theory", "virtual", "--strands", "2", "--word", VIRTUAL_TREFOIL
     )
     assert code == 0
     lines = out.splitlines()
@@ -60,7 +63,7 @@ def test_present_text(capsys):
 def test_present_structured(capsys):
     code, out, _ = invoke(
         capsys,
-        "present", "--theory", "virtual", "--strands", "2", "--word", "s1 s1 r1",
+        "present", "--theory", "virtual", "--strands", "2", "--word", VIRTUAL_TREFOIL,
         "--format", "structured",
     )
     assert code == 0
@@ -87,6 +90,24 @@ def test_act_rejects_nonpositive_wada_h(capsys, h):
     assert one_line_error(*result)
 
 
+def test_present_rejects_nonpositive_wada_h_without_wada_rep(capsys):
+    result = invoke(capsys, "present", "--theory", "welded", "--strands", "2", "--word", "s1",
+                    "--wada-h", "0")
+    assert one_line_error(*result) and "at least 1" in result[2]
+
+
+def test_act_rejects_wada_h_outside_wada1(capsys):
+    result = invoke(capsys, "act", "--rep", "virtual", "--strands", "2", "--word", "r1",
+                    "--wada-h", "7")
+    assert one_line_error(*result) and "only to wada1" in result[2]
+
+
+def test_homcount_rejects_group_order_over_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1\nrel: x1 x1\n"))
+    result = invoke(capsys, "homcount", "--group", f"c{MAX_GROUP_ORDER + 1}")
+    assert one_line_error(*result) and "exceeds the ceiling" in result[2]
+
+
 @pytest.mark.parametrize(
     "payload", ['{"generators": 5}', '{"generators": ["x1"], "relators": "x1"}']
 )
@@ -98,7 +119,7 @@ def test_structured_input_is_type_checked(capsys, monkeypatch, payload):
 
 def test_pipeline_simplify_abelianize_homcount(capsys, monkeypatch, tmp_path):
     code, out, _ = invoke(
-        capsys, "present", "--theory", "virtual", "--strands", "2", "--word", "s1 s1 r1"
+        capsys, "present", "--theory", "virtual", "--strands", "2", "--word", VIRTUAL_TREFOIL
     )
     assert code == 0
     pres_file = tmp_path / "pres.txt"
@@ -118,16 +139,16 @@ def test_pipeline_simplify_abelianize_homcount(capsys, monkeypatch, tmp_path):
     assert out.splitlines() == ["free_rank: 2", "torsion:"]
 
     code, out, _ = invoke(capsys, "homcount", "--in", str(simp_file), "--group", "sym3")
-    assert code == 0 and out.strip() == "30"
+    assert code == 0 and out.strip() == str(TREFOIL_SYM3)
 
     monkeypatch.setattr("sys.stdin", io.StringIO(simp))
     code, out, _ = invoke(capsys, "homcount", "--group", "sym3")
-    assert code == 0 and out.strip() == "30"
+    assert code == 0 and out.strip() == str(TREFOIL_SYM3)
 
 
 def test_simplify_structured_and_budget_warning(capsys, tmp_path):
     pres_file = tmp_path / "p.json"
-    pres_file.write_text('{"generators": ["x1", "x2", "y"], "relators": ["y x1 y^-1 x2^-1"]}')
+    pres_file.write_text(json.dumps({"generators": ["x1", "x2", "y"], "relators": [EXCHANGE_RELATOR]}))
     code, out, err = invoke(
         capsys, "simplify", "--in", str(pres_file), "--format", "structured"
     )
@@ -207,9 +228,21 @@ def test_examples_pass(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_examples_report_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(examples, "TREFOIL_SYM3", TREFOIL_SYM3 + 1)
+    code, out, _ = invoke(capsys, "examples")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[1] == (
+        f"FAIL virtual-trefoil-group-not-free: abelian=Z^2 sym3={TREFOIL_SYM3} "
+        "(free rank 2 gives 36)"
+    )
+    assert all(l.startswith("PASS") for l in lines[:1] + lines[2:]) and len(lines) == 8
+
+
 def test_byte_identical_output(capsys):
     args = ("present", "--theory", "virtual", "--strands", "3",
-            "--word", "r1 s1 s2 s1 r1 s1^-1 s2^-1 s1^-1", "--format", "structured")
+            "--word", KISHINO_CLOSURE, "--format", "structured")
     _, first, _ = invoke(capsys, *args)
     _, second, _ = invoke(capsys, *args)
     assert first == second

@@ -18,6 +18,8 @@ from linkgroups.freegroup import (
 )
 from linkgroups.reps import artin, virtual, wada
 
+from linkgroups.examples import VIRTUAL_TREFOIL
+
 from oracles import mat_mul, naive_substitute
 
 A2Y = Ambient(2, True)  # <x1, x2, y>
@@ -93,7 +95,7 @@ def test_compose_word_matches_substitution_oracle():
     from linkgroups.braid import parse
 
     rep = virtual(2)
-    e = rep.evaluate(parse("s1 s1 r1", 2, "virtual"))
+    e = rep.evaluate(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     assert e.images[1] == frozen
 
 

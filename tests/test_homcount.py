@@ -7,6 +7,7 @@ import pytest
 
 from linkgroups.freegroup import Ambient, Word, YID
 from linkgroups.homcount import (
+    MAX_GROUP_ORDER,
     CapExceeded,
     Fingerprint,
     builtin_group,
@@ -157,6 +158,17 @@ def test_custom_table_text():
     assert count_homs(P((1,), []), g) == 3
     with pytest.raises(ValueError):
         load_table_text("order 2\n0 1\n")  # missing row
+    with pytest.raises(ValueError, match="order m"):
+        load_table_text("order\n")
+
+
+def test_group_order_ceiling_checked_before_the_table():
+    too_big = MAX_GROUP_ORDER + 1
+    with pytest.raises(ValueError, match="exceeds the ceiling"):
+        builtin_group(f"c{too_big}")
+    # no rows follow, so only the order line can trigger the ceiling
+    with pytest.raises(ValueError, match="exceeds the ceiling"):
+        load_table_text(f"order {too_big}\n")
 
 
 def test_fingerprint_structure():

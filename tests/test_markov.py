@@ -6,7 +6,6 @@ import random
 import pytest
 
 from linkgroups.braid import (
-    braid_inverse,
     conjugate,
     normalize,
     parse,
@@ -15,14 +14,15 @@ from linkgroups.braid import (
     stabilize,
     underlying_permutation,
 )
+from linkgroups.examples import VIRTUAL_TREFOIL
 from linkgroups.homcount import fingerprint
 from linkgroups.markov import Move, fuzz, random_move, run_trial
 from linkgroups.present import group_of_virtual_link, tietze_simplify
 
 
 def test_move_examples():
-    b = parse("s1 s1 r1", 2, "virtual")
-    assert stabilize(b, "positive") == parse("s1 s1 r1 s2", 3, "virtual")
+    b = parse(VIRTUAL_TREFOIL, 2, "virtual")
+    assert stabilize(b, "positive") == parse(VIRTUAL_TREFOIL + " s2", 3, "virtual")
     assert conjugate(parse("s1", 2, "virtual"), rho(1)) == parse("r1 s1 r1", 2, "virtual")
 
 
@@ -115,25 +115,9 @@ def test_fuzz_jobs_clamped_to_trials(inline_pool, monkeypatch):
     assert par.render() == fuzz("welded", 3, 3, 6, 3, seed=4).render()
 
 
-def test_exchange_trial_example():
-    # the worked exchange pair: both forms carry the same fingerprints
-    b1 = parse("s1 r1 s1", 2, "virtual")
-    b2 = braid_inverse(b1)
-    from linkgroups.braid import exchange_pair
-
-    cf, vf = exchange_pair(b1, b2, "right")
-    fp_c = fingerprint(tietze_simplify(group_of_virtual_link(cf)).presentation)
-    fp_v = fingerprint(tietze_simplify(group_of_virtual_link(vf)).presentation)
-    assert fp_c == fp_v
-
-
 def test_trial_reports_are_replayable():
-    idx, status, payload = run_trial(
-        3, "virtual", 4, 8, 4, 123, None, None, None
-    )
-    idx2, status2, payload2 = run_trial(
-        3, "virtual", 4, 8, 4, 123, None, None, None
-    )
+    idx, status, payload = run_trial(3, "virtual", 4, 8, 4, 123, None)
+    idx2, status2, payload2 = run_trial(3, "virtual", 4, 8, 4, 123, None)
     assert (idx, status) == (idx2, status2)
     assert status in ("ok", "skipped")
 

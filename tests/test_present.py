@@ -4,13 +4,20 @@ import random
 
 import pytest
 
-from linkgroups.braid import BraidWord, braid_inverse, exchange_pair, parse, random_braid_from
+from linkgroups.braid import BraidWord, parse, random_braid_from
+from linkgroups.examples import (
+    EXCHANGE_RELATOR,
+    KISHINO_CLOSURE,
+    KISHINO_IMAGES,
+    KISHINO_QUOTIENT_SYM3,
+    VIRTUAL_TREFOIL,
+)
 from linkgroups.freegroup import Ambient, Word, YID, format_word, parse_word
 from linkgroups.homcount import builtin_group, count_homs, default_battery, fingerprint
 from linkgroups.present import (
     AbelianInvariants,
-    IntegerMatrix,
     Presentation,
+    _matmul,
     abelian_invariants,
     closure_group,
     format_presentation,
@@ -48,7 +55,7 @@ def test_virtual_group_of_unknot():
 
 
 def test_virtual_group_of_trefoil():
-    p = group_of_virtual_link(parse("s1 s1 r1", 2, "virtual"))
+    p = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     assert len(p.relators) == 2
     res = tietze_simplify(p)
     simp = res.presentation
@@ -71,17 +78,12 @@ def test_virtual_group_of_trefoil():
 
 
 def test_virtual_group_of_kishino_closure():
-    b = parse("r1 s1 s2 s1 r1 s1^-1 s2^-1 s1^-1", 3, "virtual")
+    b = parse(KISHINO_CLOSURE, 3, "virtual")
     p = group_of_virtual_link(b)
     assert len(p.relators) == 3
     amb = p.ambient
-    e_images = {
-        1: "y y x3^-1 x2 x3 y^-1 y^-1 x3 y y x3^-1 x2^-1 x3 y^-1 y^-1",
-        2: "x3^-1 x2 x3 y^-1 y^-1 x3 y x3^-1 x2^-1 x1 x2 x3 y^-1 x3^-1 y y x3^-1 x2^-1 x3",
-        3: "y x3^-1 x2 x3 y^-1",
-    }
     for i, rel in zip((1, 2, 3), p.relators):
-        expected = Word(amb, (-i,)) * parse_word(e_images[i], amb)
+        expected = Word(amb, (-i,)) * parse_word(KISHINO_IMAGES[i], amb)
         assert rel == expected.cyclic_reduce()[0]
     assert free_rank_certificate(p) == 2
 
@@ -101,7 +103,7 @@ def test_welded_group_of_empty():
 
 
 def test_welded_group_matches_y_quotient():
-    b = parse("s1 s1 r1", 2, "virtual")
+    b = parse(VIRTUAL_TREFOIL, 2, "virtual")
     from linkgroups.braid import to_welded
 
     lhs = quotient_y(group_of_virtual_link(b))
@@ -149,6 +151,10 @@ def test_closure_group_matches_each_builder():
     w = parse("s1 a2 s1^-1 s2", 3, "welded")
     assert closure_group(w, 1, 2) == wada_group(w, 1, 2) != closure_group(w)
     assert closure_group(w, 2) == wada_group(w, 2) != closure_group(w)
+    # h is the conjugation power of wada1 alone, and at least 1
+    for wada_type, h in ((None, 0), (None, 2), (1, 0), (2, 2)):
+        with pytest.raises(ValueError, match="conjugation power"):
+            closure_group(w, wada_type, h)
 
 
 def test_wada_group_rejects_types_3_and_4():
@@ -177,14 +183,14 @@ def test_quotient_y_examples():
     q = quotient_y(p)
     assert q.generators == (1,) and q.relators == ()
 
-    trefoil = group_of_virtual_link(parse("s1 s1 r1", 2, "virtual"))
+    trefoil = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     q = quotient_y(trefoil)
     assert abelian_invariants(q) == AbelianInvariants(1, ())
 
-    kishino = group_of_virtual_link(parse("r1 s1 s2 s1 r1 s1^-1 s2^-1 s1^-1", 3, "virtual"))
+    kishino = group_of_virtual_link(parse(KISHINO_CLOSURE, 3, "virtual"))
     q = quotient_y(kishino)
     assert abelian_invariants(q) == AbelianInvariants(1, ())
-    assert count_homs(q, builtin_group("sym3")) == 6
+    assert count_homs(q, builtin_group("sym3")) == KISHINO_QUOTIENT_SYM3
 
     with pytest.raises(ValueError):
         quotient_y(q)
@@ -194,7 +200,7 @@ def test_quotient_y_examples():
 
 
 def test_tietze_eliminates_single_occurrence():
-    p = P(["x1", "x2", "y"], ["y x1 y^-1 x2^-1"])
+    p = P(["x1", "x2", "y"], [EXCHANGE_RELATOR])
     res = tietze_simplify(p)
     assert not res.exhausted
     assert len(res.presentation.generators) == 2
@@ -209,7 +215,7 @@ def test_tietze_fixpoint_unchanged():
 
 
 def test_tietze_budget_exhaustion():
-    p = group_of_virtual_link(parse("s1 s1 r1", 2, "virtual"))
+    p = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     res = tietze_simplify(p, budget=1)
     assert res.exhausted
     assert res.presentation.total_letters() >= 1
@@ -254,17 +260,8 @@ def test_tietze_steps_preserve_fingerprint():
 def test_free_rank_certificate():
     assert free_rank_certificate(P(["x1", "y"], [])) == 2
     assert free_rank_certificate(P(["x1"], ["x1 x1"])) is None
-    vt = group_of_virtual_link(parse("s1 s1 r1", 2, "virtual"))
+    vt = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     assert free_rank_certificate(vt) is None
-
-
-def test_exchange_forms_same_fingerprint():
-    b1 = parse("s1 r1 s1", 2, "virtual")
-    cf, vf = exchange_pair(b1, braid_inverse(b1), "right")
-    fp_c = fingerprint(tietze_simplify(group_of_virtual_link(cf)).presentation)
-    fp_v = fingerprint(tietze_simplify(group_of_virtual_link(vf)).presentation)
-    assert fp_c == fp_v
-    assert free_rank_certificate(group_of_virtual_link(vf)) == 2
 
 
 # --- presentation type ------------------------------------------------------
@@ -286,7 +283,7 @@ def test_presentation_validation():
 
 
 def test_presentation_text_round_trip():
-    p = group_of_virtual_link(parse("s1 s1 r1", 2, "virtual"))
+    p = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     for structured in (False, True):
         text = format_presentation(p, structured=structured)
         assert parse_presentation(text) == p
@@ -299,24 +296,26 @@ def test_presentation_text_round_trip():
 
 def test_relation_matrix_examples():
     p = P(["x1"], ["x1 x1"])
-    assert relation_matrix(p).rows == ((2,),)
+    assert relation_matrix(p) == [[2]]
     p = P(["x1", "x2"], ["x1 x2 x1^-1 x2^-1"])
-    assert relation_matrix(p).rows == ((0, 0),)
-    vt = group_of_virtual_link(parse("s1 s1 r1", 2, "virtual"))
+    assert relation_matrix(p) == [[0, 0]]
+    vt = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     m = relation_matrix(vt)
-    assert m.nrows == 2 and m.ncols == 3
-    assert all(row[2] == 0 for row in m.rows)  # y column vanishes
+    assert len(m) == 2 and all(len(row) == 3 for row in m)
+    assert all(row[2] == 0 for row in m)  # y column vanishes
     snf = smith_normal_form(m)
     assert sum(1 for d in snf.diagonal if d) <= 1
 
 
 def test_smith_normal_form_examples():
-    snf = smith_normal_form(IntegerMatrix(mat_identity(2)))
+    snf = smith_normal_form(mat_identity(2))
     assert snf.diagonal == (1, 1)
-    snf = smith_normal_form(IntegerMatrix([[2, 4], [6, 8]]))
+    snf = smith_normal_form([[2, 4], [6, 8]])
     assert snf.diagonal == (2, 4)
-    snf = smith_normal_form(IntegerMatrix([[0, 0], [0, 0]]))
+    snf = smith_normal_form([[0, 0], [0, 0]])
     assert snf.diagonal == (0, 0)
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 2], [3]])
 
 
 def test_smith_normal_form_randomized():
@@ -324,14 +323,12 @@ def test_smith_normal_form_randomized():
     for _ in range(150):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        m = IntegerMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+        m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
         snf = smith_normal_form(m)
         # U m V = D, verified against the oracle multiply
-        lhs = mat_mul(mat_mul([list(x) for x in snf.U.rows], [list(x) for x in m.rows]),
-                      [list(x) for x in snf.V.rows])
-        assert lhs == [list(x) for x in snf.D.rows]
-        assert abs(mat_det([list(x) for x in snf.U.rows])) == 1
-        assert abs(mat_det([list(x) for x in snf.V.rows])) == 1
+        assert mat_mul(mat_mul(snf.U, m), snf.V) == snf.D
+        assert abs(mat_det(snf.U)) == 1
+        assert abs(mat_det(snf.V)) == 1
         diag = snf.diagonal
         for a, b in zip(diag, diag[1:]):
             if a == 0:
@@ -339,26 +336,24 @@ def test_smith_normal_form_randomized():
             else:
                 assert b % a == 0
         # off-diagonal entries vanish
-        for i, row in enumerate(snf.D.rows):
+        for i, row in enumerate(snf.D):
             for j, v in enumerate(row):
                 if i != j:
                     assert v == 0
 
 
 def test_integer_matrix_ops():
-    ident = IntegerMatrix(mat_identity(3))
-    assert ident @ ident == ident
-    assert mat_det(mat_identity(3)) == 1
-    m = IntegerMatrix([[1, 2], [3, 4]])
-    assert m @ IntegerMatrix(mat_identity(2)) == m
-    assert mat_det([list(r) for r in m.rows]) == -2
-    with pytest.raises(ValueError):
-        IntegerMatrix([[1, 2], [3]])
+    ident = mat_identity(3)
+    assert _matmul(ident, ident) == ident
+    assert mat_det(ident) == 1
+    m = [[1, 2], [3, 4]]
+    assert _matmul(m, mat_identity(2)) == m
+    assert mat_det(m) == -2
 
 
 def test_abelian_invariants_examples():
     assert abelian_invariants(P(["x1", "y"], [])) == AbelianInvariants(2, ())
-    vt = group_of_virtual_link(parse("s1 s1 r1", 2, "virtual"))
+    vt = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     assert abelian_invariants(vt) == AbelianInvariants(2, ())
     assert abelian_invariants(P(["x1"], ["x1 x1"])) == AbelianInvariants(0, (2,))
     assert str(AbelianInvariants(0, (2,))) == "Z/2"

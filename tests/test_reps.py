@@ -22,6 +22,7 @@ from linkgroups.freegroup import (
     is_identity,
     parse_word,
 )
+from linkgroups.examples import VIRTUAL_TREFOIL
 from linkgroups.reps import (
     artin,
     check_relations,
@@ -76,18 +77,8 @@ def test_illegal_letter_family():
 
 def test_evaluate_virtual_trefoil_images():
     rep = virtual(2)
-    e = rep.evaluate(parse("s1 s1 r1", 2, "virtual"))
+    e = rep.evaluate(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     assert e.images[2] == parse_word("y x2 y^-1 y^-1 x1 y y x2^-1 y^-1", rep.ambient)
-
-
-def test_evaluate_kishino_closure_images():
-    rep = virtual(3)
-    e = rep.evaluate(parse("r1 s1 s2 s1 r1 s1^-1 s2^-1 s1^-1", 3, "virtual"))
-    amb = rep.ambient
-    assert e.images[1] == parse_word(
-        "y y x3^-1 x2 x3 y^-1 y^-1 x3 y y x3^-1 x2^-1 x3 y^-1 y^-1", amb
-    )
-    assert e.images[3] == parse_word("y x3^-1 x2 x3 y^-1", amb)
 
 
 def test_evaluate_empty_is_identity():
@@ -109,13 +100,20 @@ def test_representation_factory():
         representation("nope", 3)
     with pytest.raises(ValueError):
         wada(3, 7)
-    for h in (0, -1):
-        with pytest.raises(ValueError, match="at least 1"):
-            representation("wada1", 3, h)
+    for name in ("wada1", "virtual", "wada2"):
+        for h in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                representation(name, 3, h)
+    for name in ("artin", "virtual", "welded", "wada2", "wada3", "wada4"):
+        with pytest.raises(ValueError, match="only to wada1"):
+            representation(name, 3, 7)
 
 
 def test_representations_are_cached():
     assert virtual(3) is virtual(3)
+    assert representation("virtual", 3) is representation("virtual", 3, 1)
+    assert representation("virtual", 3, h=1) is virtual(3)
+    assert representation("wada1", 3) is wada(3, 1, 1) is wada(3, 1)
     assert representation("wada1", 3, 2) is wada(3, 1, 2)
 
 
