@@ -19,6 +19,17 @@ THEORIES = ("classical", "virtual", "welded")
 # 'a' = welded alpha_i; rho and alpha are involutions and carry no sign.
 _FAMILIES = {"classical": "s", "virtual": "sr", "welded": "sa"}
 
+# the most strands of a braid word or representation; checking the O(n^2)
+# defining relations on n + 1 generators takes seconds at this ceiling
+MAX_STRANDS = 64
+
+
+def check_strands(strands: int) -> None:
+    if strands < 1:
+        raise ValueError("strand count must be at least 1")
+    if strands > MAX_STRANDS:
+        raise ValueError(f"strand count {strands} exceeds the ceiling {MAX_STRANDS}")
+
 
 class BraidLetter(NamedTuple):
     family: str
@@ -56,8 +67,7 @@ class BraidWord:
     def __init__(self, strands: int, theory: str, letters=()):
         if theory not in THEORIES:
             raise ValueError(f"unknown theory {theory!r}")
-        if strands < 1:
-            raise ValueError("strand count must be at least 1")
+        check_strands(strands)
         letters = tuple(letters)
         for l in letters:
             if l.family not in _FAMILIES[theory]:

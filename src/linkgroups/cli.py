@@ -55,7 +55,6 @@ def _build_parser():
     p = sub.add_parser("homcount", help="count homomorphisms to a finite group")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--group", required=True, help="sym3|sym4|alt4|d4|c<k>|table:<path>")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("check-relations", help="verify the defining relations under a representation")
@@ -136,7 +135,7 @@ def _cmd_abelianize(args) -> int:
 def _cmd_homcount(args) -> int:
     p = _read_presentation(args.infile)
     g = _group_from_flag(args.group)
-    print(homcount.count_homs(p, g, cap=args.cap, jobs=args.jobs))
+    print(homcount.count_homs(p, g, cap=args.cap))
     return 0
 
 

@@ -123,8 +123,29 @@ class Word:
         conjugator = Word(self.ambient, ls[j:])
         return core, conjugator
 
+    def without_y(self) -> "Word":
+        """Erase every y letter, giving a word over the ambient without y."""
+        return Word(self.ambient.without_y(), tuple(v for v in self.letters if abs(v) != YID))
 
-_TOKEN = re.compile(r"^(x([1-9][0-9]*)|y)(\^-1)?$")
+
+def exponent_sums(w: Word, gens) -> list[int]:
+    """The exponent sum in w of each generator in gens, in that order."""
+    col = {g: j for j, g in enumerate(gens)}
+    sums = [0] * len(col)
+    for v in w.letters:
+        sums[col[abs(v)]] += 1 if v > 0 else -1
+    return sums
+
+
+_GEN = re.compile(r"x([1-9][0-9]*)|y")
+
+
+def parse_gen(name: str) -> int:
+    """The id of a generator name: y, or x<k> (k >= 1, ASCII digits, no leading 0)."""
+    m = _GEN.fullmatch(name)
+    if m is None:
+        raise ValueError(f"bad generator name {name!r}")
+    return int(m.group(1)) if m.group(1) else YID
 
 
 def parse_word(text: str, ambient: Ambient) -> Word:
@@ -135,11 +156,12 @@ def parse_word(text: str, ambient: Ambient) -> Word:
         return Word(ambient)
     letters = []
     for tok in text.split():
-        m = _TOKEN.match(tok)
-        if m is None:
-            raise ValueError(f"bad word token {tok!r}")
-        gid = YID if m.group(1) == "y" else int(m.group(2))
-        letters.append(-gid if m.group(3) else gid)
+        name = tok.removesuffix("^-1")
+        try:
+            gid = parse_gen(name)
+        except ValueError:
+            raise ValueError(f"bad word token {tok!r}") from None
+        letters.append(gid if name == tok else -gid)
     return Word(ambient, letters)
 
 
@@ -167,27 +189,16 @@ class Endomorphism:
         self.codomain = codomain
         self.images = images
 
-    def image(self, gid: int) -> Word:
-        return self.images[gid]
-
     def __call__(self, w: Word) -> Word:
         """Apply by substitution; the result is reduced."""
         if w.ambient != self.domain:
             raise ValueError("word is not over the domain generators")
-        budget = 0
-        for v in w.letters:
-            budget += len(self.images[abs(v)].letters)
-            if budget > LETTER_LIMIT:
-                raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
+        if sum(len(self.images[abs(v)].letters) for v in w.letters) > LETTER_LIMIT:
+            raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
         out = []
         for v in w.letters:
             img = self.images[abs(v)].letters
-            seq = img if v > 0 else tuple(-u for u in reversed(img))
-            for u in seq:
-                if out and out[-1] == -u:
-                    out.pop()
-                else:
-                    out.append(u)
+            out.extend(img if v > 0 else [-u for u in reversed(img)])
         return Word(self.codomain, out)
 
     def __eq__(self, other) -> bool:
@@ -248,10 +259,5 @@ def abelianized_matrix(e: Endomorphism) -> list[list[int]]:
     matrix(compose(f, g)) = matrix(g) @ matrix(f).
     """
     rows = e.codomain.gens()
-    cols = e.domain.gens()
-    idx = {g: r for r, g in enumerate(rows)}
-    m = [[0] * len(cols) for _ in rows]
-    for c, g in enumerate(cols):
-        for v in e.images[g].letters:
-            m[idx[abs(v)]][c] += 1 if v > 0 else -1
-    return m
+    cols = [exponent_sums(e.images[g], rows) for g in e.domain.gens()]
+    return [[col[r] for col in cols] for r in range(len(rows))]

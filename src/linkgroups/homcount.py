@@ -17,7 +17,7 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .present import AbelianInvariants, Presentation, abelian_invariants
 
@@ -197,7 +197,7 @@ def _compile(p: Presentation, g: FiniteGroupTable, cap):
     return [list(rels) for rels in compiled]
 
 
-def _count_assignments(g: FiniteGroupTable, compiled, first_values):
+def _count_assignments(g: FiniteGroupTable, compiled):
     mul = g.table
     inv = g.inverse
     order = g.order
@@ -215,9 +215,8 @@ def _count_assignments(g: FiniteGroupTable, compiled, first_values):
                 cs.append(w)
             consts.append((cs, exps))
         total = 0
-        values = first_values if depth == 0 else range(order)
         last = depth == k - 1
-        for v in values:
+        for v in range(order):
             vinv = inv[v]
             ok = True
             for cs, exps in consts:
@@ -243,25 +242,13 @@ def _count_assignments(g: FiniteGroupTable, compiled, first_values):
     return rec(0)
 
 
-def count_homs(p: Presentation, g: FiniteGroupTable, cap=None, jobs: int = 1) -> int:
-    """The exact number of homomorphisms from the presented group to g.
-
-    jobs processes split the first generator's images between them; jobs
-    is clamped to the CPU count and to |g|."""
+def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
+    """The exact number of homomorphisms from the presented group to g."""
     if not p.relators:
         return g.order ** len(p.generators)
     compiled = _compile(p, g, cap)
     free = len(p.generators) - len(compiled)
-    jobs = min(jobs, os.cpu_count() or 1, g.order)
-    if jobs <= 1:
-        total = _count_assignments(g, compiled, range(g.order))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [range(start, g.order, jobs) for start in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            total = sum(pool.map(partial(_count_assignments, g, compiled), chunks))
-    return g.order ** free * total
+    return g.order ** free * _count_assignments(g, compiled)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from functools import partial
 from typing import Optional
 
 from .braid import (
+    MAX_STRANDS,
     BraidWord,
     alphabet,
     conjugate,
@@ -221,6 +222,8 @@ def fuzz(
                                ("length", length, 0), ("depth", depth, 0)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    if strands + depth > MAX_STRANDS:  # each move adds at most one strand
+        raise ValueError(f"strands + depth {strands + depth} exceeds the ceiling {MAX_STRANDS}")
     trial = partial(run_trial, theory=theory, max_strands=strands, max_length=length,
                     max_depth=depth, seed=seed, wada_type=wada_type)
     jobs = min(jobs, os.cpu_count() or 1, trials)

@@ -18,8 +18,10 @@ from .freegroup import (
     Ambient,
     Word,
     YID,
+    exponent_sums,
     format_word,
     gen_name,
+    parse_gen,
     parse_word,
 )
 from . import reps
@@ -155,11 +157,7 @@ def quotient_y(p: Presentation) -> Presentation:
     if YID not in p.generators:
         raise ValueError("presentation has no y generator")
     gens = tuple(g for g in p.generators if g != YID)
-    ambient = _ambient_for(gens)
-    relators = [
-        Word(ambient, tuple(v for v in r.letters if abs(v) != YID)) for r in p.relators
-    ]
-    return Presentation(gens, relators)
+    return Presentation(gens, [r.without_y() for r in p.relators])
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +262,7 @@ def _matmul(a, b):
 
 def relation_matrix(p: Presentation) -> list[list[int]]:
     """Rows = relators, columns = generators, entries = exponent sums."""
-    col = {g: j for j, g in enumerate(p.generators)}
-    rows = []
-    for r in p.relators:
-        row = [0] * len(p.generators)
-        for v in r.letters:
-            row[col[abs(v)]] += 1 if v > 0 else -1
-        rows.append(row)
-    return rows
+    return [exponent_sums(r, p.generators) for r in p.relators]
 
 
 @dataclass(frozen=True)
@@ -381,8 +372,6 @@ class AbelianInvariants:
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Free rank and torsion coefficients of the abelianized group, from
     the Smith normal form of the relation matrix."""
-    if not p.relators:
-        return AbelianInvariants(len(p.generators), ())
     snf = smith_normal_form(relation_matrix(p))
     rank = sum(1 for d in snf.diagonal if d)
     torsion = tuple(d for d in snf.diagonal if d >= 2)
@@ -405,14 +394,6 @@ def format_presentation(p: Presentation, structured: bool = False) -> str:
     return "\n".join(lines)
 
 
-def _gid_of(name: str) -> int:
-    if name == "y":
-        return YID
-    if name.startswith("x") and name[1:].isdigit() and not name[1:].startswith("0"):
-        return int(name[1:])
-    raise ValueError(f"bad generator name {name!r}")
-
-
 def _string_list(payload: dict, key: str, default) -> list:
     value = payload.get(key, default)
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -427,7 +408,7 @@ def parse_presentation(text: str) -> Presentation:
         raise ValueError("empty presentation input")
     if text.startswith("{"):
         payload = json.loads(text)
-        gens = tuple(_gid_of(n) for n in _string_list(payload, "generators", None))
+        gens = tuple(parse_gen(n) for n in _string_list(payload, "generators", None))
         ambient = _ambient_for(gens)
         relators = [parse_word(s, ambient) for s in _string_list(payload, "relators", [])]
         return Presentation(gens, relators)
@@ -441,7 +422,7 @@ def parse_presentation(text: str) -> Presentation:
             if gens is not None:
                 raise ValueError("duplicate gens line")
             names = line[len("gens:") :].split()
-            gens = tuple(_gid_of(n) for n in names)
+            gens = tuple(parse_gen(n) for n in names)
         elif line.startswith("rel:"):
             rel_lines.append(line[len("rel:") :].strip())
         else:

@@ -17,6 +17,7 @@ from .braid import (
     BraidLetter,
     BraidWord,
     DefiningRelation,
+    check_strands,
     defining_relations,
 )
 from .freegroup import (
@@ -41,8 +42,7 @@ class Representation:
     """
 
     def __init__(self, name: str, strands: int, wada_type: int = 0, conj_power: int = 1):
-        if strands < 1:
-            raise ValueError("strand count must be at least 1")
+        check_strands(strands)
         self.name = name
         self.strands = strands
         self.wada_type = wada_type
@@ -206,9 +206,5 @@ def project_y(e: Endomorphism) -> Endomorphism:
     if not e.domain.has_y:
         raise ValueError("domain has no y generator to erase")
     dom = e.domain.without_y()
-    cod = e.codomain.without_y()
-    images = {}
-    for g in dom.gens():
-        letters = tuple(v for v in e.images[g].letters if abs(v) != YID)
-        images[g] = Word(cod, letters)
-    return Endomorphism(dom, cod, images)
+    images = {g: e.images[g].without_y() for g in dom.gens()}
+    return Endomorphism(dom, e.codomain.without_y(), images)

@@ -1,10 +1,6 @@
 import concurrent.futures
-import sys
-from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from linkgroups.braid import (
+    MAX_STRANDS,
     BraidLetter,
     BraidWord,
     alpha,
@@ -216,6 +217,9 @@ def test_braidword_validation():
         BraidWord(2, "nope", ())
     with pytest.raises(ValueError):
         BraidWord(0, "virtual", ())
+    assert BraidWord(MAX_STRANDS, "virtual", ()).strands == MAX_STRANDS
+    with pytest.raises(ValueError, match="exceeds the ceiling"):
+        BraidWord(MAX_STRANDS + 1, "virtual", ())
     with pytest.raises(ValueError):
         BraidWord(2, "virtual", (BraidLetter("s", 1, 2),))
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from linkgroups import examples
+from linkgroups.braid import MAX_STRANDS
 from linkgroups.cli import run
 from linkgroups.examples import EXCHANGE_RELATOR, KISHINO_CLOSURE, TREFOIL_SYM3, VIRTUAL_TREFOIL
 from linkgroups.homcount import MAX_GROUP_ORDER
@@ -32,6 +33,9 @@ def test_parse_bad_word(capsys):
 def test_usage_error_status():
     with pytest.raises(SystemExit) as exc:
         run(["parse", "--theory", "imaginary", "--strands", "2", "--word", "s1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["homcount", "--group", "sym3", "--jobs", "2"])  # hom counting runs in one process
     assert exc.value.code == 2
 
 
@@ -117,6 +121,29 @@ def test_structured_input_is_type_checked(capsys, monkeypatch, payload):
     assert one_line_error(*result) and "must be a list of strings" in result[2]
 
 
+@pytest.mark.parametrize(
+    "payload", ["gens: x\u0661 x2\nrel: x1 x2\n", '{"generators": ["x\u0661", "x2"], "relators": []}']
+)
+def test_generator_names_are_ascii(capsys, monkeypatch, payload):
+    # an Arabic-Indic digit one is not the generator x1, in either form
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    result = invoke(capsys, "abelianize")
+    assert one_line_error(*result) and "bad generator name" in result[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-relations", "--rep", "virtual", "--strands", str(MAX_STRANDS + 1)],
+        ["present", "--theory", "virtual", "--strands", str(MAX_STRANDS + 1), "--word", "s1"],
+        ["markov-fuzz", "--theory", "welded", "--trials", "1", "--strands", str(MAX_STRANDS - 5)],
+    ],
+)
+def test_strand_count_above_ceiling(capsys, argv):
+    result = invoke(capsys, *argv)
+    assert one_line_error(*result) and "exceeds the ceiling" in result[2]
+
+
 def test_pipeline_simplify_abelianize_homcount(capsys, monkeypatch, tmp_path):
     code, out, _ = invoke(
         capsys, "present", "--theory", "virtual", "--strands", "2", "--word", VIRTUAL_TREFOIL
@@ -176,10 +203,6 @@ def test_homcount_free_rank_two(capsys, tmp_path):
     pres = tmp_path / "free.txt"
     pres.write_text("gens: x1 y\n")
     code, out, _ = invoke(capsys, "homcount", "--in", str(pres), "--group", "sym3")
-    assert code == 0 and out.strip() == "36"
-    code, out, _ = invoke(
-        capsys, "homcount", "--in", str(pres), "--group", "sym3", "--jobs", "2"
-    )
     assert code == 0 and out.strip() == "36"
 
 

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+import linkgroups.freegroup as fg
 from linkgroups.freegroup import (
     Ambient,
     Automorphism,
     Endomorphism,
     Word,
+    WordLengthError,
     YID,
     abelianized_matrix,
     compose,
@@ -169,6 +171,18 @@ def test_endomorphism_validation():
             Ambient(1, False),
             {1: Word(Ambient(2, False), (2,))},  # image over the wrong ambient
         )
+
+
+def test_substitution_budget_counts_unreduced_letters(monkeypatch):
+    amb = Ambient(2, False)
+    f = Endomorphism(amb, amb, {1: Word(amb, (2,) * 5 + (1,)), 2: Word(amb, (2,))})
+    w = Word(amb, (-2,) * 5 + (1,))
+    # f(w) = x2^-5 x2^5 x1 reduces to x1, but the substitution has 11 letters
+    monkeypatch.setattr(fg, "LETTER_LIMIT", 11)
+    assert f(w) == Word(amb, (1,))
+    monkeypatch.setattr(fg, "LETTER_LIMIT", 10)
+    with pytest.raises(WordLengthError):
+        f(w)
 
 
 def test_abelianized_matrix_artin_swap():

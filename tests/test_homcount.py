@@ -1,6 +1,5 @@
 """Hom counting: builtin tables, brute-force agreement, invariances."""
 
-import os
 import random
 
 import pytest
@@ -113,26 +112,6 @@ def test_count_multiplicative_over_direct_product():
     p = P((1, 2), [(1, 1, 2, -1, -2)])
     assert count_homs(p, prod) == count_homs(p, c2) * count_homs(p, c3)
     assert count_homs(p, prod) == count_homs(p, c6)
-
-
-def test_partitioned_counts_sum_to_sequential():
-    g = builtin_group("sym3")
-    p = P((1, 2), [(1, 2, -1, -2)])
-    # parallel path gives the identical total
-    assert count_homs(p, g, jobs=2) == count_homs(p, g)
-
-
-def test_jobs_clamped_to_cpus_and_group_order(inline_pool, monkeypatch):
-    p = P((1, 2), [(1, 2, -1, -2)])
-    sym3 = builtin_group("sym3")
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    # four partitions of the first generator's images sum to the sequential count
-    assert count_homs(p, sym3, jobs=10 ** 6) == 18
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert count_homs(p, builtin_group("c3"), jobs=10 ** 6) == 9
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert count_homs(p, sym3, jobs=8) == 18  # CPU count unknown: no pool
-    assert inline_pool == [4, 3]
 
 
 def test_cap_exceeded():

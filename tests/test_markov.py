@@ -6,6 +6,7 @@ import random
 import pytest
 
 from linkgroups.braid import (
+    MAX_STRANDS,
     conjugate,
     normalize,
     parse,
@@ -106,6 +107,9 @@ def test_fuzz_argument_validation():
     for trials, strands, length, depth in ((-2, 3, 5, 2), (1, 1, 5, 2), (1, 3, -1, 2), (1, 3, 5, -1)):
         with pytest.raises(ValueError, match="must be at least"):
             fuzz("virtual", trials, strands, length, depth, seed=0)
+    # each move may add a strand, so strands + depth is held to the ceiling
+    with pytest.raises(ValueError, match="exceeds the ceiling"):
+        fuzz("welded", 1, MAX_STRANDS - 5, 5, 6, seed=0)
 
 
 def test_fuzz_jobs_clamped_to_trials(inline_pool, monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from linkgroups.braid import (
+    MAX_STRANDS,
     BraidWord,
     alpha,
     forbidden_relations,
@@ -107,6 +108,9 @@ def test_representation_factory():
     for name in ("artin", "virtual", "welded", "wada2", "wada3", "wada4"):
         with pytest.raises(ValueError, match="only to wada1"):
             representation(name, 3, 7)
+    assert representation("virtual", MAX_STRANDS).strands == MAX_STRANDS
+    with pytest.raises(ValueError, match="exceeds the ceiling"):
+        representation("welded", MAX_STRANDS + 1)
 
 
 def test_representations_are_cached():

@@ -12,6 +12,7 @@ from linkgroups.freegroup import (
     WordLengthError,
     YID,
     format_word,
+    parse_gen,
     parse_word,
 )
 
@@ -130,6 +131,13 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_bad_tokens():
-    for bad in ("x0", "z1", "x1^2", "x1^-2", "x", "x01"):
-        with pytest.raises(ValueError):
+    for bad in ("x0", "z1", "x1^2", "x1^-2", "x", "x01", "x1^-1^-1", "x\u0661"):
+        with pytest.raises(ValueError, match="bad word token"):
             parse_word(bad, AMB)
+
+
+def test_generator_names():
+    assert [parse_gen(n) for n in ("x1", "x12", "y")] == [1, 12, YID]
+    for bad in ("x0", "x01", "x", "x1^-1", "y^-1", "z1", "x\u0661", "x\u00b2", "x1\n", " x1"):
+        with pytest.raises(ValueError, match="bad generator name"):
+            parse_gen(bad)
