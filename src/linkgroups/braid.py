@@ -53,12 +53,6 @@ def letter_inverse(l: BraidLetter) -> BraidLetter:
     return BraidLetter("s", l.pos, -l.sign) if l.family == "s" else l
 
 
-def _cancels(a: BraidLetter, b: BraidLetter) -> bool:
-    if a.family != b.family or a.pos != b.pos:
-        return False
-    return a.sign == -b.sign if a.family == "s" else True
-
-
 class BraidWord:
     """A sequence of letters on a fixed strand count and theory."""
 
@@ -106,7 +100,7 @@ def normalize(b: BraidWord) -> BraidWord:
     """Cancel adjacent sigma/sigma^-1 pairs and involution squares."""
     out = []
     for l in b.letters:
-        if out and _cancels(out[-1], l):
+        if out and out[-1] == letter_inverse(l):
             out.pop()
         else:
             out.append(l)

@@ -14,8 +14,6 @@ import sys
 from . import braid, homcount, markov, present, reps
 from .freegroup import WordLengthError, format_word, gen_name, parse_word
 
-_REP_CHOICES = ("artin", "virtual", "welded", "wada1", "wada2", "wada3", "wada4")
-
 
 def _build_parser():
     top = argparse.ArgumentParser(
@@ -30,7 +28,7 @@ def _build_parser():
     p.add_argument("--word", required=True)
 
     p = sub.add_parser("act", help="print the free-group images of a braid word")
-    p.add_argument("--rep", choices=_REP_CHOICES, required=True)
+    p.add_argument("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
     p.add_argument("--wada-h", type=int, default=1)
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--word", required=True)
@@ -58,7 +56,7 @@ def _build_parser():
     p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("check-relations", help="verify the defining relations under a representation")
-    p.add_argument("--rep", choices=_REP_CHOICES, required=True)
+    p.add_argument("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--wada-h", type=int, default=1)
     p.add_argument("--include-forbidden", action="store_true")

@@ -28,7 +28,8 @@ MAX_GROUP_ORDER = 1024
 
 
 class CapExceeded(RuntimeError):
-    """The enumeration space is larger than the configured cap."""
+    """The enumeration space is larger than the configured cap, or deeper
+    than the interpreter can recurse."""
 
 
 def effective_cap(cap=None) -> int:
@@ -239,12 +240,17 @@ def _count_assignments(g: FiniteGroupTable, compiled):
                     total += rec(depth + 1)
         return total
 
-    return rec(0)
+    try:
+        return rec(0)
+    except RecursionError:
+        raise CapExceeded(
+            f"enumerating {k} generators recurses deeper than the interpreter allows"
+        ) from None
 
 
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     """The exact number of homomorphisms from the presented group to g."""
-    if not p.relators:
+    if g.order == 1 or not p.relators:
         return g.order ** len(p.generators)
     compiled = _compile(p, g, cap)
     free = len(p.generators) - len(compiled)

@@ -213,13 +213,13 @@ def fuzz(
 ) -> FuzzReport:
     """Run the campaign; deterministic for a fixed seed regardless of jobs.
 
-    jobs is clamped to the CPU count and the number of trials."""
+    jobs, at least 1, is clamped to the CPU count and the number of trials."""
     if theory not in ("virtual", "welded"):
         raise ValueError("fuzzing is defined for virtual and welded braids")
     if wada_type is not None and theory != "welded":
         raise ValueError("Wada fingerprints apply to welded braids")
     for name, value, least in (("trials", trials, 0), ("strands", strands, 2),
-                               ("length", length, 0), ("depth", depth, 0)):
+                               ("length", length, 0), ("depth", depth, 0), ("jobs", jobs, 1)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if strands + depth > MAX_STRANDS:  # each move adds at most one strand

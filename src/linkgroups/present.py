@@ -96,22 +96,16 @@ def _relators_from(rep: reps.Representation, b: BraidWord) -> Presentation:
 
 def group_of_virtual_link(b: BraidWord) -> Presentation:
     """<x1..xn, y | x_i = (image of x_i)> for a virtual braid word."""
-    if b.theory != "virtual":
-        raise ValueError(f"expected a virtual braid, got {b.theory}")
     return _relators_from(reps.representation("virtual", b.strands), b)
 
 
 def group_of_welded_link(b: BraidWord) -> Presentation:
     """<x1..xn | x_i = (image of x_i)> for a welded braid word."""
-    if b.theory != "welded":
-        raise ValueError(f"expected a welded braid, got {b.theory}")
     return _relators_from(reps.representation("welded", b.strands), b)
 
 
 def group_of_classical_link(b: BraidWord) -> Presentation:
     """The link group presentation from the Artin action of a classical braid."""
-    if b.theory != "classical":
-        raise ValueError(f"expected a classical braid, got {b.theory}")
     return _relators_from(reps.representation("artin", b.strands), b)
 
 
@@ -122,8 +116,6 @@ def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
     the mixed relation alpha_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i
     alpha_{i+1} is not preserved by their automorphisms.
     """
-    if b.theory != "welded":
-        raise ValueError(f"expected a welded braid, got {b.theory}")
     if k not in (1, 2):
         raise ValueError(
             f"Wada type {k} does not induce a welded-braid homomorphism "
@@ -139,16 +131,17 @@ def closure_group(b: BraidWord, wada_type: Optional[int] = None, h: int = 1) -> 
     wada_type (1 or 2, welded braids only) when given, otherwise under the
     representation of b's theory.  h, the conjugation power of wada1, must
     be 1 for every other action."""
-    reps.check_conj_power(f"wada{wada_type}" if wada_type else b.theory, h)
-    # the builders are looked up as module globals at call time, so a
-    # wrapper installed on this module sees every build
     if wada_type:
         return wada_group(b, wada_type, h)
-    if b.theory == "virtual":
-        return group_of_virtual_link(b)
-    if b.theory == "welded":
-        return group_of_welded_link(b)
-    return group_of_classical_link(b)
+    # the builders are looked up as module globals at call time, so a
+    # wrapper installed on this module sees every build
+    family, build = {
+        "classical": ("artin", group_of_classical_link),
+        "virtual": ("virtual", group_of_virtual_link),
+        "welded": ("welded", group_of_welded_link),
+    }[b.theory]
+    reps.check_conj_power(family, h)
+    return build(b)
 
 
 def quotient_y(p: Presentation) -> Presentation:
@@ -228,6 +221,8 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
     """Eliminate until no generator occurs exactly once in any relator, or
     until the total relator letter count exceeds the budget (in which case
     the smallest presentation seen so far is returned, flagged)."""
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     best = p
     steps = 0
     current = p

@@ -3,8 +3,9 @@
 Four families: the Artin action of classical braids on F_n, the virtual
 action on F_{n+1} = <x1..xn, y> that routes strand swaps through the
 extra generator y, the welded/conjugating action on F_n, and the Wada
-actions (types 1-4).  Composition is left to right throughout: the word
-l1 l2 acts by l1 first.
+actions (types 1-4).  REPRESENTATIONS is the one table of their names,
+theories and sigma rules.  Composition is left to right throughout: the
+word l1 l2 acts by l1 first.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .braid import (
     BraidLetter,
     BraidWord,
     DefiningRelation,
+    alphabet,
     check_strands,
     defining_relations,
 )
@@ -31,28 +33,47 @@ from .freegroup import (
     is_identity,
 )
 
-_REP_THEORY = {"artin": "classical", "virtual": "virtual", "welded": "welded"}
+
+def _conjugating(i: int, j: int, h: int) -> tuple[dict, dict]:
+    # x_i -> x_i^h x_j x_i^-h, x_j -> x_i: Wada type 1, and Artin's action at h = 1
+    return ({i: (i,) * h + (j,) + (-i,) * h, j: (i,)},
+            {i: (j,), j: (-j,) * h + (i,) + (j,) * h})
+
+
+# name -> (theory of the braids it acts on, sigma rule).  The sigma rule
+# sigma_rule(i, j, h) gives the hand-derived (forward, inverse) moves of
+# x_i and x_j = x_(i+1) under sigma_i; every other generator is fixed.
+REPRESENTATIONS = {
+    "artin": ("classical", _conjugating),
+    "virtual": ("virtual", _conjugating),
+    "welded": ("welded", _conjugating),
+    "wada1": ("welded", _conjugating),
+    "wada2": ("welded", lambda i, j, h: ({i: (i, -j, i), j: (i,)}, {i: (j,), j: (j, -i, j)})),
+    "wada3": ("welded", lambda i, j, h: ({i: (i, j, i), j: (-i,)}, {i: (-j,), j: (j, i, j)})),
+    "wada4": ("welded", lambda i, j, h: ({i: (i, i, j), j: (-j, -i, j)},
+                                         {i: (i, -j, -i), j: (i, j, j)})),
+}
 
 
 class Representation:
     """A generator-to-automorphism assignment for one strand count.
 
+    name is a key of REPRESENTATIONS and h the conjugation power of wada1.
     Every generator action carries a hand-derived inverse which the
     Automorphism constructor verifies by composition.
     """
 
-    def __init__(self, name: str, strands: int, wada_type: int = 0, conj_power: int = 1):
+    def __init__(self, name: str, strands: int, h: int = 1):
+        if name not in REPRESENTATIONS:
+            raise ValueError(f"unknown representation {name!r}")
+        check_conj_power(name, h)
         check_strands(strands)
         self.name = name
         self.strands = strands
-        self.wada_type = wada_type
-        self.conj_power = conj_power
-        self.ambient = Ambient(strands, name == "virtual")
+        self.h = h
+        self.theory, self._sigma_rule = REPRESENTATIONS[name]
+        self.ambient = Ambient(strands, self.theory == "virtual")
         self._actions: dict[BraidLetter, Automorphism] = {}
-
-    @property
-    def theory(self) -> str:
-        return _REP_THEORY.get(self.name, "welded")
 
     def _endo(self, moved: dict[int, tuple]) -> Endomorphism:
         images = {g: Word(self.ambient, (g,)) for g in self.ambient.gens()}
@@ -60,54 +81,24 @@ class Representation:
             images[gid] = Word(self.ambient, letters)
         return Endomorphism(self.ambient, self.ambient, images)
 
-    def _sigma_pair(self, i: int) -> tuple[dict, dict]:
-        """(forward, inverse) generator moves for sigma_i in this family."""
-        j = i + 1
-        if self.name in ("artin", "virtual", "welded"):
-            fwd = {i: (i, j, -i), j: (i,)}
-            inv = {i: (j,), j: (-j, i, j)}
-        elif self.wada_type == 1:
-            h = self.conj_power
-            fwd = {i: (i,) * h + (j,) + (-i,) * h, j: (i,)}
-            inv = {i: (j,), j: (-j,) * h + (i,) + (j,) * h}
-        elif self.wada_type == 2:
-            fwd = {i: (i, -j, i), j: (i,)}
-            inv = {i: (j,), j: (j, -i, j)}
-        elif self.wada_type == 3:
-            fwd = {i: (i, j, i), j: (-i,)}
-            inv = {i: (-j,), j: (j, i, j)}
-        elif self.wada_type == 4:
-            fwd = {i: (i, i, j), j: (-j, -i, j)}
-            inv = {i: (i, -j, -i), j: (i, j, j)}
-        else:
-            raise ValueError(f"unknown Wada type {self.wada_type}")
-        return fwd, inv
-
     def generator_action(self, letter: BraidLetter) -> Automorphism:
         cached = self._actions.get(letter)
         if cached is not None:
             return cached
-        fam, i = letter.family, letter.pos
-        if not 1 <= i <= self.strands - 1:
-            raise ValueError(f"position {i} out of range for {self.strands} strands")
-        j = i + 1
-        if fam == "s":
-            fwd, inv = self._sigma_pair(i)
+        if letter not in alphabet(self.strands, self.theory):
+            raise ValueError(f"{letter} is not a {self.theory} letter on {self.strands} strands")
+        i, j = letter.pos, letter.pos + 1
+        if letter.family == "s":
+            fwd, inv = self._sigma_rule(i, j, self.h)
             if letter.sign < 0:
                 fwd, inv = inv, fwd
             act = Automorphism(self._endo(fwd), self._endo(inv))
-        elif fam == "r":
-            if self.name != "virtual":
-                raise ValueError("rho letters are only acted on by the virtual family")
+        elif letter.family == "r":  # rho_i swaps x_i and x_j through y
             swap = self._endo({i: (YID, j, -YID), j: (-YID, i, YID)})
             act = Automorphism(swap, swap)
-        elif fam == "a":
-            if self.theory != "welded":
-                raise ValueError("alpha letters are only acted on by welded families")
+        else:  # alpha_i swaps x_i and x_j
             swap = self._endo({i: (j,), j: (i,)})
             act = Automorphism(swap, swap)
-        else:
-            raise ValueError(f"unknown letter family {fam!r}")
         self._actions[letter] = act
         return act
 
@@ -123,7 +114,7 @@ class Representation:
         return e
 
     def __repr__(self):
-        extra = f", h={self.conj_power}" if self.wada_type == 1 else ""
+        extra = f", h={self.h}" if self.name == "wada1" else ""
         return f"Representation({self.name!r}, strands={self.strands}{extra})"
 
 
@@ -145,7 +136,7 @@ def wada(n: int, k: int, h: int = 1) -> Representation:
 
 def check_conj_power(name: str, h: int) -> None:
     """h is the conjugation power of wada1: at least 1, and 1 for every
-    other representation or theory name."""
+    other representation."""
     if h < 1:
         raise ValueError(f"conjugation power h must be at least 1, got {h}")
     if h != 1 and name != "wada1":
@@ -153,24 +144,17 @@ def check_conj_power(name: str, h: int) -> None:
 
 
 def representation(name: str, strands: int, h: int = 1) -> Representation:
-    """The representation with this CLI name (artin, virtual, welded,
-    wada1..wada4); h is the conjugation power of wada1.
+    """The representation named by a key of REPRESENTATIONS; h is the
+    conjugation power of wada1.
 
     Cached per (name, strands, h), however h is passed, so each generator
     action is built and its inverse verified once per process; callers
     must not mutate the result.
     """
-    check_conj_power(name, h)
     return _representation(name, strands, h)
 
 
-@lru_cache(maxsize=None)
-def _representation(name: str, strands: int, h: int) -> Representation:
-    if name in ("artin", "virtual", "welded"):
-        return Representation(name, strands)
-    if name.startswith("wada") and name[4:] in "1234" and len(name) == 5:
-        return Representation(name, strands, wada_type=int(name[4:]), conj_power=h)
-    raise ValueError(f"unknown representation {name!r}")
+_representation = lru_cache(maxsize=None)(Representation)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ import pytest
 
 from linkgroups import examples
 from linkgroups.braid import MAX_STRANDS
-from linkgroups.cli import run
+from linkgroups.cli import _build_parser, run
 from linkgroups.examples import EXCHANGE_RELATOR, KISHINO_CLOSURE, TREFOIL_SYM3, VIRTUAL_TREFOIL
 from linkgroups.homcount import MAX_GROUP_ORDER
+from linkgroups.reps import REPRESENTATIONS
 
 
 def invoke(capsys, *argv):
@@ -112,6 +113,25 @@ def test_homcount_rejects_group_order_over_ceiling(capsys, monkeypatch):
     assert one_line_error(*result) and "exceeds the ceiling" in result[2]
 
 
+def test_homcount_deep_enumeration(capsys, monkeypatch):
+    def chain(k):
+        names = " ".join(f"x{i}" for i in range(1, k + 1))
+        return io.StringIO(f"gens: {names}\nrel: {names}\n")
+
+    monkeypatch.setattr("sys.stdin", chain(1000))
+    assert invoke(capsys, "homcount", "--group", "c1") == (0, "1\n", "")
+    monkeypatch.setattr("sys.stdin", chain(1500))
+    result = invoke(capsys, "homcount", "--group", "c2", "--cap", str(10 ** 500))
+    assert one_line_error(*result) and "recurses deeper" in result[2]
+
+
+def test_rep_choices_are_the_family_table():
+    subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    for name in ("act", "check-relations"):
+        rep = next(a for a in subcommands[name]._actions if a.dest == "rep")
+        assert tuple(rep.choices) == tuple(REPRESENTATIONS)
+
+
 @pytest.mark.parametrize(
     "payload", ['{"generators": 5}', '{"generators": ["x1"], "relators": "x1"}']
 )
@@ -186,6 +206,8 @@ def test_simplify_structured_and_budget_warning(capsys, tmp_path):
     big.write_text("gens: x1 x2\nrel: x2 x1 x1 x1 x1\nrel: x2 x1 x2 x1 x2\n")
     code, out, err = invoke(capsys, "simplify", "--in", str(big), "--budget", "2")
     assert code == 0 and "budget" in err
+    result = invoke(capsys, "simplify", "--in", str(big), "--budget", "-5")
+    assert one_line_error(*result) and "at least 0" in result[2]
 
 
 def test_homcount_custom_table(capsys, tmp_path):
@@ -237,7 +259,12 @@ def test_markov_fuzz_cli(capsys):
     assert "mismatches=0" in out
 
 
-@pytest.mark.parametrize("flags", [["--trials", "-2"], ["--trials", "2", "--strands", "1"]])
+@pytest.mark.parametrize("flags", [
+    ["--trials", "-2"],
+    ["--trials", "2", "--strands", "1"],
+    ["--trials", "2", "--jobs", "0"],
+    ["--trials", "2", "--jobs", "-4"],
+])
 def test_markov_fuzz_rejects_bad_sizes(capsys, flags):
     result = invoke(capsys, "markov-fuzz", "--theory", "welded", *flags)
     assert one_line_error(*result) and "must be at least" in result[2]

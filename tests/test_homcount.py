@@ -122,6 +122,16 @@ def test_cap_exceeded():
     assert count_homs(P(tuple(range(1, 12)), []), builtin_group("sym4"), cap=10) == 24 ** 11
 
 
+def test_enumeration_deeper_than_the_recursion_limit():
+    # one relator through k generators makes the enumeration k levels deep
+    def chain(k):
+        return P(tuple(range(1, k + 1)), [tuple(range(1, k + 1))])
+
+    assert count_homs(chain(1000), builtin_group("c1")) == 1
+    with pytest.raises(CapExceeded, match="recurses deeper"):
+        count_homs(chain(1500), builtin_group("c2"), cap=10 ** 500)
+
+
 def test_effective_cap_env(monkeypatch):
     monkeypatch.delenv("LINKGROUPS_HOM_CAP", raising=False)
     assert effective_cap(None) == 10 ** 8

@@ -104,9 +104,12 @@ def test_fuzz_argument_validation():
         fuzz("classical", 1, 3, 5, 2, seed=0)
     with pytest.raises(ValueError):
         fuzz("virtual", 1, 3, 5, 2, seed=0, wada_type=1)
-    for trials, strands, length, depth in ((-2, 3, 5, 2), (1, 1, 5, 2), (1, 3, -1, 2), (1, 3, 5, -1)):
+    for trials, strands, length, depth, jobs in (
+        (-2, 3, 5, 2, 1), (1, 1, 5, 2, 1), (1, 3, -1, 2, 1), (1, 3, 5, -1, 1),
+        (1, 3, 5, 2, 0), (1, 3, 5, 2, -4),
+    ):
         with pytest.raises(ValueError, match="must be at least"):
-            fuzz("virtual", trials, strands, length, depth, seed=0)
+            fuzz("virtual", trials, strands, length, depth, seed=0, jobs=jobs)
     # each move may add a strand, so strands + depth is held to the ceiling
     with pytest.raises(ValueError, match="exceeds the ceiling"):
         fuzz("welded", 1, MAX_STRANDS - 5, 5, 6, seed=0)

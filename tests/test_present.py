@@ -219,6 +219,8 @@ def test_tietze_budget_exhaustion():
     res = tietze_simplify(p, budget=1)
     assert res.exhausted
     assert res.presentation.total_letters() >= 1
+    with pytest.raises(ValueError, match="at least 0"):
+        tietze_simplify(p, budget=-5)
 
 
 def test_tietze_deterministic_scan_order():

@@ -96,7 +96,8 @@ def test_evaluate_theory_and_strand_mismatch():
 
 def test_representation_factory():
     assert representation("virtual", 3).name == "virtual"
-    assert representation("wada3", 3).wada_type == 3
+    wada3 = representation("wada3", 3)
+    assert wada3.name == "wada3" and wada3.theory == "welded"
     with pytest.raises(ValueError):
         representation("nope", 3)
     with pytest.raises(ValueError):
