@@ -5,10 +5,18 @@ of small groups, together with the abelian invariants, is the
 fingerprint used to distinguish presented groups: equal fingerprints are
 necessary for isomorphism, unequal ones certify non-isomorphism.
 
-Enumeration is the oracle: every tuple of images is tried, with early
-abort on the first relator that fails once all its generators are
-assigned.  Generators that appear in no relator contribute an exact
-factor |G|^k without being enumerated.
+Enumeration is the oracle: tuples of images are tried depth by depth,
+with early abort on the first relator that fails once all its
+generators are assigned.  Conjugation by any element of G permutes the
+homomorphisms, so the first image only runs over conjugacy-class
+representatives, each weighted by its class size, and the second over
+representatives of the orbits of the first image's centraliser acting
+by conjugation, each weighted by its orbit size; deeper images run over
+all of G.  The counts are the same as those of trying every tuple.  An
+abelian group has only one-element classes and orbits, so it is
+enumerated plainly, without building any orbits.  Generators that
+appear in no relator contribute an exact factor |G|^k without being
+enumerated.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .present import AbelianInvariants, Presentation, abelian_invariants
 
@@ -33,10 +41,20 @@ class CapExceeded(RuntimeError):
 
 
 def effective_cap(cap=None) -> int:
+    """cap, else $LINKGROUPS_HOM_CAP, else DEFAULT_CAP; it must be at least 1."""
     if cap is not None:
+        if cap < 1:
+            raise ValueError(f"the hom-count cap (--cap) must be at least 1, got {cap}")
         return cap
     env = os.environ.get(_CAP_ENV)
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        if int(env) >= 1:
+            return int(env)
+    except ValueError:
+        pass
+    raise ValueError(f"{_CAP_ENV} must be an integer at least 1, got {env!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +66,84 @@ class FiniteGroupTable:
     order: int
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
+
+    # the symmetry data of the enumeration, built on the first count and
+    # kept on the table, so a table: group never shares a builtin's data
+
+    @cached_property
+    def _elements(self):
+        """(v, 1) for every element: the candidates of a plain level."""
+        return tuple((v, 1) for v in range(self.order))
+
+    @cached_property
+    def _classes(self):
+        """(representative, size) of each conjugacy class; for an abelian
+        table, the elements, without conjugating."""
+        if _is_abelian(self):
+            return self._elements
+        return _conjugation_orbits(self, range(self.order))
+
+    @cached_property
+    def _orbits_by_element(self):
+        """The centraliser orbits built so far, by element."""
+        return {}
+
+    def _centraliser_orbits(self, v):
+        """(representative, size) of each orbit of C(v) acting on the
+        group by conjugation; the classes when v is central."""
+        classes = self._classes
+        if len(classes) == self.order:  # abelian: every class is one element
+            return classes
+        orbits = self._orbits_by_element.get(v)
+        if orbits is None:
+            mul = self.table
+            centraliser = [h for h in range(self.order) if mul[h][v] == mul[v][h]]
+            if len(centraliser) == self.order:
+                orbits = classes
+            else:
+                orbits = _conjugation_orbits(self, centraliser)
+            self._orbits_by_element[v] = orbits
+        return orbits
+
+
+def _is_abelian(g):
+    """Whether g is abelian, from a generating set chosen greedily: only its
+    elements are compared, in O(order * generators) steps, not order^2."""
+    mul = g.table
+    inside = [True] + [False] * (g.order - 1)
+    gens, span = [], [0]
+    for x in range(g.order):
+        if inside[x]:
+            continue
+        if any(mul[x][s] != mul[s][x] for s in gens):
+            return False
+        gens.append(x)
+        # x commutes with the subgroup span, so <span, x> is the union of
+        # the cosets span x^k, up to the first power of x inside span
+        power = x
+        cosets = []
+        while not inside[power]:
+            for h in span:
+                inside[mul[h][power]] = True
+                cosets.append(mul[h][power])
+            power = mul[power][x]
+        span += cosets
+    return True
+
+
+def _conjugation_orbits(g, hs):
+    """(first element, size) of each orbit of the elements hs acting on g
+    by conjugation."""
+    mul, inv = g.table, g.inverse
+    seen = [False] * g.order
+    orbits = []
+    for x in range(g.order):
+        if not seen[x]:
+            orbit = {mul[mul[inv[h]][x]][h] for h in hs}
+            for y in orbit:
+                seen[y] = True
+            orbits.append((x, len(orbit)))
+    return tuple(orbits)
 
 
 def _validate(name, table):
@@ -164,12 +260,13 @@ def _compile(p: Presentation, g: FiniteGroupTable, cap):
     """Encode the relators for the backtracking enumeration, in one pass.
 
     The generators that occur in some relator are ordered by descending
-    occurrence (first listed first on ties) and the cap is checked.  Each
-    relator goes to the depth of its deepest generator, split into that
-    generator's occurrences and the constant segments between them, so each
-    tree node evaluates the constants once and the per-value work is one
-    fold over the occurrences.  Returns the deduplicated (segments,
-    exponents) pairs of each depth, in relator order."""
+    occurrence (first listed first on ties) and the cap, already resolved
+    by effective_cap, is checked.  Each relator goes to the depth of its
+    deepest generator, split into that generator's occurrences and the
+    constant segments between them, so each tree node evaluates the
+    constants once and the per-value work is one fold over the
+    occurrences.  Returns the deduplicated (segments, exponents) pairs of
+    each depth, in relator order."""
     occ = {gid: 0 for gid in p.generators}
     for r in p.relators:
         for v in r.letters:
@@ -177,7 +274,6 @@ def _compile(p: Presentation, g: FiniteGroupTable, cap):
     active = [gid for gid in p.generators if occ[gid]]
     active.sort(key=lambda gid: (-occ[gid], p.generators.index(gid)))
     k = len(active)
-    cap = effective_cap(cap)
     if g.order ** k > cap:
         raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")
     slot = {gid: s for s, gid in enumerate(active)}
@@ -201,7 +297,6 @@ def _compile(p: Presentation, g: FiniteGroupTable, cap):
 def _count_assignments(g: FiniteGroupTable, compiled):
     mul = g.table
     inv = g.inverse
-    order = g.order
     k = len(compiled)
     assign = [0] * k
 
@@ -215,9 +310,15 @@ def _count_assignments(g: FiniteGroupTable, compiled):
                     w = mul[w][assign[s] if sg > 0 else inv[assign[s]]]
                 cs.append(w)
             consts.append((cs, exps))
+        if depth == 0:
+            candidates = g._classes
+        elif depth == 1:
+            candidates = g._centraliser_orbits(assign[0])
+        else:
+            candidates = g._elements
         total = 0
         last = depth == k - 1
-        for v in range(order):
+        for v, weight in candidates:
             vinv = inv[v]
             ok = True
             for cs, exps in consts:
@@ -234,10 +335,10 @@ def _count_assignments(g: FiniteGroupTable, compiled):
                     break
             if ok:
                 if last:
-                    total += 1
+                    total += weight
                 else:
                     assign[depth] = v
-                    total += rec(depth + 1)
+                    total += weight * rec(depth + 1)
         return total
 
     try:
@@ -250,6 +351,7 @@ def _count_assignments(g: FiniteGroupTable, compiled):
 
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     """The exact number of homomorphisms from the presented group to g."""
+    cap = effective_cap(cap)
     if g.order == 1 or not p.relators:
         return g.order ** len(p.generators)
     compiled = _compile(p, g, cap)

@@ -7,8 +7,6 @@ lines and timings.
 import random
 import time
 
-import pytest
-
 from linkgroups import examples
 from linkgroups.braid import (
     BraidWord,
@@ -122,7 +120,6 @@ def test_criterion_08_abelianized_wada_power_law():
             assert mat_mul(m, m) == mat_identity(2)  # multiplicative order <= 2
 
 
-@pytest.mark.slow
 def test_criterion_09_markov_fuzz():
     with Timer("criterion-9 markov fuzz", 600.0):
         virt = fuzz("virtual", 500, 4, 10, 6, seed=2026)

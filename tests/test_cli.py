@@ -125,6 +125,21 @@ def test_homcount_deep_enumeration(capsys, monkeypatch):
     assert one_line_error(*result) and "recurses deeper" in result[2]
 
 
+@pytest.mark.parametrize("cap, env, named", [
+    ("0", None, "--cap"), ("-1", None, "--cap"),
+    (None, "abc", "LINKGROUPS_HOM_CAP"), (None, "0", "LINKGROUPS_HOM_CAP"),
+])
+def test_homcount_rejects_cap_below_one(capsys, monkeypatch, cap, env, named):
+    if env is None:
+        monkeypatch.delenv("LINKGROUPS_HOM_CAP", raising=False)
+    else:
+        monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
+    monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1 x2\n"))  # no relator to enumerate
+    argv = ["homcount", "--group", "sym3"] + (["--cap", cap] if cap else [])
+    result = invoke(capsys, *argv)
+    assert one_line_error(*result) and named in result[2]
+
+
 def test_rep_choices_are_the_family_table():
     subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
     for name in ("act", "check-relations"):

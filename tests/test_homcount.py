@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkgroups.freegroup import Ambient, Word, YID
 from linkgroups.homcount import (
     MAX_GROUP_ORDER,
     CapExceeded,
     Fingerprint,
+    _is_abelian,
     builtin_group,
     count_homs,
     default_battery,
@@ -17,7 +19,7 @@ from linkgroups.homcount import (
     load_table_text,
     make_table,
 )
-from linkgroups.present import Presentation, abelian_invariants
+from linkgroups.present import Presentation, abelian_invariants, parse_presentation
 
 from oracles import brute_count_homs, direct_product_table
 
@@ -49,6 +51,21 @@ def test_sym3_class_count():
         orbit = frozenset(g.table[g.table[g.inverse[b]][a]][b] for b in elems)
         classes.add(orbit)
     assert len(classes) == 3
+
+
+def test_class_and_centraliser_orbit_weights():
+    sizes = {"sym3": [1, 2, 3], "dihedral4": [1, 1, 2, 2, 2], "alt4": [1, 3, 4, 4],
+             "sym4": [1, 3, 6, 6, 8]}
+    for g in default_battery():
+        mul = g.table
+        assert sorted(size for _, size in g._classes) == sizes[g.name]
+        for v, _ in g._classes:
+            orbits = g._centraliser_orbits(v)
+            centraliser = [h for h in range(g.order) if mul[h][v] == mul[v][h]]
+            assert sum(size for _, size in orbits) == g.order
+            # orbit-counting lemma: the number of orbits is the mean number of fixed points
+            fixed = sum(mul[h][x] == mul[x][h] for h in centraliser for x in range(g.order))
+            assert len(orbits) * len(centraliser) == fixed
 
 
 def test_invalid_tables_rejected():
@@ -95,6 +112,70 @@ def test_count_matches_brute_force_randomized():
         assert count_homs(p, g6) == expected
 
 
+@st.composite
+def small_presentations(draw):
+    gens = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    letter = st.sampled_from([v for g in gens for v in (g, -g)])
+    rels = draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=1, max_size=3))
+    return P(gens, [tuple(r) for r in rels])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations())
+def test_weighted_count_matches_brute_force_in_the_battery(p):
+    # alt4 and sym4 have classes and centraliser orbits of several sizes
+    for g in default_battery():
+        assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
+
+
+def test_symmetry_data_belongs_to_the_table():
+    c6 = builtin_group("c6")
+    commutator = P((1, 2), [(1, 2, -1, -2)])
+    assert count_homs(commutator, builtin_group("sym3")) == 18
+    named_sym3 = make_table("sym3", c6.table)
+    assert count_homs(commutator, named_sym3) == count_homs(commutator, c6) == 36
+    assert named_sym3._classes == c6._classes != builtin_group("sym3")._classes
+
+
+# criterion 9's virtual trial 417 (seed 2026): 24^6 exceeds DEFAULT_CAP, and
+# the brute-force oracle cannot reach six generators
+TRIAL_417 = """\
+gens: x1 x2 x3 x5 x6 y
+rel: x1^-1 y x2 x3^-1 x2^-1 x1 x2 x3 x2^-1 y^-1 y^-1 x2 x3^-1 x2^-1 x1 x2 x3 x2 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y y x2 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y^-1
+rel: x2^-1 y^-1 x2 x3^-1 x2^-1 x1 x2 x3 x2^-1 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y y x2 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y^-1 x2 x3 x2^-1 y x2 x3^-1 x2^-1 x1 x2 x3 x2^-1 y^-1 y^-1 x2 x3^-1 x2^-1 x1 x2 x3 x2 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y
+rel: x3^-1 y^-1 x2 x3^-1 x2^-1 x1 x2 x3 x2^-1 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y y x2 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y^-1 x2 x3^-1 x2^-1 y x2 x3^-1 x2^-1 x1 x2 x3 x2^-1 y^-1 y^-1 x2 x3^-1 x2^-1 x1 x2 x3 x2 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y y x2 x3^-1 x2^-1 x1 x2 x3 x2^-1 y^-1 y^-1 x2 x3^-1 x2^-1 x1 x2 x3 x2^-1 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y y x2 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y^-1 x2 x3 x2^-1 y x2 x3^-1 x2^-1 x1 x2 x3 x2^-1 y^-1 y^-1 x2 x3^-1 x2^-1 x1 x2 x3 x2 x3^-1 x2^-1 x1^-1 x2 x3 x2^-1 y
+rel: x5^-1 y^-1 x5 y
+rel: x6^-1 x5^-1 x5^-1 y x5 x6 x5^-1 y^-1 x5 x5
+"""
+
+
+def test_criterion_9_trial_417_counts():
+    p = parse_presentation(TRIAL_417)
+    counts = {g.name: count_homs(p, g, cap=10 ** 9) for g in default_battery()}
+    assert counts == {"sym3": 396, "dihedral4": 1792, "alt4": 3168, "sym4": 24768}
+
+
+def test_abelian_check_matches_the_transpose():
+    c2, sym3 = builtin_group("c2"), builtin_group("sym3")
+    c2c2c2 = direct_product_table(direct_product_table(c2.table, c2.table), c2.table)
+    tables = [builtin_group(n) for n in ("c1", "c2", "c12", "sym3", "dihedral4", "alt4", "sym4")]
+    tables += [make_table("c2^3", c2c2c2), make_table("sym3xc2", direct_product_table(sym3.table, c2.table)),
+               make_table("c2xsym3", direct_product_table(c2.table, sym3.table))]
+    for g in tables:
+        assert _is_abelian(g) == (g.table == tuple(zip(*g.table))), g.name
+
+
+def test_abelian_tables_are_not_reduced():
+    g = builtin_group("c1024")
+    commutator = P((1, 2), [(1, 2, -1, -2)])
+    assert count_homs(commutator, g) == 1024 ** 2
+    # every class is one element, so the candidates stay the plain list,
+    # and no centraliser orbit is built
+    assert g._classes == g._elements == tuple((v, 1) for v in range(1024))
+    assert g._centraliser_orbits(5) is g._classes
+    assert g._orbits_by_element == {}
+
+
 def test_count_invariant_under_reordering_and_cycling():
     g = builtin_group("dihedral4")
     rel = (1, 2, -1, 2, 2)
@@ -138,6 +219,20 @@ def test_effective_cap_env(monkeypatch):
     assert effective_cap(123) == 123
     monkeypatch.setenv("LINKGROUPS_HOM_CAP", "5000")
     assert effective_cap(None) == 5000
+
+
+def test_cap_below_one_rejected_before_any_work(monkeypatch):
+    monkeypatch.delenv("LINKGROUPS_HOM_CAP", raising=False)
+    # neither a relator-free input nor the trivial group reaches the enumeration
+    for p, g in ((P((1, 2), []), builtin_group("sym3")), (P((1,), [(1, 1)]), builtin_group("c1"))):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="--cap"):
+                count_homs(p, g, cap=cap)
+        for env in ("abc", "0", "-3", "2.5"):
+            monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
+            with pytest.raises(ValueError, match="LINKGROUPS_HOM_CAP"):
+                count_homs(p, g)
+        monkeypatch.delenv("LINKGROUPS_HOM_CAP")
 
 
 def test_custom_table_text():
