@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 # x_k is the integer id k (k >= 1); y gets a reserved id that can never
 # collide with an x index.  A letter is a signed id: +g is the generator,
@@ -36,8 +37,10 @@ class Ambient:
         base = tuple(range(1, self.nx + 1))
         return base + (YID,) if self.has_y else base
 
-    def __contains__(self, gid: int) -> bool:
-        return 1 <= gid <= self.nx or (self.has_y and gid == YID)
+    @cached_property
+    def letter_set(self) -> frozenset[int]:
+        """Every letter of a word over this ambient: each generator id and its negation."""
+        return frozenset(g for gid in self.gens() for g in (gid, -gid))
 
     def without_y(self) -> "Ambient":
         return Ambient(self.nx, False)
@@ -70,9 +73,9 @@ class Word:
         letters = tuple(letters)
         if len(letters) > LETTER_LIMIT:
             raise WordLengthError(f"{len(letters)} letters exceeds limit {LETTER_LIMIT}")
-        for v in letters:
-            if v == 0 or abs(v) not in ambient:
-                raise ValueError(f"letter {v!r} outside ambient {ambient}")
+        if not ambient.letter_set.issuperset(letters):
+            bad = next(v for v in letters if v not in ambient.letter_set)
+            raise ValueError(f"letter {bad!r} outside ambient {ambient}")
         self.ambient = ambient
         self.letters = _free_reduce(letters)
 
@@ -221,10 +224,14 @@ def identity_endomorphism(ambient: Ambient) -> Endomorphism:
 
 
 def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
-    """Apply f first, then g: the image of x under compose(f, g) is g(f(x))."""
+    """Apply f first, then g: the image of x under compose(f, g) is g(f(x)).
+
+    Where f fixes a generator, its image under g is shared, not rebuilt."""
     if f.codomain != g.domain:
         raise ValueError("codomain of the first map must equal domain of the second")
-    return Endomorphism(f.domain, g.codomain, {gid: g(w) for gid, w in f.images.items()})
+    return Endomorphism(f.domain, g.codomain, {
+        gid: g.images[gid] if w.letters == (gid,) else g(w) for gid, w in f.images.items()
+    })
 
 
 def is_identity(e: Endomorphism) -> bool:

@@ -239,16 +239,24 @@ def _parity(p):
 
 def load_table_text(text: str, name: str = "custom") -> FiniteGroupTable:
     """Parse the custom group file format: line 1 `order m`, then m lines
-    of m whitespace-separated element ids."""
-    lines = [l for l in (s.strip() for s in text.splitlines()) if l and not l.startswith("#")]
-    head = lines[0].split() if lines else []
-    if len(head) < 2 or not head[0].startswith("order"):
+    of m whitespace-separated element ids.  Blank and `#` lines are
+    skipped, but counted in the line numbers that errors give."""
+    lines = [(k, l) for k, l in enumerate((s.strip() for s in text.splitlines()), 1)
+             if l and not l.startswith("#")]
+    head = lines[0][1].split() if lines else []
+    if len(head) != 2 or head[0] != "order":
         raise ValueError("first line must be 'order m'")
-    m = int(head[1])
+
+    def integer(k, field):
+        if not (field.isascii() and field.isdigit()):
+            raise ValueError(f"table {name} line {k}: {field!r} is not a nonnegative integer")
+        return int(field)
+
+    m = integer(lines[0][0], head[1])
     _check_order(m)
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} table rows, got {len(lines) - 1}")
-    table = [[int(v) for v in line.split()] for line in lines[1:]]
+    table = [[integer(k, v) for v in line.split()] for k, line in lines[1:]]
     return make_table(name, table)
 
 

@@ -6,6 +6,15 @@ extra generator y, the welded/conjugating action on F_n, and the Wada
 actions (types 1-4).  REPRESENTATIONS is the one table of their names,
 theories and sigma rules.  Composition is left to right throughout: the
 word l1 l2 acts by l1 first.
+
+evaluate computes a word's action from the right.  Starting from the
+identity, it sets e = compose(action of l, e) for each letter l from
+the last to the first.  By associativity this is the same endomorphism
+as the left-to-right fold.  A letter moves at most two generators, and
+compose shares the images a letter fixes, so a step rebuilds only two
+images, each from a word of at most 2h + 1 letters.  The LETTER_LIMIT
+check of freegroup therefore bounds the substitutions of suffix images
+into a letter's images; the final images are those of the left fold.
 """
 
 from __future__ import annotations
@@ -103,14 +112,14 @@ class Representation:
         return act
 
     def evaluate(self, b: BraidWord) -> Endomorphism:
-        """The image of a whole braid word, letters composed left to right."""
+        """The image of a whole braid word; its first letter acts first."""
         if b.theory != self.theory:
             raise ValueError(f"{self.name} acts on {self.theory} braids, got {b.theory}")
         if b.strands != self.strands:
             raise ValueError(f"strand mismatch: {b.strands} vs {self.strands}")
         e = identity_endomorphism(self.ambient)
-        for letter in b.letters:
-            e = compose(e, self.generator_action(letter).forward)
+        for letter in reversed(b.letters):
+            e = compose(self.generator_action(letter).forward, e)
         return e
 
     def __repr__(self):

@@ -1,9 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive and shares no code with the
-package: repeated-scan reduction, plain substitution, brute-force hom
-counting over full tuple products, schoolbook matrix multiplication,
-cofactor determinants and direct products of multiplication tables.
+package: repeated-scan reduction, plain substitution and its
+left-to-right fold over a braid word, brute-force hom counting over
+full tuple products, schoolbook matrix multiplication, cofactor
+determinants and direct products of multiplication tables.
 """
 
 import itertools
@@ -45,6 +46,17 @@ def naive_substitute(letters, images):
         img = images[abs(v)]
         out.extend(img if v > 0 else naive_invert(img))
     return naive_reduce(out)
+
+
+def naive_evaluate(letter_images, gens):
+    """The images of gens under a braid word, given each letter's images
+    in word order (one dict gid -> letter tuple per letter).  Folds left
+    to right from the identity, substituting each letter's images into
+    the images so far, so the first letter acts first."""
+    images = {g: (g,) for g in gens}
+    for step in letter_images:
+        images = {g: naive_substitute(w, step) for g, w in images.items()}
+    return images
 
 
 def perm_of_positions(positions, n):

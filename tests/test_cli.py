@@ -236,6 +236,20 @@ def test_homcount_custom_table(capsys, tmp_path):
     assert code == 0 and out.strip() == "4"
 
 
+@pytest.mark.parametrize("text, line, field", [
+    ("order x\n", 1, "x"),
+    ("# c2\n\norder 2\n0 1\n1 z\n", 5, "z"),
+])
+def test_homcount_table_with_a_bad_field(capsys, tmp_path, text, line, field):
+    table = tmp_path / "t.txt"
+    table.write_text(text)
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: x1\n")
+    result = invoke(capsys, "homcount", "--in", str(pres), "--group", f"table:{table}")
+    assert one_line_error(*result)
+    assert f"line {line}: '{field}' is not a nonnegative integer" in result[2]
+
+
 def test_homcount_free_rank_two(capsys, tmp_path):
     pres = tmp_path / "free.txt"
     pres.write_text("gens: x1 y\n")

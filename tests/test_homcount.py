@@ -246,6 +246,21 @@ def test_custom_table_text():
         load_table_text("order\n")
 
 
+def test_custom_table_names_the_malformed_line():
+    for field in ("x", "1_0", "+2", "-1", "\u0662"):
+        with pytest.raises(ValueError) as exc:
+            load_table_text(f"order {field}\n", name="t")
+        assert str(exc.value) == f"table t line 1: {field!r} is not a nonnegative integer"
+    for head in ("orderly 2", "order 2 junk"):
+        with pytest.raises(ValueError, match="order m"):
+            load_table_text(f"{head}\n0 1\n1 0\n")
+    # blank and comment lines count towards the line number
+    text = "# z3\n\norder 3\n0 1 2\n1 z 0\n2 0 1\n"
+    with pytest.raises(ValueError, match=r"^table z3 line 5: 'z' is not a nonnegative integer$"):
+        load_table_text(text, name="z3")
+    assert load_table_text(text.replace("z", "2"), name="z3").order == 3
+
+
 def test_group_order_ceiling_checked_before_the_table():
     too_big = MAX_GROUP_ORDER + 1
     with pytest.raises(ValueError, match="exceeds the ceiling"):

@@ -320,6 +320,24 @@ def test_smith_normal_form_examples():
         smith_normal_form([[1, 2], [3]])
 
 
+def test_smith_normal_form_matches_sympy():
+    """The diagonal agrees with sympy's invariant factors, an independent
+    implementation, on square and non-square shapes with zero rows."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(14)
+    for _ in range(200):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        # mostly small entries and some zeros, so nontrivial divisors occur
+        m = [[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(c)] for _ in range(r)]
+        for i in rng.sample(range(r), rng.randint(0, r // 2)):
+            m[i] = [0] * c
+        expected = tuple(int(d) for d in invariant_factors(Matrix(m), domain=ZZ))
+        assert smith_normal_form(m).diagonal == expected, m
+
+
 def test_smith_normal_form_randomized():
     rng = random.Random(2)
     for _ in range(150):

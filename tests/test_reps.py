@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import linkgroups.freegroup as fg
 from linkgroups.braid import (
     MAX_STRANDS,
     BraidWord,
@@ -18,12 +19,15 @@ from linkgroups.braid import (
 from linkgroups.freegroup import (
     Ambient,
     Word,
+    WordLengthError,
     YID,
     format_word,
     is_identity,
     parse_word,
 )
 from linkgroups.examples import VIRTUAL_TREFOIL
+from linkgroups.homcount import builtin_group, count_homs
+from linkgroups.present import closure_group
 from linkgroups.reps import (
     artin,
     check_relations,
@@ -33,6 +37,7 @@ from linkgroups.reps import (
     wada,
     welded,
 )
+from oracles import naive_evaluate
 
 
 def images_of(act, amb):
@@ -92,6 +97,55 @@ def test_evaluate_theory_and_strand_mismatch():
         virtual(2).evaluate(parse("s1", 2, "classical"))
     with pytest.raises(ValueError):
         virtual(3).evaluate(parse("s1", 2, "virtual"))
+
+
+@pytest.mark.parametrize("name, h", [
+    ("artin", 1), ("virtual", 1), ("welded", 1), ("wada1", 1), ("wada1", 2),
+    ("wada2", 1), ("wada3", 1), ("wada4", 1),
+])
+def test_evaluate_matches_the_letter_by_letter_oracle(name, h):
+    rng = random.Random(f"evaluate {name} {h}")
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        rep = representation(name, n, h)
+        b = random_braid_from(rng, n, rng.randint(0, 12), rep.theory)
+        letter_images = [
+            {g: w.letters for g, w in rep.generator_action(l).forward.images.items()}
+            for l in b.letters
+        ]
+        e = rep.evaluate(b)
+        got = {g: e.images[g].letters for g in rep.ambient.gens()}
+        assert got == naive_evaluate(letter_images, rep.ambient.gens()), b
+
+
+@pytest.mark.parametrize("theory, word, reversed_word, counts, reversed_counts", [
+    ("welded", "s1 a1 s2^-1 a2", "a2 s2^-1 a1 s1", (66, 1032), (108, 2880)),
+    ("virtual", "s1 r1 s2^-1 r2", "r2 s2^-1 r1 s1", (396, 24768), (228, 7056)),
+])
+def test_reading_direction_witnesses(theory, word, reversed_word, counts, reversed_counts):
+    """Reading these words backwards changes their closures' sym3 and sym4
+    counts, so the pairs pin the direction evaluate reads a word in (the
+    first letter acts first).  Which direction the paper's definition
+    requires is still open; see ROADMAP.md."""
+    battery = (builtin_group("sym3"), builtin_group("sym4"))
+    for text, expected in ((word, counts), (reversed_word, reversed_counts)):
+        p = closure_group(parse(text, 3, theory))
+        assert tuple(count_homs(p, g) for g in battery) == expected, text
+
+
+def test_evaluate_letter_limit_bounds_suffix_substitutions(monkeypatch):
+    rep = artin(3)
+    b = parse(" ".join(["s1 s2^-1"] * 6), 3, "classical")
+    images = rep.evaluate(b).images
+    # evaluate substitutes each suffix's images into the next letter's
+    # images, which have at most 3 letters each
+    suffixes = [rep.evaluate(BraidWord(3, "classical", b.letters[k:])) for k in range(len(b))]
+    bound = 3 * max(len(w) for e in suffixes for w in e.images.values())
+    monkeypatch.setattr(fg, "LETTER_LIMIT", bound)
+    assert rep.evaluate(b).images == images
+    monkeypatch.setattr(fg, "LETTER_LIMIT", max(len(w) for w in images.values()) - 1)
+    with pytest.raises(WordLengthError):
+        rep.evaluate(b)
 
 
 def test_representation_factory():

@@ -43,6 +43,11 @@ def test_unknown_generator_rejected():
         Word(Ambient(2, False), (YID,))
     with pytest.raises(ValueError):
         Word(AMB, (0,))
+    # the message names the first letter outside the ambient
+    with pytest.raises(ValueError, match=r"^letter -3 outside ambient"):
+        Word(Ambient(2, False), (1, -2, -3, 0, 4))
+    with pytest.raises(ValueError, match=r"^letter -1073741824 outside ambient"):
+        Word(Ambient(2, False), (1, -YID))
 
 
 def test_concat():
