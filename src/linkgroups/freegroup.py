@@ -4,13 +4,26 @@ Generators are x1, x2, ... plus an optional distinguished generator y.
 y is its own kind of generator rather than an extra index, so the same
 word type serves both the rank-n and rank-(n+1) groups and killing y is
 a structural erasure instead of a re-indexing.
+
+Reduction happens at the seams.  A reduced word has no cancelling pair
+inside it, so when a word is built from reduced pieces (a product, an
+inverse, a slice, the images substituted into a word) letters can cancel
+only where two pieces meet.  _join is the one reduction routine: it
+cancels each piece against the reduced stack of the pieces before it and
+copies the rest of the piece whole.  Words built from other words are not
+reduced or letter-checked again, because their letters come from words
+over the same ambient.  The public constructor Word(ambient, letters)
+still checks every letter and reduces its input, as one-letter pieces.
+LETTER_LIMIT bounds every word built, counted before cancellation.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import neg
 
 # x_k is the integer id k (k >= 1); y gets a reserved id that can never
 # collide with an x index.  A letter is a signed id: +g is the generator,
@@ -50,14 +63,28 @@ def gen_name(gid: int) -> str:
     return "y" if gid == YID else f"x{gid}"
 
 
-def _free_reduce(letters):
+def _join(pieces) -> tuple[int, ...]:
+    """The reduced product of reduced letter sequences.
+
+    Cancellation happens only where a piece meets the stack of those
+    before it; the rest of the piece is copied whole."""
     out = []
-    for v in letters:
-        if out and out[-1] == -v:
+    for p in pieces:
+        k, n = 0, len(p)
+        while k < n and out and out[-1] == -p[k]:
             out.pop()
-        else:
-            out.append(v)
+            k += 1
+        out.extend(p[k:] if k else p)
     return tuple(out)
+
+
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(letters)))
+
+
+def _check_size(n: int) -> None:
+    if n > LETTER_LIMIT:
+        raise WordLengthError(f"{n} letters exceeds limit {LETTER_LIMIT}")
 
 
 class Word:
@@ -71,21 +98,31 @@ class Word:
 
     def __init__(self, ambient: Ambient, letters=()):
         letters = tuple(letters)
-        if len(letters) > LETTER_LIMIT:
-            raise WordLengthError(f"{len(letters)} letters exceeds limit {LETTER_LIMIT}")
+        _check_size(len(letters))
         if not ambient.letter_set.issuperset(letters):
             bad = next(v for v in letters if v not in ambient.letter_set)
             raise ValueError(f"letter {bad!r} outside ambient {ambient}")
         self.ambient = ambient
-        self.letters = _free_reduce(letters)
+        self.letters = _join(zip(letters))
+
+    @classmethod
+    def _joined(cls, ambient: Ambient, pieces, size: int) -> "Word":
+        """The reduced product of pieces: reduced letter sequences over
+        ambient, size letters in all.  Only size is checked; the caller
+        vouches for the pieces, as when they are slices of words."""
+        _check_size(size)
+        w = object.__new__(cls)
+        w.ambient = ambient
+        w.letters = _join(pieces)
+        return w
 
     def __mul__(self, other: "Word") -> "Word":
         if self.ambient != other.ambient:
             raise ValueError(f"ambient mismatch: {self.ambient} vs {other.ambient}")
-        return Word(self.ambient, self.letters + other.letters)
+        return Word._joined(self.ambient, (self.letters, other.letters), len(self) + len(other))
 
     def __invert__(self) -> "Word":
-        return Word(self.ambient, tuple(-v for v in reversed(self.letters)))
+        return Word._joined(self.ambient, (_inverse(self.letters),), len(self))
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -122,22 +159,23 @@ class Word:
         while j - i >= 2 and ls[i] == -ls[j - 1]:
             i += 1
             j -= 1
-        core = Word(self.ambient, ls[i:j])
-        conjugator = Word(self.ambient, ls[j:])
+        core = Word._joined(self.ambient, (ls[i:j],), j - i)
+        conjugator = Word._joined(self.ambient, (ls[j:],), len(ls) - j)
         return core, conjugator
 
     def without_y(self) -> "Word":
-        """Erase every y letter, giving a word over the ambient without y."""
-        return Word(self.ambient.without_y(), tuple(v for v in self.letters if abs(v) != YID))
+        """Erase every y letter, giving a word over the ambient without y.
+        The runs between y letters are the pieces joined."""
+        ls = self.letters
+        cuts = [k for k, v in enumerate(ls) if abs(v) == YID]
+        runs = [ls[a + 1 : b] for a, b in zip([-1] + cuts, cuts + [len(ls)])]
+        return Word._joined(self.ambient.without_y(), runs, len(ls) - len(cuts))
 
 
 def exponent_sums(w: Word, gens) -> list[int]:
     """The exponent sum in w of each generator in gens, in that order."""
-    col = {g: j for j, g in enumerate(gens)}
-    sums = [0] * len(col)
-    for v in w.letters:
-        sums[col[abs(v)]] += 1 if v > 0 else -1
-    return sums
+    counts = Counter(w.letters)
+    return [counts[g] - counts[-g] for g in gens]
 
 
 _GEN = re.compile(r"x([1-9][0-9]*)|y")
@@ -151,12 +189,12 @@ def parse_gen(name: str) -> int:
     return int(m.group(1)) if m.group(1) else YID
 
 
-def parse_word(text: str, ambient: Ambient) -> Word:
-    """Parse the space-separated text form: tokens x<k>, x<k>^-1, y, y^-1;
-    the empty word is written 1."""
+def parse_letters(text: str) -> tuple[int, ...]:
+    """The letters of the space-separated text form, as written: tokens
+    x<k>, x<k>^-1, y, y^-1; the empty word is written 1."""
     text = text.strip()
     if text == "1":
-        return Word(ambient)
+        return ()
     letters = []
     for tok in text.split():
         name = tok.removesuffix("^-1")
@@ -165,7 +203,12 @@ def parse_word(text: str, ambient: Ambient) -> Word:
         except ValueError:
             raise ValueError(f"bad word token {tok!r}") from None
         letters.append(gid if name == tok else -gid)
-    return Word(ambient, letters)
+    return tuple(letters)
+
+
+def parse_word(text: str, ambient: Ambient) -> Word:
+    """Parse the text form of parse_letters into a word over ambient."""
+    return Word(ambient, parse_letters(text))
 
 
 def format_word(w: Word) -> str:
@@ -196,13 +239,12 @@ class Endomorphism:
         """Apply by substitution; the result is reduced."""
         if w.ambient != self.domain:
             raise ValueError("word is not over the domain generators")
-        if sum(len(self.images[abs(v)].letters) for v in w.letters) > LETTER_LIMIT:
+        images = self.images
+        size = sum(len(images[abs(v)].letters) for v in w.letters)
+        if size > LETTER_LIMIT:
             raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
-        out = []
-        for v in w.letters:
-            img = self.images[abs(v)].letters
-            out.extend(img if v > 0 else [-u for u in reversed(img)])
-        return Word(self.codomain, out)
+        pieces = [images[v].letters if v > 0 else _inverse(images[-v].letters) for v in w.letters]
+        return Word._joined(self.codomain, pieces, size)
 
     def __eq__(self, other) -> bool:
         return (

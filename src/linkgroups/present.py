@@ -10,6 +10,7 @@ exponent-sum matrix.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ from .freegroup import (
     format_word,
     gen_name,
     parse_gen,
-    parse_word,
+    parse_letters,
 )
 from . import reps
 
@@ -36,6 +37,18 @@ def _ambient_for(gens: tuple[int, ...]) -> Ambient:
     return Ambient(nx, YID in gens)
 
 
+def _signed(gens) -> frozenset[int]:
+    return frozenset(g for gid in gens for g in (gid, -gid))
+
+
+def _check_generators(letters, signed: frozenset[int]) -> None:
+    """Reject letters unless signed holds each; the error names the
+    generator of the first letter it lacks."""
+    if not signed.issuperset(letters):
+        bad = next(v for v in letters if v not in signed)
+        raise ValueError(f"relator uses unknown generator {gen_name(abs(bad))}")
+
+
 class Presentation:
     """Ordered generator list plus cyclically reduced relator words.
 
@@ -43,28 +56,43 @@ class Presentation:
     must name a listed generator.
     """
 
-    __slots__ = ("generators", "relators", "ambient")
+    __slots__ = ("generators", "relators", "ambient", "_counts")
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generators")
         ambient = _ambient_for(generators)
-        gen_set = set(generators)
+        signed = _signed(generators)
         cleaned = []
         for r in relators:
             if not isinstance(r, Word) or r.ambient != ambient:
                 raise ValueError("relators must be words over the presentation ambient")
-            core, _ = r.cyclic_reduce()
-            if not core:
-                continue
-            for v in core.letters:
-                if abs(v) not in gen_set:
-                    raise ValueError(f"relator uses unknown generator {gen_name(abs(v))}")
-            cleaned.append(core)
+            core = r.cyclic_reduce()[0]
+            if core:
+                _check_generators(core.letters, signed)
+                cleaned.append(core)
         self.generators = generators
         self.relators = tuple(cleaned)
         self.ambient = ambient
+        self._counts = None
+
+    @classmethod
+    def _built(cls, generators, relators, ambient, counts) -> "Presentation":
+        """A presentation from nontrivial cyclically reduced relators over
+        ambient that name only generators, with their letter counts."""
+        p = object.__new__(cls)
+        p.generators = generators
+        p.relators = relators
+        p.ambient = ambient
+        p._counts = counts
+        return p
+
+    def _letter_counts(self) -> tuple[Counter, ...]:
+        """How often each generator occurs in each relator, counted once."""
+        if self._counts is None:
+            self._counts = tuple(_letter_count(r) for r in self.relators)
+        return self._counts
 
     def total_letters(self) -> int:
         return sum(len(r) for r in self.relators)
@@ -162,52 +190,62 @@ def _gen_sort_key(gid: int):
     return (1, 0) if gid == YID else (0, gid)
 
 
+def _letter_count(r: Word) -> Counter:
+    return Counter(map(abs, r.letters))
+
+
 def tietze_step(p: Presentation) -> Optional[Presentation]:
     """One elimination: find the shortest relator containing a generator
     that occurs in it exactly once (lowest generator index breaking ties),
     solve for that generator, substitute everywhere, and drop both.
 
-    Returns None at a fixpoint.
+    Returns None at a fixpoint.  Relators without the generator are kept
+    as they are, letter counts included; the others are joined from the
+    slices between its occurrences and the solution or its inverse.
     """
+    counts = p._letter_counts()
     best = None
-    for ri, r in enumerate(p.relators):
-        counts: dict[int, int] = {}
-        for v in r.letters:
-            counts[abs(v)] = counts.get(abs(v), 0) + 1
-        for gid, c in counts.items():
+    for ri, (r, count) in enumerate(zip(p.relators, counts)):
+        for gid, c in count.items():
             if c == 1:
                 key = (len(r), _gen_sort_key(gid), ri)
                 if best is None or key < best[0]:
-                    best = (key, ri, gid)
+                    best = (key, gid)
     if best is None:
         return None
-    _, ri, gid = best
+    (_, _, ri), gid = best
     rel = p.relators[ri].letters
     pos = next(k for k, v in enumerate(rel) if abs(v) == gid)
-    u, eps, v = rel[:pos], rel[pos], rel[pos + 1 :]
-    inv = lambda ls: tuple(-w for w in reversed(ls))
-    if eps > 0:
-        # u g v = 1  =>  g = u^-1 v^-1
-        solved = inv(u) + inv(v)
-    else:
-        # u g^-1 v = 1  =>  g = v u
-        solved = v + u
-
-    def substitute(letters):
-        out = []
-        for w in letters:
-            if abs(w) == gid:
-                out.extend(solved if w > 0 else inv(solved))
-            else:
-                out.append(w)
-        return out
+    # rel = u g^eps v is cyclically reduced, so v u is reduced
+    vu = Word._joined(p.ambient, (rel[pos + 1 :] + rel[:pos],), len(rel) - 1)
+    # u g v = 1  =>  g = u^-1 v^-1;  u g^-1 v = 1  =>  g = v u
+    solved = ~vu if rel[pos] > 0 else vu
+    pieces_of = {gid: solved.letters, -gid: (~solved).letters}
 
     gens = tuple(g for g in p.generators if g != gid)
     ambient = _ambient_for(gens)
-    relators = [
-        Word(ambient, substitute(r.letters)) for k, r in enumerate(p.relators) if k != ri
-    ]
-    return Presentation(gens, relators)
+    relators, new_counts = [], []
+    for k, (r, count) in enumerate(zip(p.relators, counts)):
+        if k == ri:
+            continue
+        n = count[gid]
+        if n == 0:
+            if ambient != p.ambient:
+                r = Word._joined(ambient, (r.letters,), len(r))
+            relators.append(r)
+            new_counts.append(count)
+            continue
+        ls = r.letters
+        at = [j for j, w in enumerate(ls) if w in pieces_of]
+        pieces = []
+        for a, j in zip([-1] + at, at):
+            pieces += (ls[a + 1 : j], pieces_of[ls[j]])
+        pieces.append(ls[at[-1] + 1 :])
+        core = Word._joined(ambient, pieces, len(ls) + n * (len(solved) - 1)).cyclic_reduce()[0]
+        if core:
+            relators.append(core)
+            new_counts.append(_letter_count(core))
+    return Presentation._built(gens, tuple(relators), ambient, tuple(new_counts))
 
 
 @dataclass(frozen=True)
@@ -404,9 +442,7 @@ def parse_presentation(text: str) -> Presentation:
     if text.startswith("{"):
         payload = json.loads(text)
         gens = tuple(parse_gen(n) for n in _string_list(payload, "generators", None))
-        ambient = _ambient_for(gens)
-        relators = [parse_word(s, ambient) for s in _string_list(payload, "relators", [])]
-        return Presentation(gens, relators)
+        return _parsed_presentation(gens, _string_list(payload, "relators", []))
     gens = None
     rel_lines = []
     for line in text.splitlines():
@@ -424,5 +460,17 @@ def parse_presentation(text: str) -> Presentation:
             raise ValueError(f"bad presentation line {line!r}")
     if gens is None:
         raise ValueError("missing gens line")
+    return _parsed_presentation(gens, rel_lines)
+
+
+def _parsed_presentation(gens: tuple[int, ...], relator_texts) -> Presentation:
+    """Every generator a relator names, even one that cancels, must be
+    listed in gens."""
     ambient = _ambient_for(gens)
-    return Presentation(gens, [parse_word(s, ambient) for s in rel_lines])
+    signed = _signed(gens)
+    relators = []
+    for text in relator_texts:
+        letters = parse_letters(text)
+        _check_generators(letters, signed)
+        relators.append(Word(ambient, letters))
+    return Presentation(gens, relators)

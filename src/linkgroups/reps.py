@@ -15,6 +15,17 @@ compose shares the images a letter fixes, so a step rebuilds only two
 images, each from a word of at most 2h + 1 letters.  The LETTER_LIMIT
 check of freegroup therefore bounds the substitutions of suffix images
 into a letter's images; the final images are those of the left fold.
+
+Reading convention: the closure group of b is the Wirtinger group of
+b's diagram drawn with its first letter at the bottom, read from the
+bottom.  Label the top arcs x1..xn of the diagram whose crossings are
+b's letters from the last (top) to the first (bottom) and carry the
+labels down: in a positive sigma_i the strand entering at position i
+passes over to i + 1 keeping its label, and the under-strand's label is
+conjugated by it; in sigma_i^-1 the strand entering at i + 1 is over.
+rho_i swaps the two labels through y and alpha_i swaps them.
+tests/oracles.label_closure does exactly this, and the tests check that
+it gives the group of the reversed word.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive and shares no code with the
 package: repeated-scan reduction, plain substitution and its
-left-to-right fold over a braid word, brute-force hom counting over
-full tuple products, schoolbook matrix multiplication, cofactor
-determinants and direct products of multiplication tables.
+left-to-right fold over a braid word, Tietze elimination that rebuilds
+every relator, arc labels carried down a braid diagram, brute-force hom
+counting over full tuple products, schoolbook matrix multiplication,
+cofactor determinants and direct products of multiplication tables.
 """
 
 import itertools
@@ -57,6 +58,87 @@ def naive_evaluate(letter_images, gens):
     for step in letter_images:
         images = {g: naive_substitute(w, step) for g, w in images.items()}
     return images
+
+
+def naive_cyclic_reduce(letters):
+    """Reduce, then strip matching first and last letters until none."""
+    letters = naive_reduce(letters)
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    return letters
+
+
+def naive_tietze_step(gens, relators, y):
+    """One elimination on letter tuples, rebuilding every relator.
+
+    Picks the shortest relator with a generator that occurs in it once
+    (then the lowest generator, y last, then the first such relator),
+    solves for it and substitutes the solution into every other relator.
+    Returns (gens, relators), or None at a fixpoint."""
+    best = None
+    for ri, r in enumerate(relators):
+        for g in set(abs(v) for v in r):
+            if sum(1 for v in r if abs(v) == g) == 1:
+                key = (len(r), (1, 0) if g == y else (0, g), ri)
+                if best is None or key < best[0]:
+                    best = (key, g)
+    if best is None:
+        return None
+    (_, _, ri), g = best
+    rel = relators[ri]
+    pos = [abs(v) for v in rel].index(g)
+    u, v = rel[:pos], rel[pos + 1 :]
+    solved = naive_invert(u) + naive_invert(v) if rel[pos] > 0 else v + u
+    images = {h: (h,) for h in gens}
+    images[g] = solved
+    rebuilt = [naive_cyclic_reduce(naive_substitute(r, images)) for k, r in enumerate(relators) if k != ri]
+    return tuple(h for h in gens if h != g), [r for r in rebuilt if r]
+
+
+def naive_tietze(gens, relators, budget, y):
+    """Eliminate until a fixpoint or until the relators have more than
+    budget letters; then the presentation with the fewest letters seen
+    (the last of equals) is returned.  y is the id that sorts last.
+    Returns (gens, relators, exhausted, steps)."""
+    current = (tuple(gens), [r for r in map(naive_cyclic_reduce, relators) if r])
+    best, steps = current, 0
+    size = lambda p: sum(len(r) for r in p[1])
+    while True:
+        nxt = naive_tietze_step(*current, y)
+        if nxt is None:
+            return current[0], current[1], False, steps
+        steps += 1
+        current = nxt
+        if size(current) <= size(best):
+            best = current
+        if size(current) > budget:
+            return best[0], best[1], True, steps
+
+
+def label_closure(strands, letters, y):
+    """Relators of a braid diagram's closure group from its arc labels.
+
+    letters are (family, position, sign) triples, drawn from the top of
+    the diagram down.  The top arc at position k is labelled x_k and
+    each crossing relabels the two arcs leaving it: at a positive
+    sigma_i the strand entering at i passes over to i + 1 keeping its
+    label, and the under-strand's label is conjugated by it (by its
+    inverse at sigma_i^-1, where the strand entering at i + 1 is over).
+    rho_i swaps the labels through y and alpha_i swaps them.  Closing
+    the braid sets the bottom label at k equal to x_k: one relator
+    x_k^-1 * label_k per strand."""
+    labels = [None] + [(k,) for k in range(1, strands + 1)]
+    for family, i, sign in letters:
+        a, b = labels[i], labels[i + 1]
+        if family == "s" and sign > 0:
+            labels[i], labels[i + 1] = naive_reduce(a + b + naive_invert(a)), a
+        elif family == "s":
+            labels[i], labels[i + 1] = b, naive_reduce(naive_invert(b) + a + b)
+        elif family == "r":
+            labels[i], labels[i + 1] = naive_reduce((y,) + b + (-y,)), naive_reduce((-y,) + a + (y,))
+        else:
+            labels[i], labels[i + 1] = b, a
+    return [naive_reduce((-k,) + labels[k]) for k in range(1, strands + 1)]
 
 
 def perm_of_positions(positions, n):

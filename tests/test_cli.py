@@ -167,6 +167,27 @@ def test_generator_names_are_ascii(capsys, monkeypatch, payload):
 
 
 @pytest.mark.parametrize(
+    "payload, name",
+    [
+        ("gens: x1\nrel: y\n", "y"),
+        ("gens: x1 x2\nrel: x3\n", "x3"),
+        ("gens: x2\nrel: x1\n", "x1"),
+        ("gens: x1\nrel: x1 y y^-1\n", "y"),
+        ('{"generators": ["x1"], "relators": ["y"]}', "y"),
+        ('{"generators": ["x1", "x2"], "relators": ["x1 x3"]}', "x3"),
+        ('{"generators": ["x2"], "relators": ["x2 x1"]}', "x1"),
+    ],
+)
+def test_unknown_relator_generator_is_named(capsys, monkeypatch, payload, name):
+    # a generator outside the ambient (y, x3) gets the same message as one
+    # inside it but unlisted (x1 under gens x2), even where it cancels
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    result = invoke(capsys, "abelianize")
+    assert one_line_error(*result)
+    assert result[2] == f"error: relator uses unknown generator {name}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check-relations", "--rep", "virtual", "--strands", str(MAX_STRANDS + 1)],

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import linkgroups.freegroup as fg
 from linkgroups.freegroup import (
@@ -22,7 +23,7 @@ from linkgroups.reps import artin, virtual, wada
 
 from linkgroups.examples import VIRTUAL_TREFOIL
 
-from oracles import mat_mul, naive_substitute
+from oracles import mat_mul, naive_reduce, naive_substitute
 
 A2Y = Ambient(2, True)  # <x1, x2, y>
 
@@ -221,3 +222,15 @@ def test_abelianized_matrix_functorial():
         assert abelianized_matrix(compose(f, g)) == mat_mul(
             abelianized_matrix(g), abelianized_matrix(f)
         )
+
+
+_pool = [v for g in A2Y.gens() for v in (g, -g)]
+_raw_word = st.lists(st.sampled_from(_pool), max_size=12)
+
+
+@given(st.fixed_dictionaries({g: _raw_word for g in A2Y.gens()}), _raw_word)
+def test_apply_matches_substitution_oracle(raw_images, raw):
+    # images and argument may cancel into each other at every join
+    e = Endomorphism(A2Y, A2Y, {g: Word(A2Y, ls) for g, ls in raw_images.items()})
+    images = {g: naive_reduce(ls) for g, ls in raw_images.items()}
+    assert e(Word(A2Y, raw)).letters == naive_substitute(naive_reduce(raw), images)

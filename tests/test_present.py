@@ -15,6 +15,7 @@ from linkgroups.examples import (
 from linkgroups.freegroup import Ambient, Word, YID, format_word, parse_word
 from linkgroups.homcount import builtin_group, count_homs, default_battery, fingerprint
 from linkgroups.present import (
+    TIETZE_BUDGET,
     AbelianInvariants,
     Presentation,
     _matmul,
@@ -34,7 +35,7 @@ from linkgroups.present import (
     wada_group,
 )
 
-from oracles import mat_det, mat_identity, mat_mul
+from oracles import mat_det, mat_identity, mat_mul, naive_tietze
 
 
 def P(gen_names, relator_texts):
@@ -257,6 +258,24 @@ def test_tietze_steps_preserve_fingerprint():
                 break
             assert fingerprint(nxt, battery) == fp
             current = nxt
+
+
+def test_tietze_matches_the_rebuild_everything_oracle():
+    # random generator orders and sparse ids, so eliminating the highest x
+    # or y shrinks the ambient; small budgets make some runs exhaust
+    rng = random.Random(83)
+    exhausted = 0
+    for _ in range(200):
+        gens = tuple(rng.sample([1, 2, 3, 4, 5, 6, YID], rng.randint(1, 6)))
+        amb = Ambient(max((g for g in gens if g != YID), default=0), YID in gens)
+        pool = [v for g in gens for v in (g, -g)]
+        raw = [[rng.choice(pool) for _ in range(rng.randint(0, 12))] for _ in range(rng.randint(0, 6))]
+        budget = rng.choice([0, 10, 40, TIETZE_BUDGET])
+        res = tietze_simplify(Presentation(gens, [Word(amb, r) for r in raw]), budget)
+        got = (res.presentation.generators, [r.letters for r in res.presentation.relators])
+        assert got + (res.exhausted, res.steps) == naive_tietze(gens, raw, budget, YID)
+        exhausted += res.exhausted
+    assert 20 <= exhausted <= 180
 
 
 def test_free_rank_certificate():

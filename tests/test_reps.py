@@ -26,8 +26,8 @@ from linkgroups.freegroup import (
     parse_word,
 )
 from linkgroups.examples import VIRTUAL_TREFOIL
-from linkgroups.homcount import builtin_group, count_homs
-from linkgroups.present import closure_group
+from linkgroups.homcount import builtin_group, count_homs, fingerprint
+from linkgroups.present import Presentation, closure_group, tietze_simplify
 from linkgroups.reps import (
     artin,
     check_relations,
@@ -37,7 +37,7 @@ from linkgroups.reps import (
     wada,
     welded,
 )
-from oracles import naive_evaluate
+from oracles import label_closure, naive_evaluate
 
 
 def images_of(act, amb):
@@ -131,6 +131,32 @@ def test_reading_direction_witnesses(theory, word, reversed_word, counts, revers
     for text, expected in ((word, counts), (reversed_word, reversed_counts)):
         p = closure_group(parse(text, 3, theory))
         assert tuple(count_homs(p, g) for g in battery) == expected, text
+
+
+def _label_fingerprint(b, letters):
+    """The fingerprint of the oracle's closure group of a diagram of b's
+    theory and strand count whose crossings are letters, top to bottom."""
+    p = closure_group(BraidWord(b.strands, b.theory, ()))
+    relators = label_closure(b.strands, [(l.family, l.pos, l.sign) for l in letters], YID)
+    q = Presentation(p.generators, [Word(p.ambient, r) for r in relators])
+    return fingerprint(tietze_simplify(q).presentation)
+
+
+def test_closure_group_reads_the_diagram_from_the_bottom():
+    """closure_group(b) is the label oracle's group of b's diagram drawn
+    with b's first letter at the bottom, labels carried down from the
+    top: the oracle on the reversed word."""
+    rng = random.Random(7)
+    for _ in range(300):
+        theory = rng.choice(("classical", "virtual", "welded"))
+        b = random_braid_from(rng, rng.randint(2, 4), rng.randint(0, 10), theory)
+        got = fingerprint(tietze_simplify(closure_group(b)).presentation)
+        assert got == _label_fingerprint(b, b.letters[::-1]), b
+    # the oracle tells the two readings apart on the direction witnesses
+    for theory, text in (("welded", "s1 a1 s2^-1 a2"), ("virtual", "s1 r1 s2^-1 r2")):
+        b = parse(text, 3, theory)
+        got = fingerprint(closure_group(b))
+        assert got == _label_fingerprint(b, b.letters[::-1]) != _label_fingerprint(b, b.letters)
 
 
 def test_evaluate_letter_limit_bounds_suffix_substitutions(monkeypatch):

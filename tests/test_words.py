@@ -16,7 +16,7 @@ from linkgroups.freegroup import (
     parse_word,
 )
 
-from oracles import naive_reduce, scheduled_reduce
+from oracles import naive_invert, naive_reduce, scheduled_reduce
 
 AMB = Ambient(3, True)
 
@@ -146,3 +146,25 @@ def test_generator_names():
     for bad in ("x0", "x01", "x", "x1^-1", "y^-1", "z1", "x\u0661", "x\u00b2", "x1\n", " x1"):
         with pytest.raises(ValueError, match="bad generator name"):
             parse_gen(bad)
+
+
+reduced_pieces = st.lists(st.tuples(letters_strategy.map(naive_reduce), st.booleans()), max_size=8)
+
+
+@given(reduced_pieces)
+def test_join_matches_naive(spec):
+    # a True flag follows a piece with its inverse, which cancels it completely
+    pieces = []
+    for piece, cancel in spec:
+        pieces.append(piece)
+        if cancel:
+            pieces.append(naive_invert(piece))
+    assert fg._join(pieces) == naive_reduce([v for p in pieces for v in p])
+
+
+@given(letters_strategy, letters_strategy)
+def test_product_and_inverse_match_naive(a, b):
+    wa, wb = Word(AMB, a), Word(AMB, b)
+    assert (wa * wb).letters == naive_reduce(a + b)
+    assert (~wa).letters == naive_invert(naive_reduce(a))
+    assert (wa * ~wa).letters == ()
