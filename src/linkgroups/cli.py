@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import braid, homcount, markov, present, reps
-from .freegroup import WordLengthError, format_word, gen_name, parse_word
+from .freegroup import Word, WordLengthError, format_word, gen_name, parse_letters
 
 
 def _build_parser():
@@ -98,7 +98,11 @@ def _cmd_act(args) -> int:
     b = braid.parse(args.word, args.strands, rep.theory)
     e = rep.evaluate(b)
     if args.on is not None:
-        print(format_word(e(parse_word(args.on, rep.ambient))))
+        letters = parse_letters(args.on)
+        bad = next((v for v in letters if v not in rep.ambient.letter_set), None)
+        if bad is not None:
+            raise ValueError(f"--on word uses unknown generator {gen_name(abs(bad))}")
+        print(format_word(e(Word(rep.ambient, letters))))
         return 0
     for g in rep.ambient.gens():
         print(f"{gen_name(g)} -> {format_word(e.images[g])}")

@@ -235,6 +235,16 @@ class Endomorphism:
         self.codomain = codomain
         self.images = images
 
+    @classmethod
+    def _trusted(cls, domain: Ambient, codomain: Ambient, images: dict) -> "Endomorphism":
+        """An endomorphism whose images the caller vouches for: one word
+        over codomain per domain generator, as when compose builds them."""
+        e = object.__new__(cls)
+        e.domain = domain
+        e.codomain = codomain
+        e.images = images
+        return e
+
     def __call__(self, w: Word) -> Word:
         """Apply by substitution; the result is reduced."""
         if w.ambient != self.domain:
@@ -271,7 +281,7 @@ def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     Where f fixes a generator, its image under g is shared, not rebuilt."""
     if f.codomain != g.domain:
         raise ValueError("codomain of the first map must equal domain of the second")
-    return Endomorphism(f.domain, g.codomain, {
+    return Endomorphism._trusted(f.domain, g.codomain, {
         gid: g.images[gid] if w.letters == (gid,) else g(w) for gid, w in f.images.items()
     })
 

@@ -17,6 +17,19 @@ abelian group has only one-element classes and orbits, so it is
 enumerated plainly, without building any orbits.  Generators that
 appear in no relator contribute an exact factor |G|^k without being
 enumerated.
+
+A relator that names its depth's generator v once or twice is solved,
+not searched: once the shallower images are fixed it reads
+c0 v^e1 c1 = 1 or c0 v^e1 c1 v^e2 c2 = 1, whose solutions are a unique
+value, the square roots of one element (same signs), or a coset of a
+centraliser (opposite signs, a conjugacy equation).  Its solutions are
+that depth's candidates, and it is not tested again; the counts are
+unchanged.  At the first two depths the solutions are invariant under
+the conjugation that groups the candidates, so the class and orbit
+representatives are filtered by them.  The square roots are one table
+of |G| entries per group; the solutions of a conjugacy equation are a
+row per conjugated element, built on first use, and an abelian group
+builds none, because there every conjugate of c is c.
 """
 
 from __future__ import annotations
@@ -104,6 +117,31 @@ class FiniteGroupTable:
                 orbits = _conjugation_orbits(self, centraliser)
             self._orbits_by_element[v] = orbits
         return orbits
+
+    @cached_property
+    def _square_roots(self):
+        """The elements r with r r = x, by x."""
+        roots = [[] for _ in range(self.order)]
+        for r in range(self.order):
+            roots[self.table[r][r]].append(r)
+        return roots
+
+    @cached_property
+    def _conjugators_by_element(self):
+        """The conjugator rows built so far, by conjugated element."""
+        return {}
+
+    def _conjugators(self, c):
+        """For each conjugate t of c, the elements v with v c v^-1 = t: a
+        left coset of the centraliser of c."""
+        row = self._conjugators_by_element.get(c)
+        if row is None:
+            mul, inv = self.table, self.inverse
+            row = {}
+            for v in range(self.order):
+                row.setdefault(mul[mul[v][c]][inv[v]], []).append(v)
+            self._conjugators_by_element[c] = row
+        return row
 
 
 def _is_abelian(g):
@@ -274,7 +312,8 @@ def _compile(p: Presentation, g: FiniteGroupTable, cap):
     constant segments between them, so each tree node evaluates the
     constants once and the per-value work is one fold over the
     occurrences.  Returns the deduplicated (segments, exponents) pairs of
-    each depth, in relator order."""
+    each depth, those with the fewest occurrences first (in relator order
+    on ties), so a relator _solve can use comes first."""
     occ = {gid: 0 for gid in p.generators}
     for r in p.relators:
         for v in r.letters:
@@ -299,7 +338,30 @@ def _compile(p: Presentation, g: FiniteGroupTable, cap):
                 cur.append((s, sg))
         segs.append(tuple(cur))
         compiled[depth][(tuple(segs), tuple(exps))] = None
-    return [list(rels) for rels in compiled]
+    return [sorted(rels, key=lambda rel: len(rel[1])) for rels in compiled]
+
+
+def _solve(g: FiniteGroupTable, cs, exps):
+    """The values v with c0 v^e1 c1 = 1, or c0 v^e1 c1 v^e2 c2 = 1, for
+    the constants cs and exponents exps; None stands for all of g."""
+    mul, inv = g.table, g.inverse
+    if len(exps) == 1:  # v^e1 = (c1 c0)^-1
+        x = mul[cs[1]][cs[0]]
+        return (inv[x],) if exps[0] > 0 else (x,)
+    c0, c, c2 = cs
+    t = inv[mul[c2][c0]]  # v^e1 c v^e2 = t
+    e1, e2 = exps
+    if e1 == e2:
+        if e1 < 0:  # v^-1 c v^-1 = t  is  v c^-1 v = t^-1
+            c, t = inv[c], inv[t]
+        # v c v = t  is  (v c)^2 = t c
+        cinv = inv[c]
+        return [mul[r][cinv] for r in g._square_roots[mul[t][c]]]
+    if len(g._classes) == g.order:  # abelian: v c v^-1 = c for every v
+        return None if t == c else ()
+    if e1 > 0:  # v c v^-1 = t
+        return g._conjugators(c).get(t, ())
+    return g._conjugators(t).get(c, ())  # v^-1 c v = t  is  v t v^-1 = c
 
 
 def _count_assignments(g: FiniteGroupTable, compiled):
@@ -324,8 +386,18 @@ def _count_assignments(g: FiniteGroupTable, compiled):
             candidates = g._centraliser_orbits(assign[0])
         else:
             candidates = g._elements
-        total = 0
+        if consts and len(consts[0][1]) <= 2:
+            solutions = _solve(g, *consts.pop(0))
+            if solutions is not None:
+                if depth < 2:  # the solutions are a union of classes or orbits
+                    solutions = set(solutions)
+                    candidates = [vw for vw in candidates if vw[0] in solutions]
+                else:
+                    candidates = [(v, 1) for v in solutions]
         last = depth == k - 1
+        if last and not consts:
+            return sum(weight for _, weight in candidates)
+        total = 0
         for v, weight in candidates:
             vinv = inv[v]
             ok = True

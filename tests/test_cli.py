@@ -55,6 +55,14 @@ def test_act_on_word(capsys):
     assert code == 0 and out.strip() == "x1 x2 x1^-1"
 
 
+@pytest.mark.parametrize("rep, on, name", [("virtual", "x1 x9", "x9"), ("artin", "x2 y^-1", "y"),
+                                           ("virtual", "x4^-1", "x4")])
+def test_act_on_names_an_unknown_generator(capsys, rep, on, name):
+    result = invoke(capsys, "act", "--rep", rep, "--strands", "3", "--word", "s1", "--on", on)
+    assert one_line_error(*result)
+    assert result[2] == f"error: --on word uses unknown generator {name}\n"
+
+
 def test_present_text(capsys):
     code, out, _ = invoke(
         capsys, "present", "--theory", "virtual", "--strands", "2", "--word", VIRTUAL_TREFOIL

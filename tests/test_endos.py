@@ -126,6 +126,9 @@ def test_random_endomorphism_laws():
         assert e(a * b) == e(a) * e(b)
         f, g, h = (_random_endo(rng, amb) for _ in range(3))
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
+        # compose skips the constructor's checks; its result passes them
+        fg_ = compose(f, g)
+        assert Endomorphism(fg_.domain, fg_.codomain, fg_.images) == fg_
 
 
 def test_compose_associative():
@@ -172,6 +175,13 @@ def test_endomorphism_validation():
             Ambient(1, False),
             {1: Word(Ambient(2, False), (2,))},  # image over the wrong ambient
         )
+    ident = identity_endomorphism(A2Y).images
+    with pytest.raises(ValueError, match="exactly the domain"):
+        Endomorphism(A2Y, A2Y, {**ident, 3: Word(A2Y, (1,))})  # an extra image
+    with pytest.raises(ValueError, match="image of y"):
+        Endomorphism(A2Y, A2Y, {**ident, YID: (YID,)})  # an image that is not a Word
+    with pytest.raises(ValueError, match="image of x1"):
+        Endomorphism(A2Y, Ambient(2, False), ident)  # images over the domain, not the codomain
 
 
 def test_substitution_budget_counts_unreduced_letters(monkeypatch):

@@ -11,6 +11,7 @@ from linkgroups.homcount import (
     CapExceeded,
     Fingerprint,
     _is_abelian,
+    _solve,
     builtin_group,
     count_homs,
     default_battery,
@@ -128,13 +129,87 @@ def test_weighted_count_matches_brute_force_in_the_battery(p):
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
 
 
+def _solver_tables():
+    sym3, c2 = builtin_group("sym3"), builtin_group("c2")
+    tables = [builtin_group(n) for n in ("sym3", "dihedral4", "alt4", "sym4", "c6")]
+    return tables + [make_table("sym3xc2", direct_product_table(sym3.table, c2.table))]
+
+
+def _brute_solutions(g, cs, exps):
+    """{v : c0 v^e1 c1 ... = 1}, by trying every v, with inverses found by search."""
+    mul = g.table
+    inv = [next(b for b in range(g.order) if mul[a][b] == 0) for a in range(g.order)]
+    found = set()
+    for v in range(g.order):
+        w = cs[0]
+        for e, c in zip(exps, cs[1:]):
+            w = mul[mul[w][v if e > 0 else inv[v]]][c]
+        if w == 0:
+            found.add(v)
+    return found
+
+
+def _solved(g, cs, exps):
+    got = _solve(g, cs, exps)
+    return set(range(g.order)) if got is None else set(got)
+
+
+@pytest.mark.parametrize("g", _solver_tables(), ids=lambda g: g.name)
+def test_solver_matches_brute_force(g):
+    mul, inv = g.table, g.inverse
+    for c0 in range(g.order):
+        for c1 in range(g.order):
+            for e1 in (1, -1):
+                assert _solved(g, (c0, c1), (e1,)) == _brute_solutions(g, (c0, c1), (e1,))
+    for c in range(g.order):
+        for t in range(g.order):
+            # v^e1 c v^e2 = t, with t split between the outer constants
+            c0 = (3 * c + t) % g.order
+            c2 = mul[inv[t]][inv[c0]]
+            for exps in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                cs = (c0, c, c2)
+                assert _solved(g, cs, exps) == _brute_solutions(g, cs, exps), (c, t, exps)
+
+
+@st.composite
+def solvable_presentations(draw):
+    # the first relator names the last generator z once or twice, as
+    # a z^e1 b [z^e2 c]; the others do not name it, so z is usually deepest
+    n = draw(st.integers(2, 3))
+    gens = tuple(range(1, n + 1))
+    letter = st.sampled_from([v for g in gens[:-1] for v in (g, -g)])
+    word = st.lists(letter, max_size=4)
+    z = st.sampled_from([n, -n])
+    solving = draw(word) + [draw(z)] + draw(word)
+    if draw(st.booleans()):
+        solving += [draw(z)] + draw(word)
+    others = draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=2))
+    return P(gens, [tuple(solving)] + [tuple(r) for r in others])
+
+
+@settings(max_examples=60, deadline=None)
+@given(solvable_presentations())
+def test_solved_count_matches_brute_force_in_the_battery(p):
+    for g in default_battery():
+        assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
+
+
 def test_symmetry_data_belongs_to_the_table():
     c6 = builtin_group("c6")
     commutator = P((1, 2), [(1, 2, -1, -2)])
-    assert count_homs(commutator, builtin_group("sym3")) == 18
+    sym3 = builtin_group("sym3")
+    assert count_homs(commutator, sym3) == 18
     named_sym3 = make_table("sym3", c6.table)
     assert count_homs(commutator, named_sym3) == count_homs(commutator, c6) == 36
-    assert named_sym3._classes == c6._classes != builtin_group("sym3")._classes
+    assert named_sym3._classes == c6._classes != sym3._classes
+    # the square roots and conjugator rows are the table's own too: x3 is
+    # solved from x1 x1 x2 x2 x3 x1 x3^-1 and x2 from x1 x2 x1 x2
+    fresh_sym3 = make_table("sym3", sym3.table)
+    solved = P((1, 2, 3), [(1, 1, 2, 2, 3, 1, -3), (1, 2, 1, 2)])
+    for g in (fresh_sym3, named_sym3):
+        assert count_homs(solved, g) == brute_count_homs((1, 2, 3), [r.letters for r in solved.relators], g)
+    assert named_sym3._square_roots == c6._square_roots != fresh_sym3._square_roots
+    assert named_sym3._conjugators_by_element == {} != fresh_sym3._conjugators_by_element
 
 
 # criterion 9's virtual trial 417 (seed 2026): 24^6 exceeds DEFAULT_CAP, and
@@ -169,11 +244,15 @@ def test_abelian_tables_are_not_reduced():
     g = builtin_group("c1024")
     commutator = P((1, 2), [(1, 2, -1, -2)])
     assert count_homs(commutator, g) == 1024 ** 2
+    assert count_homs(P((1, 2), [(1, 2, 1, 2)]), g) == 2048
+    assert count_homs(P((1, 2), [(1, 2, 1, -2)]), g) == 2048
     # every class is one element, so the candidates stay the plain list,
     # and no centraliser orbit is built
     assert g._classes == g._elements == tuple((v, 1) for v in range(1024))
     assert g._centraliser_orbits(5) is g._classes
     assert g._orbits_by_element == {}
+    # a conjugacy equation over an abelian table is solved without rows
+    assert g._conjugators_by_element == {}
 
 
 def test_count_invariant_under_reordering_and_cycling():
