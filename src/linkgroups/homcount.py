@@ -30,6 +30,16 @@ representatives are filtered by them.  The square roots are one table
 of |G| entries per group; the solutions of a conjugacy equation are a
 row per conjugated element, built on first use, and an abelian group
 builds none, because there every conjugate of c is c.
+
+The constants are evaluated once per level, not once per relator and
+node.  A relator splits into pieces: the subwords between the letters
+of its deepest generator, each split again at the letters of its own
+deepest generator.  A piece whose deepest generator sits at depth m is
+evaluated once on entering depth m+1, from its letters and the values
+of its sub-pieces, and identical pieces are evaluated once.  The
+pieces and relator programs form a plan that depends on the
+presentation alone: it is built on its first count, after the cap
+check, and kept on the presentation, so the battery's counts share it.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -232,6 +243,10 @@ def _table_from_perms(name, perms):
     return make_table(name, table)
 
 
+# c<k>: k in ASCII digits without a leading 0, as in generator names
+_CYCLIC = re.compile(r"c[1-9][0-9]*")
+
+
 @lru_cache(maxsize=None)
 def builtin_group(name: str) -> FiniteGroupTable:
     """sym3, sym4, alt4, dihedral4 (alias d4), or c<k> for the cyclic
@@ -256,10 +271,10 @@ def builtin_group(name: str) -> FiniteGroupTable:
     if name == "alt4":
         evens = [p for p in itertools.permutations(range(4)) if _parity(p) == 0]
         return _table_from_perms("alt4", evens)
-    if name.startswith("c") and name[1:].isdigit():
+    if name == "c0":
+        raise ValueError("cyclic order must be positive")
+    if _CYCLIC.fullmatch(name):
         k = int(name[1:])
-        if k < 1:
-            raise ValueError("cyclic order must be positive")
         _check_order(k)
         return make_table(name, [[(i + j) % k for j in range(k)] for i in range(k)])
     raise ValueError(f"unknown builtin group {name!r}")
@@ -302,43 +317,86 @@ def load_table_text(text: str, name: str = "custom") -> FiniteGroupTable:
 # counting
 
 
-def _compile(p: Presentation, g: FiniteGroupTable, cap):
-    """Encode the relators for the backtracking enumeration, in one pass.
+def _plan(p: Presentation):
+    """The enumeration plan of p's relators, the same for every group.
 
-    The generators that occur in some relator are ordered by descending
-    occurrence (first listed first on ties) and the cap, already resolved
-    by effective_cap, is checked.  Each relator goes to the depth of its
-    deepest generator, split into that generator's occurrences and the
-    constant segments between them, so each tree node evaluates the
-    constants once and the per-value work is one fold over the
-    occurrences.  Returns the deduplicated (segments, exponents) pairs of
-    each depth, those with the fewest occurrences first (in relator order
-    on ties), so a relator _solve can use comes first."""
-    occ = {gid: 0 for gid in p.generators}
-    for r in p.relators:
-        for v in r.letters:
-            occ[abs(v)] += 1
-    active = [gid for gid in p.generators if occ[gid]]
-    active.sort(key=lambda gid: (-occ[gid], p.generators.index(gid)))
+    The generators that occur in some relator get slots 0..k-1 by
+    descending occurrence (first listed first on ties).  Values live in
+    one list: index 0 is the identity, 1+2s and 2+2s are slot s's image
+    and its inverse, and the indices after those are pieces.  A piece is
+    a subword whose deepest slot is m, stored as the indices of its
+    slot-m letters and of the sub-pieces between them; it is evaluated
+    once on entering depth m+1, and identical pieces share one index.
+    Each relator goes to the depth d of its deepest generator, as the
+    program of its slot-d letters and the pieces between them.  Returns
+    (levels, size): per depth, the pieces to evaluate on entering it, the
+    relator to solve there (its constants as indices, 0 where empty, and
+    its exponents) or None, and the programs of the relators to test,
+    deduplicated, those with the fewest slot-d letters first (in relator
+    order on ties); size is the length of the value list."""
+    occ = {}
+    for count in p._letter_counts():
+        for gid, n in count.items():
+            occ[gid] = occ.get(gid, 0) + n
+    order = {gid: i for i, gid in enumerate(p.generators)}
+    active = sorted(occ, key=lambda gid: (-occ[gid], order[gid]))
     k = len(active)
-    if g.order ** k > cap:
-        raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")
-    slot = {gid: s for s, gid in enumerate(active)}
-    compiled = [{} for _ in range(k)]  # insertion-ordered sets
-    for r in p.relators:
-        encoded = [(slot[abs(v)], 1 if v > 0 else -1) for v in r.letters]
-        depth = max(s for s, _ in encoded)
-        segs, exps, cur = [], [], []
-        for s, sg in encoded:
-            if s == depth:
-                segs.append(tuple(cur))
-                cur = []
-                exps.append(sg)
+    letter = {}
+    for s, gid in enumerate(active):
+        letter[gid], letter[-gid] = 1 + 2 * s, 2 + 2 * s
+    pieces = {}  # program -> index, in evaluation order
+    entry = [[] for _ in range(k)]
+
+    def split(word, m):
+        """The slot-m letters of word and the indices of the pieces
+        between them, empty ones dropped."""
+        prog, run = [], []
+        for i in word:
+            if (i - 1) >> 1 == m:
+                if run:
+                    prog.append(piece(run))
+                    run = []
+                prog.append(i)
             else:
-                cur.append((s, sg))
-        segs.append(tuple(cur))
-        compiled[depth][(tuple(segs), tuple(exps))] = None
-    return [sorted(rels, key=lambda rel: len(rel[1])) for rels in compiled]
+                run.append(i)
+        if run:
+            prog.append(piece(run))
+        return tuple(prog)
+
+    def piece(word):
+        """The index of word's value: a letter's own, or its piece's."""
+        if len(word) == 1:
+            return word[0]
+        m = (max(word) - 1) >> 1
+        prog = split(word, m)
+        at = pieces.get(prog)
+        if at is None:
+            at = pieces[prog] = 1 + 2 * k + len(pieces)
+            entry[m + 1].append((at, prog))  # a relator deeper than m needs it
+        return at
+
+    programs = [{} for _ in range(k)]  # insertion-ordered sets, by depth
+    for r in p.relators:
+        word = [letter[v] for v in r.letters]
+        d = (max(word) - 1) >> 1
+        programs[d][split(word, d)] = None
+    levels = []
+    for d, progs in enumerate(programs):
+        named = {prog: sum((i - 1) >> 1 == d for i in prog) for prog in progs}
+        progs = sorted(named, key=named.get)
+        solved = None
+        if progs and named[progs[0]] <= 2:
+            cs, exps, c = [], [], 0
+            for i in progs.pop(0):
+                if (i - 1) >> 1 == d:
+                    cs.append(c)
+                    exps.append(1 if i & 1 else -1)
+                    c = 0
+                else:
+                    c = i
+            solved = (tuple(cs) + (c,), tuple(exps))
+        levels.append((tuple(entry[d]), solved, tuple(progs)))
+    return tuple(levels), 1 + 2 * k + len(pieces)
 
 
 def _solve(g: FiniteGroupTable, cs, exps):
@@ -364,69 +422,56 @@ def _solve(g: FiniteGroupTable, cs, exps):
     return g._conjugators(t).get(c, ())  # v^-1 c v = t  is  v t v^-1 = c
 
 
-def _count_assignments(g: FiniteGroupTable, compiled):
+def _count_assignments(g: FiniteGroupTable, plan):
     mul = g.table
     inv = g.inverse
-    k = len(compiled)
-    assign = [0] * k
+    levels, size = plan
+    k = len(levels)
+    val = [0] * size
 
     def rec(depth):
-        consts = []
-        for segs, exps in compiled[depth]:
-            cs = []
-            for seg in segs:
-                w = 0
-                for s, sg in seg:
-                    w = mul[w][assign[s] if sg > 0 else inv[assign[s]]]
-                cs.append(w)
-            consts.append((cs, exps))
+        entry, solved, tests = levels[depth]
+        for at, prog in entry:
+            w = 0
+            for i in prog:
+                w = mul[w][val[i]]
+            val[at] = w
         if depth == 0:
             candidates = g._classes
         elif depth == 1:
-            candidates = g._centraliser_orbits(assign[0])
+            candidates = g._centraliser_orbits(val[1])
         else:
             candidates = g._elements
-        if consts and len(consts[0][1]) <= 2:
-            solutions = _solve(g, *consts.pop(0))
+        last = depth == k - 1
+        if solved is not None:
+            cs, exps = solved
+            solutions = _solve(g, [val[i] for i in cs], exps)
             if solutions is not None:
                 if depth < 2:  # the solutions are a union of classes or orbits
                     solutions = set(solutions)
                     candidates = [vw for vw in candidates if vw[0] in solutions]
+                elif last and not tests:
+                    return len(solutions)
                 else:
                     candidates = [(v, 1) for v in solutions]
-        last = depth == k - 1
-        if last and not consts:
+        if last and not tests:
             return sum(weight for _, weight in candidates)
+        at = 1 + 2 * depth
         total = 0
         for v, weight in candidates:
-            vinv = inv[v]
-            ok = True
-            for cs, exps in consts:
-                w = cs[0]
-                i = 1
-                for e in exps:
-                    w = mul[w][v if e > 0 else vinv]
-                    c = cs[i]
-                    if c:
-                        w = mul[w][c]
-                    i += 1
+            val[at] = v
+            val[at + 1] = inv[v]
+            for prog in tests:
+                w = 0
+                for i in prog:
+                    w = mul[w][val[i]]
                 if w:
-                    ok = False
                     break
-            if ok:
-                if last:
-                    total += weight
-                else:
-                    assign[depth] = v
-                    total += weight * rec(depth + 1)
+            else:
+                total += weight if last else weight * rec(depth + 1)
         return total
 
-    try:
-        return rec(0)
-    except RecursionError:
-        raise CapExceeded(
-            f"enumerating {k} generators recurses deeper than the interpreter allows"
-        ) from None
+    return rec(0)
 
 
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
@@ -434,9 +479,18 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     cap = effective_cap(cap)
     if g.order == 1 or not p.relators:
         return g.order ** len(p.generators)
-    compiled = _compile(p, g, cap)
-    free = len(p.generators) - len(compiled)
-    return g.order ** free * _count_assignments(g, compiled)
+    plan = p._plan
+    k = len(plan[0]) if plan is not None else len(set().union(*p._letter_counts()))
+    if g.order ** k > cap:
+        raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")
+    try:
+        if plan is None:
+            plan = p._plan = _plan(p)
+        return g.order ** (len(p.generators) - k) * _count_assignments(g, plan)
+    except RecursionError:
+        raise CapExceeded(
+            f"enumerating {k} generators recurses deeper than the interpreter allows"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

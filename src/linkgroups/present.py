@@ -56,7 +56,9 @@ class Presentation:
     must name a listed generator.
     """
 
-    __slots__ = ("generators", "relators", "ambient", "_counts")
+    # _counts and _plan (homcount's enumeration plan) are caches, built on
+    # first use and left out of equality and hashing
+    __slots__ = ("generators", "relators", "ambient", "_counts", "_plan")
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
@@ -76,6 +78,7 @@ class Presentation:
         self.relators = tuple(cleaned)
         self.ambient = ambient
         self._counts = None
+        self._plan = None
 
     @classmethod
     def _built(cls, generators, relators, ambient, counts) -> "Presentation":
@@ -86,6 +89,7 @@ class Presentation:
         p.relators = relators
         p.ambient = ambient
         p._counts = counts
+        p._plan = None
         return p
 
     def _letter_counts(self) -> tuple[Counter, ...]:

@@ -121,6 +121,19 @@ def test_homcount_rejects_group_order_over_ceiling(capsys, monkeypatch):
     assert one_line_error(*result) and "exceeds the ceiling" in result[2]
 
 
+@pytest.mark.parametrize("name, message", [
+    ("c١٢", "unknown builtin group 'c١٢'"),  # Arabic-Indic digits
+    ("c²", "unknown builtin group 'c²'"),  # superscript two
+    ("c001", "unknown builtin group 'c001'"),
+    ("c0", "cyclic order must be positive"),
+])
+def test_homcount_cyclic_names_are_ascii_without_leading_zeros(capsys, monkeypatch, name, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1\nrel: x1 x1\n"))
+    assert invoke(capsys, "homcount", "--group", name) == (1, "", f"error: {message}\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1\nrel: x1 x1\n"))
+    assert invoke(capsys, "homcount", "--group", "c12") == (0, "2\n", "")
+
+
 def test_homcount_deep_enumeration(capsys, monkeypatch):
     def chain(k):
         names = " ".join(f"x{i}" for i in range(1, k + 1))

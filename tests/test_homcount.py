@@ -11,6 +11,7 @@ from linkgroups.homcount import (
     CapExceeded,
     Fingerprint,
     _is_abelian,
+    _plan,
     _solve,
     builtin_group,
     count_homs,
@@ -20,7 +21,13 @@ from linkgroups.homcount import (
     load_table_text,
     make_table,
 )
-from linkgroups.present import Presentation, abelian_invariants, parse_presentation
+from linkgroups.present import (
+    Presentation,
+    abelian_invariants,
+    format_presentation,
+    parse_presentation,
+    tietze_step,
+)
 
 from oracles import brute_count_homs, direct_product_table
 
@@ -210,6 +217,91 @@ def test_symmetry_data_belongs_to_the_table():
         assert count_homs(solved, g) == brute_count_homs((1, 2, 3), [r.letters for r in solved.relators], g)
     assert named_sym3._square_roots == c6._square_roots != fresh_sym3._square_roots
     assert named_sym3._conjugators_by_element == {} != fresh_sym3._conjugators_by_element
+
+
+@st.composite
+def nested_presentations(draw):
+    # long relators over many generators: the pieces between the deepest
+    # generator's letters have pieces of their own
+    n = draw(st.integers(3, 5))
+    gens = tuple(range(1, n + 1))
+    letter = st.sampled_from([v for g in gens for v in (g, -g)])
+    rels = draw(st.lists(st.lists(letter, min_size=2, max_size=12), min_size=1, max_size=3))
+    return gens, [tuple(r) for r in rels]
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_presentations())
+def test_nested_pieces_match_brute_force(spec):
+    gens, rels = spec
+    p = P(gens, rels)
+    named_sym3 = make_table("sym3", builtin_group("c6").table)
+    # the brute-force oracle reaches 4-5 generators in the smaller groups only
+    checked = {"sym3", "dihedral4"} if len(gens) > 3 else {"sym3", "dihedral4", "alt4", "sym4"}
+    relators = [r.letters for r in p.relators]
+    plan = None
+    for g in default_battery() + (named_sym3,):
+        # one object counted into every group builds its plan once
+        count = count_homs(p, g)
+        plan = plan or p._plan
+        assert p._plan is plan
+        assert count == count_homs(P(gens, rels), g)
+        if g.name in checked:
+            assert count == brute_count_homs(p.generators, relators, g), g.name
+
+
+def test_plan_shares_identical_pieces():
+    # slots x1, x2, x3 by occurrence; both relators reach x3's level, both
+    # start with the piece x1 x2 x1^-1, and the first is solved for x3
+    p = P((1, 2, 3), [(1, 2, -1, 3), (1, 2, -1, -3, 1, 2)])
+    levels, size = _plan(p)
+    x1, x1inv, x2, x3inv = 1, 2, 3, 6
+    assert size == 1 + 2 * 3 + 2
+    assert levels[0] == levels[1] == ((), None, ())
+    assert levels[2] == (
+        ((7, (x1, x2, x1inv)), (8, (x1, x2))),  # evaluated on entering x3's level
+        ((7, 0), (1,)),  # x1 x2 x1^-1 x3 = 1, solved for x3
+        ((7, x3inv, 8),),  # tested on every solved value
+    )
+    for g in default_battery():
+        assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
+
+
+def test_over_cap_count_builds_no_plan():
+    p = P((1, 2, 3), [(1, 2, 3)])
+    sym3 = builtin_group("sym3")
+    with pytest.raises(CapExceeded, match="exceed the cap 10$"):
+        count_homs(p, sym3, cap=10)
+    assert p._plan is None
+    assert count_homs(p, sym3) == 36
+    assert p._plan is not None
+    # a built plan is no way round the cap
+    with pytest.raises(CapExceeded, match="exceed the cap 10$"):
+        count_homs(p, sym3, cap=10)
+
+
+def test_plan_is_outside_equality_and_hashing():
+    text = "gens: x1 x2 y\nrel: x1 x2 x1^-1 y\nrel: x2 y x2 y^-1\n"
+    p, q = parse_presentation(text), parse_presentation(text)
+    before = hash(p)
+    fingerprint(p)
+    assert p._plan is not None and q._plan is None
+    assert p == q and hash(p) == hash(q) == before
+
+
+def test_tietze_steps_count_like_parsed_presentations():
+    # tietze_step builds its result without the public constructor
+    rng = random.Random(10)
+    battery = default_battery()
+    for _ in range(60):
+        gens = (1, 2, 3, 4)
+        pool = [v for g in gens for v in (g, -g)]
+        rels = [tuple(rng.choice(pool) for _ in range(rng.randint(1, 10))) for _ in range(3)]
+        current = P(gens, rels)
+        while (current := tietze_step(current)) is not None:
+            fresh = parse_presentation(format_presentation(current))
+            assert fresh == current and fresh._plan is current._plan is None
+            assert [count_homs(current, g) for g in battery] == [count_homs(fresh, g) for g in battery]
 
 
 # criterion 9's virtual trial 417 (seed 2026): 24^6 exceeds DEFAULT_CAP, and
