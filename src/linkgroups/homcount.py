@@ -7,29 +7,37 @@ necessary for isomorphism, unequal ones certify non-isomorphism.
 
 Enumeration is the oracle: tuples of images are tried depth by depth,
 with early abort on the first relator that fails once all its
-generators are assigned.  Conjugation by any element of G permutes the
-homomorphisms, so the first image only runs over conjugacy-class
-representatives, each weighted by its class size, and the second over
-representatives of the orbits of the first image's centraliser acting
-by conjugation, each weighted by its orbit size; deeper images run over
-all of G.  The counts are the same as those of trying every tuple.  An
-abelian group has only one-element classes and orbits, so it is
-enumerated plainly, without building any orbits.  Generators that
-appear in no relator contribute an exact factor |G|^k without being
-enumerated.
+generators are assigned.  One symmetry rule cuts the tuples tried.  Let
+S_d be the elements of G that commute with every image chosen before
+depth d: S_0 = G, and S_{d+1} is S_d intersected with the centraliser
+C(v_d) of the image chosen at depth d.  Conjugating a whole
+homomorphism by an element of S_d keeps the images already chosen and
+permutes their completions, so every element of an S_d-orbit of G
+(acting by conjugation) has as many completions as any other.  Depth d
+therefore runs over one representative of each S_d-orbit, weighted by
+the orbit size: the conjugacy classes at depth 0, the orbits of the
+first image's centraliser at depth 1, and so on down to single elements
+once S_d is trivial.  The counts are the same as those of trying every
+tuple.  The stabilisers met, their orbits and where each representative
+leads are built as the counts reach them and kept on the table; an
+abelian group has one stabiliser, G, whose orbits are its elements,
+listed without conjugating.  Generators that appear in no relator
+contribute an exact factor |G|^k without being enumerated.
 
 A relator that names its depth's generator v once or twice is solved,
 not searched: once the shallower images are fixed it reads
 c0 v^e1 c1 = 1 or c0 v^e1 c1 v^e2 c2 = 1, whose solutions are a unique
 value, the square roots of one element (same signs), or a coset of a
-centraliser (opposite signs, a conjugacy equation).  Its solutions are
-that depth's candidates, and it is not tested again; the counts are
-unchanged.  At the first two depths the solutions are invariant under
-the conjugation that groups the candidates, so the class and orbit
-representatives are filtered by them.  The square roots are one table
-of |G| entries per group; the solutions of a conjugacy equation are a
-row per conjugated element, built on first use, and an abelian group
-builds none, because there every conjugate of c is c.
+centraliser (opposite signs, a conjugacy equation).  Its constants are
+products of images that S_d commutes with, so its solutions are a union
+of S_d-orbits: they filter that depth's representatives, weights kept,
+and the relator is not tested again; the counts are unchanged.  A last
+depth with no relator left to test lists no orbits: their weights add
+up to the number of its candidates, |G| or the solutions.  The
+square roots are one table of |G| entries per group; the solutions of a
+conjugacy equation are a row per conjugated element, built on first
+use, and an abelian group builds none, because there every conjugate of
+c is c.
 
 The constants are evaluated once per level, not once per relator and
 node.  A relator splits into pieces: the subwords between the letters
@@ -91,43 +99,48 @@ class FiniteGroupTable:
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
 
-    # the symmetry data of the enumeration, built on the first count and
-    # kept on the table, so a table: group never shares a builtin's data
+    # the symmetry data of the enumeration, built as the counts reach it
+    # and kept on the table, so a table: group never shares a builtin's data
 
     @cached_property
-    def _elements(self):
-        """(v, 1) for every element: the candidates of a plain level."""
-        return tuple((v, 1) for v in range(self.order))
+    def _abelian(self):
+        return _is_abelian(self)
 
     @cached_property
-    def _classes(self):
-        """(representative, size) of each conjugacy class; for an abelian
-        table, the elements, without conjugating."""
-        if _is_abelian(self):
-            return self._elements
-        return _conjugation_orbits(self, range(self.order))
+    def _stabilisers(self):
+        """The stabilisers met so far, interned: their ids by their elements
+        (ascending), and by id [elements, orbits, moves].  Id 0 is G.  The
+        orbits and moves are None until the stabiliser S is entered; then
+        they are S's orbits on G acting by conjugation, as
+        {representative: size}, and by representative v the id of S
+        intersected with C(v)."""
+        everything = tuple(range(self.order))
+        return {everything: 0}, [[everything, None, None]]
 
-    @cached_property
-    def _orbits_by_element(self):
-        """The centraliser orbits built so far, by element."""
-        return {}
-
-    def _centraliser_orbits(self, v):
-        """(representative, size) of each orbit of C(v) acting on the
-        group by conjugation; the classes when v is central."""
-        classes = self._classes
-        if len(classes) == self.order:  # abelian: every class is one element
-            return classes
-        orbits = self._orbits_by_element.get(v)
+    def _orbits(self, s):
+        """The orbits and moves of stabiliser s, built on first use.  An
+        abelian table has one stabiliser, G, whose orbits are its elements;
+        they are listed without conjugating."""
+        ids, data = self._stabilisers
+        hs, orbits, moves = data[s]
         if orbits is None:
-            mul = self.table
-            centraliser = [h for h in range(self.order) if mul[h][v] == mul[v][h]]
-            if len(centraliser) == self.order:
-                orbits = classes
+            if self._abelian:
+                orbits, moves = dict.fromkeys(hs, 1), dict.fromkeys(hs, 0)
             else:
-                orbits = _conjugation_orbits(self, centraliser)
-            self._orbits_by_element[v] = orbits
-        return orbits
+                mul, inv = self.table, self.inverse
+                orbits, moves, seen = {}, {}, set()
+                for x in range(self.order):
+                    if x not in seen:
+                        orbit = {mul[mul[inv[h]][x]][h] for h in hs}
+                        seen |= orbit
+                        orbits[x] = len(orbit)
+                        meet = tuple(h for h in hs if mul[h][x] == mul[x][h])
+                        if meet not in ids:
+                            data.append([meet, None, None])
+                            ids[meet] = len(data) - 1
+                        moves[x] = ids[meet]
+            data[s][1:] = orbits, moves
+        return orbits, moves
 
     @cached_property
     def _square_roots(self):
@@ -178,21 +191,6 @@ def _is_abelian(g):
             power = mul[power][x]
         span += cosets
     return True
-
-
-def _conjugation_orbits(g, hs):
-    """(first element, size) of each orbit of the elements hs acting on g
-    by conjugation."""
-    mul, inv = g.table, g.inverse
-    seen = [False] * g.order
-    orbits = []
-    for x in range(g.order):
-        if not seen[x]:
-            orbit = {mul[mul[inv[h]][x]][h] for h in hs}
-            for y in orbit:
-                seen[y] = True
-            orbits.append((x, len(orbit)))
-    return tuple(orbits)
 
 
 def _validate(name, table):
@@ -247,11 +245,15 @@ def _table_from_perms(name, perms):
 _CYCLIC = re.compile(r"c[1-9][0-9]*")
 
 
-@lru_cache(maxsize=None)
 def builtin_group(name: str) -> FiniteGroupTable:
     """sym3, sym4, alt4, dihedral4 (alias d4), or c<k> for the cyclic
-    group of order k."""
-    if name in ("d4", "dihedral4"):
+    group of order k; one table per group, whatever name it is asked by."""
+    return _builtin_group("dihedral4" if name == "d4" else name)
+
+
+@lru_cache(maxsize=None)
+def _builtin_group(name):
+    if name == "dihedral4":
         rot = (1, 2, 3, 0)
         refl = (3, 2, 1, 0)
         elems = {(0, 1, 2, 3)}
@@ -415,7 +417,7 @@ def _solve(g: FiniteGroupTable, cs, exps):
         # v c v = t  is  (v c)^2 = t c
         cinv = inv[c]
         return [mul[r][cinv] for r in g._square_roots[mul[t][c]]]
-    if len(g._classes) == g.order:  # abelian: v c v^-1 = c for every v
+    if g._abelian:  # v c v^-1 = c for every v
         return None if t == c else ()
     if e1 > 0:  # v c v^-1 = t
         return g._conjugators(c).get(t, ())
@@ -429,36 +431,26 @@ def _count_assignments(g: FiniteGroupTable, plan):
     k = len(levels)
     val = [0] * size
 
-    def rec(depth):
+    def rec(depth, s):
         entry, solved, tests = levels[depth]
         for at, prog in entry:
             w = 0
             for i in prog:
                 w = mul[w][val[i]]
             val[at] = w
-        if depth == 0:
-            candidates = g._classes
-        elif depth == 1:
-            candidates = g._centraliser_orbits(val[1])
-        else:
-            candidates = g._elements
-        last = depth == k - 1
+        solutions = None  # all of G
         if solved is not None:
             cs, exps = solved
             solutions = _solve(g, [val[i] for i in cs], exps)
-            if solutions is not None:
-                if depth < 2:  # the solutions are a union of classes or orbits
-                    solutions = set(solutions)
-                    candidates = [vw for vw in candidates if vw[0] in solutions]
-                elif last and not tests:
-                    return len(solutions)
-                else:
-                    candidates = [(v, 1) for v in solutions]
-        if last and not tests:
-            return sum(weight for _, weight in candidates)
+        last = depth == k - 1
+        if last and not tests:  # a union of orbits: their weights add up to its size
+            return g.order if solutions is None else len(solutions)
+        orbits, moves = g._orbits(s)
+        if solutions is not None:  # a union of orbits: keep its representatives
+            orbits = {v: orbits[v] for v in solutions if v in orbits}
         at = 1 + 2 * depth
         total = 0
-        for v, weight in candidates:
+        for v, weight in orbits.items():
             val[at] = v
             val[at + 1] = inv[v]
             for prog in tests:
@@ -468,10 +460,10 @@ def _count_assignments(g: FiniteGroupTable, plan):
                 if w:
                     break
             else:
-                total += weight if last else weight * rec(depth + 1)
+                total += weight if last else weight * rec(depth + 1, moves[v])
         return total
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:

@@ -1,5 +1,6 @@
 """Hom counting: builtin tables, brute-force agreement, invariances."""
 
+import itertools
 import random
 
 import pytest
@@ -44,6 +45,7 @@ def test_builtin_orders():
     assert builtin_group("sym3").order == 6
     assert builtin_group("dihedral4").order == 8
     assert builtin_group("d4").order == 8
+    assert builtin_group("d4") is builtin_group("dihedral4")  # one table and one set of symmetry data
     assert builtin_group("alt4").order == 12
     assert builtin_group("sym4").order == 24
     with pytest.raises(ValueError):
@@ -64,16 +66,27 @@ def test_sym3_class_count():
 def test_class_and_centraliser_orbit_weights():
     sizes = {"sym3": [1, 2, 3], "dihedral4": [1, 1, 2, 2, 2], "alt4": [1, 3, 4, 4],
              "sym4": [1, 3, 6, 6, 8]}
+    trial_417 = parse_presentation(TRIAL_417)
     for g in default_battery():
         mul = g.table
-        assert sorted(size for _, size in g._classes) == sizes[g.name]
-        for v, _ in g._classes:
-            orbits = g._centraliser_orbits(v)
-            centraliser = [h for h in range(g.order) if mul[h][v] == mul[v][h]]
-            assert sum(size for _, size in orbits) == g.order
+        classes, centralisers = g._orbits(0)  # S_0 = G acts on itself by conjugation
+        assert sorted(classes.values()) == sizes[g.name]
+        count_homs(trial_417, g, cap=10 ** 9)
+        for s in centralisers.values():  # S_1 = C(v) for every class representative v
+            g._orbits(s)
+        ids, data = g._stabilisers
+        assert len(data) > 1
+        for s, (hs, orbits, moves) in enumerate(data):
+            assert ids[hs] == s
+            if orbits is None:  # met, not entered
+                continue
+            assert sum(orbits.values()) == g.order
             # orbit-counting lemma: the number of orbits is the mean number of fixed points
-            fixed = sum(mul[h][x] == mul[x][h] for h in centraliser for x in range(g.order))
-            assert len(orbits) * len(centraliser) == fixed
+            fixed = sum(mul[h][x] == mul[x][h] for h in hs for x in range(g.order))
+            assert len(orbits) * len(hs) == fixed
+            # a representative v moves S to S intersected with C(v)
+            for v, t in moves.items():
+                assert data[t][0] == tuple(h for h in hs if mul[h][v] == mul[v][h])
 
 
 def test_invalid_tables_rejected():
@@ -208,7 +221,7 @@ def test_symmetry_data_belongs_to_the_table():
     assert count_homs(commutator, sym3) == 18
     named_sym3 = make_table("sym3", c6.table)
     assert count_homs(commutator, named_sym3) == count_homs(commutator, c6) == 36
-    assert named_sym3._classes == c6._classes != sym3._classes
+    assert named_sym3._stabilisers == c6._stabilisers != sym3._stabilisers
     # the square roots and conjugator rows are the table's own too: x3 is
     # solved from x1 x1 x2 x2 x3 x1 x3^-1 and x2 from x1 x2 x1 x2
     fresh_sym3 = make_table("sym3", sym3.table)
@@ -338,13 +351,33 @@ def test_abelian_tables_are_not_reduced():
     assert count_homs(commutator, g) == 1024 ** 2
     assert count_homs(P((1, 2), [(1, 2, 1, 2)]), g) == 2048
     assert count_homs(P((1, 2), [(1, 2, 1, -2)]), g) == 2048
-    # every class is one element, so the candidates stay the plain list,
-    # and no centraliser orbit is built
-    assert g._classes == g._elements == tuple((v, 1) for v in range(1024))
-    assert g._centraliser_orbits(5) is g._classes
-    assert g._orbits_by_element == {}
+    # G is the one stabiliser, its orbits are the elements, and no
+    # centraliser is built
+    everything = tuple(range(1024))
+    assert g._stabilisers == ({everything: 0}, [[everything, dict.fromkeys(everything, 1),
+                                                   dict.fromkeys(everything, 0)]])
     # a conjugacy equation over an abelian table is solved without rows
     assert g._conjugators_by_element == {}
+
+
+def test_stabiliser_below_the_second_depth():
+    # x2 commutes with x1 and x3 with x2, so once x1 -> (12)(34) and
+    # x2 -> (13)(24) in sym4, x3 runs over the orbits of the intersection
+    # of their centralisers, the Klein four-group: neither trivial nor the
+    # centraliser of x2
+    rels = [(1, 2, -1, -2), (2, 3, -2, -3), (1, 1, 1, 2, 3, 3, 3)]
+    p = P((1, 2, 3), rels)
+    for g in default_battery():
+        assert count_homs(p, g) == brute_count_homs((1, 2, 3), rels, g), g.name
+    fresh_sym4 = make_table("sym4", builtin_group("sym4").table)
+    assert count_homs(p, fresh_sym4) == count_homs(p, builtin_group("sym4"))
+    # sym4's elements are its permutations in sorted order; the Klein
+    # four-group is the centraliser of no single element, so only a depth
+    # of 2 or more meets it
+    index = {perm: i for i, perm in enumerate(sorted(itertools.permutations(range(4))))}
+    klein = tuple(sorted(index[perm] for perm in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))))
+    ids, data = fresh_sym4._stabilisers
+    assert data[ids[klein]][1] is not None  # entered, with its orbits built
 
 
 def test_count_invariant_under_reordering_and_cycling():
