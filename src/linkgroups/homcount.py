@@ -47,7 +47,26 @@ evaluated once on entering depth m+1, from its letters and the values
 of its sub-pieces, and identical pieces are evaluated once.  The
 pieces and relator programs form a plan that depends on the
 presentation alone: it is built on its first count, after the cap
-check, and kept on the presentation, so the battery's counts share it.
+check, and kept on the presentation.
+
+The default battery is counted in one enumeration into sym4: sym3 (on
+the points 0, 1, 2), dihedral4 and alt4 are subgroups of it as
+permutations of four points.  Each node carries the image K, the
+subgroup its values generate, as a mask of sym4's 24 elements, and the
+leaves' weights are added up by K (P. Hall's |Hom(G, H)| is the sum of
+|Epi(G, K)| over the subgroups K of H).  A leaf of weight w stands for
+the w conjugates of one homomorphism with image K, and of those,
+w fix(K, H) / 24 land in H, where fix(K, H) counts the x in sym4 with
+x K x^-1 inside H; so 24 |Hom(G, H)| is the sum of w fix(K, H) over the
+leaves, and the division is exact.  A last level with no relator to test
+tallies its candidates v by <K, v>, each with the weight of the level
+above, once per K and set of candidates, without listing its orbits:
+over an orbit those leaves stand for one homomorphism's conjugates, so
+the sum is the same.  The joins <K, v>, the tallies and fix(K, H) are
+built on first use.  Only a battery of the default battery's own tables
+is counted this way; any other battery, and count_homs, count one group
+at a time.  Either way the cap is checked for every battery group, in
+battery order, before any plan is built.
 """
 
 from __future__ import annotations
@@ -56,6 +75,7 @@ import itertools
 import os
 import random
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -234,11 +254,34 @@ def _perm_compose(p, q):
     return tuple(q[v] for v in p)
 
 
-def _table_from_perms(name, perms):
-    perms = sorted(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_perm_compose(a, b)] for b in perms] for a in perms]
-    return make_table(name, table)
+def _perms(name):
+    """The permutations of the builtin permutation group name, sorted:
+    element i of its table is the i-th."""
+    if name == "sym3":
+        return sorted(itertools.permutations(range(3)))
+    if name == "dihedral4":
+        rot = (1, 2, 3, 0)
+        refl = (3, 2, 1, 0)
+        elems = {(0, 1, 2, 3)}
+        frontier = [(0, 1, 2, 3)]
+        while frontier:
+            p = frontier.pop()
+            for g in (rot, refl):
+                q = _perm_compose(p, g)
+                if q not in elems:
+                    elems.add(q)
+                    frontier.append(q)
+        return sorted(elems)
+    if name == "alt4":
+        return [p for p in itertools.permutations(range(4)) if _parity(p) == 0]
+    return list(itertools.permutations(range(4)))  # sym4
+
+
+def _in_sym4(name):
+    """The sym4 id of each element of the builtin permutation group name,
+    by element id; sym3's permutations fix the point 3."""
+    index = {p: i for i, p in enumerate(_perms("sym4"))}
+    return tuple(index[p + tuple(range(len(p), 4))] for p in _perms(name))
 
 
 # c<k>: k in ASCII digits without a leading 0, as in generator names
@@ -253,26 +296,10 @@ def builtin_group(name: str) -> FiniteGroupTable:
 
 @lru_cache(maxsize=None)
 def _builtin_group(name):
-    if name == "dihedral4":
-        rot = (1, 2, 3, 0)
-        refl = (3, 2, 1, 0)
-        elems = {(0, 1, 2, 3)}
-        frontier = [(0, 1, 2, 3)]
-        while frontier:
-            p = frontier.pop()
-            for g in (rot, refl):
-                q = _perm_compose(p, g)
-                if q not in elems:
-                    elems.add(q)
-                    frontier.append(q)
-        return _table_from_perms("dihedral4", elems)
-    if name == "sym3":
-        return _table_from_perms("sym3", itertools.permutations(range(3)))
-    if name == "sym4":
-        return _table_from_perms("sym4", itertools.permutations(range(4)))
-    if name == "alt4":
-        evens = [p for p in itertools.permutations(range(4)) if _parity(p) == 0]
-        return _table_from_perms("alt4", evens)
+    if name in _BATTERY_NAMES:
+        perms = _perms(name)
+        index = {p: i for i, p in enumerate(perms)}
+        return make_table(name, [[index[_perm_compose(a, b)] for b in perms] for a in perms])
     if name == "c0":
         raise ValueError("cyclic order must be positive")
     if _CYCLIC.fullmatch(name):
@@ -424,46 +451,156 @@ def _solve(g: FiniteGroupTable, cs, exps):
     return g._conjugators(t).get(c, ())  # v^-1 c v = t  is  v t v^-1 = c
 
 
-def _count_assignments(g: FiniteGroupTable, plan):
+def _count_assignments(g: FiniteGroupTable, plan, images=None):
+    """The weights of the enumeration's leaves, added up by image, as
+    {image: weight}.  Without images every leaf has image 1.  With them
+    (the _Images of g) a leaf's image is the subgroup its values generate:
+    the root's is 1, the trivial subgroup, images.joins(m)[v] is the image
+    once v is chosen under image m, and images.tally(m, candidates) counts
+    a last level's candidates (None for all of g) by that image."""
     mul = g.table
     inv = g.inverse
     levels, size = plan
     k = len(levels)
     val = [0] * size
+    leaves = defaultdict(int)
+    if images is None:
+        ones = [1] * g.order
 
-    def rec(depth, s):
+        def joins(image):
+            return ones
+
+        def tally(image, candidates):
+            return ((1, g.order if candidates is None else len(candidates)),)
+    else:
+        joins, tally = images.joins, images.tally
+
+    def rec(depth, s, image, w):
         entry, solved, tests = levels[depth]
         for at, prog in entry:
-            w = 0
+            x = 0
             for i in prog:
-                w = mul[w][val[i]]
-            val[at] = w
+                x = mul[x][val[i]]
+            val[at] = x
         solutions = None  # all of G
         if solved is not None:
             cs, exps = solved
             solutions = _solve(g, [val[i] for i in cs], exps)
         last = depth == k - 1
-        if last and not tests:  # a union of orbits: their weights add up to its size
-            return g.order if solutions is None else len(solutions)
+        if last and not tests:  # a union of orbits: list no orbit, tally its elements
+            for m, n in tally(image, solutions):
+                leaves[m] += w * n
+            return
         orbits, moves = g._orbits(s)
         if solutions is not None:  # a union of orbits: keep its representatives
             orbits = {v: orbits[v] for v in solutions if v in orbits}
+        row = joins(image)
         at = 1 + 2 * depth
-        total = 0
         for v, weight in orbits.items():
             val[at] = v
             val[at + 1] = inv[v]
             for prog in tests:
-                w = 0
+                x = 0
                 for i in prog:
-                    w = mul[w][val[i]]
-                if w:
+                    x = mul[x][val[i]]
+                if x:
                     break
             else:
-                total += weight if last else weight * rec(depth + 1, moves[v])
-        return total
+                if last:
+                    leaves[row[v]] += w * weight
+                else:
+                    rec(depth + 1, moves[v], row[v], w * weight)
 
-    return rec(0, 0)
+    rec(0, 0, 1, 1)
+    return leaves
+
+
+class _Images:
+    """Subgroups of sym4 as masks of its element ids (bit i for element
+    i), for counting the default battery in one enumeration: the battery's
+    groups inside sym4, and, built as the count reaches them, by subgroup K
+    the joins <K, v> by element v, a last level's candidates tallied by
+    <K, v>, and fix(K, H) = #{x in sym4 : x K x^-1 inside H} for each
+    battery group H."""
+
+    def __init__(self):
+        self.g = builtin_group("sym4")
+        self.battery = tuple(sum(1 << i for i in _in_sym4(n)) for n in _BATTERY_NAMES)
+        self._joins, self._tallies, self._fixes = {}, {}, {}
+
+    def _elements(self, mask):
+        return [x for x in range(self.g.order) if mask >> x & 1]
+
+    def joins(self, mask):
+        row = self._joins.get(mask)
+        if row is None:
+            mul = self.g.table
+            elements = self._elements(mask)
+            row = []
+            for v in range(self.g.order):
+                joined, span = mask | 1 << v, elements + [v]
+                for x in span:  # close under multiplying by v and K's elements
+                    for h in (v, *elements):
+                        y = mul[x][h]
+                        if not joined >> y & 1:
+                            joined |= 1 << y
+                            span.append(y)
+                row.append(joined)
+            self._joins[mask] = row
+        return row
+
+    def tally(self, mask, candidates):
+        key = mask, None if candidates is None else tuple(candidates)
+        pairs = self._tallies.get(key)
+        if pairs is None:
+            row = self.joins(mask)
+            every = range(self.g.order) if candidates is None else candidates
+            pairs = self._tallies[key] = tuple(Counter(row[v] for v in every).items())
+        return pairs
+
+    def fix(self, mask):
+        fixed = self._fixes.get(mask)
+        if fixed is None:
+            mul, inv = self.g.table, self.g.inverse
+            elements = self._elements(mask)
+            fixed = [0] * len(self.battery)
+            for x in range(self.g.order):
+                conjugate = 0
+                for h in elements:
+                    conjugate |= 1 << mul[mul[x][h]][inv[x]]
+                for i, battery_mask in enumerate(self.battery):
+                    fixed[i] += conjugate & battery_mask == conjugate
+            fixed = self._fixes[mask] = tuple(fixed)
+        return fixed
+
+
+@lru_cache(maxsize=None)
+def _images():
+    return _Images()
+
+
+def _active(p: Presentation, groups, cap) -> int:
+    """The number k of generators that occur in some relator, once every
+    group's order^k is within the cap; the first group beyond it raises."""
+    plan = p._plan
+    k = len(plan[0]) if plan is not None else len(set().union(*p._letter_counts()))
+    for g in groups:
+        if g.order ** k > cap:
+            raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")
+    return k
+
+
+def _leaves(p: Presentation, k, g, images=None):
+    """_count_assignments over p's plan, which is built on first use and
+    kept on p."""
+    try:
+        if p._plan is None:
+            p._plan = _plan(p)
+        return _count_assignments(g, p._plan, images)
+    except RecursionError:
+        raise CapExceeded(
+            f"enumerating {k} generators recurses deeper than the interpreter allows"
+        ) from None
 
 
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
@@ -471,18 +608,8 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     cap = effective_cap(cap)
     if g.order == 1 or not p.relators:
         return g.order ** len(p.generators)
-    plan = p._plan
-    k = len(plan[0]) if plan is not None else len(set().union(*p._letter_counts()))
-    if g.order ** k > cap:
-        raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")
-    try:
-        if plan is None:
-            plan = p._plan = _plan(p)
-        return g.order ** (len(p.generators) - k) * _count_assignments(g, plan)
-    except RecursionError:
-        raise CapExceeded(
-            f"enumerating {k} generators recurses deeper than the interpreter allows"
-        ) from None
+    k = _active(p, (g,), cap)
+    return g.order ** (len(p.generators) - k) * _leaves(p, k, g)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +636,22 @@ class Fingerprint:
 
 def fingerprint(p: Presentation, battery=None, cap=None) -> Fingerprint:
     """Abelian invariants plus hom counts over the battery, in battery
-    order.  Equal fingerprints are necessary for isomorphism."""
-    battery = default_battery() if battery is None else tuple(battery)
-    counts = tuple((g.name, count_homs(p, g, cap=cap)) for g in battery)
-    return Fingerprint(abelian_invariants(p), counts)
+    order.  Equal fingerprints are necessary for isomorphism.  The cap is
+    checked for every group before any enumeration."""
+    default = default_battery()
+    battery = default if battery is None else tuple(battery)
+    cap = effective_cap(cap)
+    k = _active(p, battery, cap)
+    if p.relators and len(battery) == len(default) and all(g is h for g, h in zip(battery, default)):
+        # one sym4 enumeration: a leaf of weight w stands for w conjugates
+        # of a hom with image K, and w fix(K, H) / 24 of them land in H
+        images = _images()
+        sums = [0] * len(default)
+        for mask, w in _leaves(p, k, images.g, images).items():
+            for i, fixed in enumerate(images.fix(mask)):
+                sums[i] += w * fixed
+        free = len(p.generators) - k
+        counts = [g.order ** free * s // images.g.order for g, s in zip(default, sums)]
+    else:
+        counts = [count_homs(p, g, cap=cap) for g in battery]
+    return Fingerprint(abelian_invariants(p), tuple((g.name, c) for g, c in zip(battery, counts)))

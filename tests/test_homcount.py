@@ -11,6 +11,7 @@ from linkgroups.homcount import (
     MAX_GROUP_ORDER,
     CapExceeded,
     Fingerprint,
+    _in_sym4,
     _is_abelian,
     _plan,
     _solve,
@@ -291,6 +292,20 @@ def test_over_cap_count_builds_no_plan():
     # a built plan is no way round the cap
     with pytest.raises(CapExceeded, match="exceed the cap 10$"):
         count_homs(p, sym3, cap=10)
+    # 6^3, 8^3, 12^3, 24^3 = 216, 512, 1728, 13824: fingerprint checks the
+    # cap for every group, in battery order, before any group is counted
+    for battery, cap, first in ((None, 1000, "12^3"), (None, 10000, "24^3"),
+                                (default_battery()[::-1], 1000, "24^3")):
+        p = P((1, 2, 3), [(1, 2, 3)])
+        with pytest.raises(CapExceeded) as exc:
+            fingerprint(p, battery, cap=cap)
+        assert str(exc.value) == f"{first} assignments exceed the cap {cap}"
+        assert p._plan is None
+    trial_417 = parse_presentation(TRIAL_417)
+    with pytest.raises(CapExceeded) as exc:
+        fingerprint(trial_417)
+    assert str(exc.value) == "24^6 assignments exceed the cap 100000000"
+    assert trial_417._plan is None
 
 
 def test_plan_is_outside_equality_and_hashing():
@@ -333,6 +348,7 @@ def test_criterion_9_trial_417_counts():
     p = parse_presentation(TRIAL_417)
     counts = {g.name: count_homs(p, g, cap=10 ** 9) for g in default_battery()}
     assert counts == {"sym3": 396, "dihedral4": 1792, "alt4": 3168, "sym4": 24768}
+    assert dict(fingerprint(parse_presentation(TRIAL_417), cap=10 ** 9).counts) == counts
 
 
 def test_abelian_check_matches_the_transpose():
@@ -472,6 +488,50 @@ def test_group_order_ceiling_checked_before_the_table():
     # no rows follow, so only the order line can trigger the ceiling
     with pytest.raises(ValueError, match="exceeds the ceiling"):
         load_table_text(f"order {too_big}\n")
+
+
+def test_battery_embeds_in_sym4():
+    sym4 = builtin_group("sym4")
+    for g in default_battery():
+        image = _in_sym4(g.name)
+        assert len(set(image)) == g.order
+        for a in range(g.order):
+            for b in range(g.order):
+                assert image[g.table[a][b]] == sym4.table[image[a]][image[b]]
+
+
+@st.composite
+def battery_presentations(draw):
+    gens = tuple(range(1, draw(st.integers(1, 5)) + 1))
+    letter = st.sampled_from([v for g in gens for v in (g, -g)])
+    rels = draw(st.lists(st.lists(letter, min_size=1, max_size=8), min_size=1, max_size=3))
+    return gens, [tuple(r) for r in rels]
+
+
+@settings(max_examples=80, deadline=None)
+@given(battery_presentations())
+def test_fingerprint_counts_match_each_group(spec):
+    # the default battery is counted in one sym4 enumeration
+    gens, rels = spec
+    counts = dict(fingerprint(P(gens, rels)).counts)
+    p = P(gens, rels)
+    assert counts == {g.name: count_homs(p, g) for g in default_battery()}
+    relators = [r.letters for r in p.relators]
+    for g in default_battery():
+        if g.order ** len(gens) <= 24 ** 3:
+            assert counts[g.name] == brute_count_homs(gens, relators, g), g.name
+
+
+def test_fingerprint_routes_by_table_identity():
+    # one sym4 enumeration serves only the default battery's own tables
+    sym3, dihedral4, alt4, sym4 = default_battery()
+    c24_named_sym4 = make_table("sym4", builtin_group("c24").table)
+    p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
+    for battery in ((sym4, alt4, dihedral4, sym3), (sym3, dihedral4, alt4, c24_named_sym4),
+                    (sym3, dihedral4, alt4, sym4)):
+        fp = fingerprint(p, battery)
+        assert fp.counts == tuple((g.name, count_homs(p, g)) for g in battery)
+    assert count_homs(p, c24_named_sym4) != count_homs(p, sym4)
 
 
 def test_fingerprint_structure():
