@@ -49,24 +49,31 @@ pieces and relator programs form a plan that depends on the
 presentation alone: it is built on its first count, after the cap
 check, and kept on the presentation.
 
-The default battery is counted in one enumeration into sym4: sym3 (on
-the points 0, 1, 2), dihedral4 and alt4 are subgroups of it as
-permutations of four points.  Each node carries the image K, the
-subgroup its values generate, as a mask of sym4's 24 elements, and the
-leaves' weights are added up by K (P. Hall's |Hom(G, H)| is the sum of
-|Epi(G, K)| over the subgroups K of H).  A leaf of weight w stands for
-the w conjugates of one homomorphism with image K, and of those,
-w fix(K, H) / 24 land in H, where fix(K, H) counts the x in sym4 with
-x K x^-1 inside H; so 24 |Hom(G, H)| is the sum of w fix(K, H) over the
-leaves, and the division is exact.  A last level with no relator to test
-tallies its candidates v by <K, v>, each with the weight of the level
-above, once per K and set of candidates, without listing its orbits:
-over an orbit those leaves stand for one homomorphism's conjugates, so
-the sum is the same.  The joins <K, v>, the tallies and fix(K, H) are
-built on first use.  Only a battery of the default battery's own tables
-is counted this way; any other battery, and count_homs, count one group
-at a time.  Either way the cap is checked for every battery group, in
-battery order, before any plan is built.
+The default battery is counted from one enumeration into sym3, the
+permutations of 0, 1, 2 inside sym4.  sym4 is V x| sym3 for the Klein
+four-group V = {e, (01)(23), (02)(13), (03)(12)} = F_2^2, and V lies in
+dihedral4 and alt4, which are V x| C2 and V x| A3.  A homomorphism phi
+into sym3 satisfies every relator, so its lifts x_i -> a_i phi(x_i) to
+sym4, a_i in V, are the kernel of one F_2-linear map: per relator, its
+Fox derivatives evaluated through phi, with sym3 acting on V by
+conjugation (R. Fox, "Free differential calculus I", Ann. Math. 1953).
+So phi has 2^(2k - rank) lifts, the same number for each of its
+conjugates.  A piece's rows come with its value on entering its level,
+a relator's from its program at each choice, and they are reduced into
+an echelon basis carried down the recursion, so a leaf knows its rank;
+each node also carries the image K, the subgroup its values generate,
+as a mask of sym3's six elements.  A last level lists its orbits here,
+as each value has its own rank.  A leaf of weight w stands for the w
+conjugates of one homomorphism with image K; they add w to sym3's count
+and L = w 2^(2k - rank) lifts to sym4's.  For H = dihedral4 or alt4,
+which is V x| (H meet sym3), the lifts of phi land in H exactly when
+its image lies in H meet sym3.  That holds for w fix(K, H) / 6 of the
+conjugates, where fix(K, H) counts the x in sym3 with x K x^-1 inside
+H, so H gets L fix(K, H) / 6, and the division is exact.  Only a
+battery of the default battery's own tables is counted this way; any
+other battery, and count_homs, count one group at a time.  Either way
+the cap is checked for every battery group, in battery order, before
+any plan is built.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ import itertools
 import os
 import random
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -451,51 +458,80 @@ def _solve(g: FiniteGroupTable, cs, exps):
     return g._conjugators(t).get(c, ())  # v^-1 c v = t  is  v t v^-1 = c
 
 
-def _count_assignments(g: FiniteGroupTable, plan, images=None):
-    """The weights of the enumeration's leaves, added up by image, as
-    {image: weight}.  Without images every leaf has image 1.  With them
-    (the _Images of g) a leaf's image is the subgroup its values generate:
-    the root's is 1, the trivial subgroup, images.joins(m)[v] is the image
-    once v is chosen under image m, and images.tally(m, candidates) counts
-    a last level's candidates (None for all of g) by that image."""
+def _count_assignments(g: FiniteGroupTable, plan, lift=False):
+    """The weights of the enumeration's leaves, added up by image and rank,
+    as {(image, rank): weight}; without lift every leaf has key (1, 0).
+
+    With lift, g is sym3, and every value also carries its Fox rows into
+    V = F_2^2 (see _lift_tables): two ints, with bits 2s and 2s+1 for
+    slot s, kept as three lanes, the two rows and their sum, so that a
+    conjugation picks two lanes.  A piece gets its rows on entering its
+    level, with its value; at each choice, the rows of that depth's
+    relators, tested or solved, are reduced into an echelon basis carried
+    down the recursion.  A leaf's image is the mask of the subgroup its
+    values generate, and its rank the length of its basis."""
     mul = g.table
     inv = g.inverse
     levels, size = plan
     k = len(levels)
     val = [0] * size
     leaves = defaultdict(int)
-    if images is None:
-        ones = [1] * g.order
+    if lift:
+        picks, inverse_letters, joins, _ = _lift_tables()
+        lanes = [0] * size, [0] * size, [0] * size
+        lane0, lane1, lane2 = lanes
+        by_prefix = [(lanes[c0], lanes[c1]) for c0, c1 in picks]
+        for s in range(k):
+            lane0[1 + 2 * s], lane1[1 + 2 * s], lane2[1 + 2 * s] = 1 << 2 * s, 2 << 2 * s, 3 << 2 * s
+        # by depth, the relators whose rows each choice adds: its tests, then
+        # the solved one, rebuilt from its constants and exponents
+        fox = []
+        for depth, (_, solved, tests) in enumerate(levels):
+            if solved is not None:
+                cs, exps = solved
+                at = 1 + 2 * depth
+                prog = (cs[0],) + tuple(i for e, c in zip(exps, cs[1:]) for i in (at if e > 0 else at + 1, c))
+                tests += (tuple(i for i in prog if i),)
+            fox.append(tests)
 
-        def joins(image):
-            return ones
-
-        def tally(image, candidates):
-            return ((1, g.order if candidates is None else len(candidates)),)
+        def rows(prog):
+            """The value of prog and its Fox rows: those of uv are u's plus
+            u's action on v's."""
+            x = f0 = f1 = 0
+            for i in prog:
+                p, q = by_prefix[x]
+                f0 ^= p[i]
+                f1 ^= q[i]
+                x = mul[x][val[i]]
+            return x, f0, f1
     else:
-        joins, tally = images.joins, images.tally
+        joins = {1: [1] * g.order}
 
-    def rec(depth, s, image, w):
+    def rec(depth, s, image, basis, w):
         entry, solved, tests = levels[depth]
         for at, prog in entry:
-            x = 0
-            for i in prog:
-                x = mul[x][val[i]]
-            val[at] = x
+            if lift:
+                val[at], f0, f1 = rows(prog)
+                lane0[at], lane1[at], lane2[at] = f0, f1, f0 ^ f1
+            else:
+                x = 0
+                for i in prog:
+                    x = mul[x][val[i]]
+                val[at] = x
         solutions = None  # all of G
         if solved is not None:
             cs, exps = solved
             solutions = _solve(g, [val[i] for i in cs], exps)
         last = depth == k - 1
-        if last and not tests:  # a union of orbits: list no orbit, tally its elements
-            for m, n in tally(image, solutions):
-                leaves[m] += w * n
+        if last and not tests and not lift:  # a union of orbits: list no orbit, count its elements
+            leaves[1, 0] += w * (g.order if solutions is None else len(solutions))
             return
         orbits, moves = g._orbits(s)
         if solutions is not None:  # a union of orbits: keep its representatives
             orbits = {v: orbits[v] for v in solutions if v in orbits}
-        row = joins(image)
+        row = joins[image]
         at = 1 + 2 * depth
+        shift = 2 * depth
         for v, weight in orbits.items():
             val[at] = v
             val[at + 1] = inv[v]
@@ -506,77 +542,78 @@ def _count_assignments(g: FiniteGroupTable, plan, images=None):
                 if x:
                     break
             else:
+                found = basis
+                if lift:
+                    a, b, c = inverse_letters[v]
+                    lane0[at + 1], lane1[at + 1], lane2[at + 1] = a << shift, b << shift, c << shift
+                    for prog in fox[depth]:
+                        _, f0, f1 = rows(prog)
+                        found = _reduce(found, f0, f1)
                 if last:
-                    leaves[row[v]] += w * weight
+                    leaves[row[v], len(found)] += w * weight
                 else:
-                    rec(depth + 1, moves[v], row[v], w * weight)
+                    rec(depth + 1, moves[v], row[v], found, w * weight)
 
-    rec(0, 0, 1, 1)
+    rec(0, 0, 1, (), 1)
     return leaves
 
 
-class _Images:
-    """Subgroups of sym4 as masks of its element ids (bit i for element
-    i), for counting the default battery in one enumeration: the battery's
-    groups inside sym4, and, built as the count reaches them, by subgroup K
-    the joins <K, v> by element v, a last level's candidates tallied by
-    <K, v>, and fix(K, H) = #{x in sym4 : x K x^-1 inside H} for each
-    battery group H."""
-
-    def __init__(self):
-        self.g = builtin_group("sym4")
-        self.battery = tuple(sum(1 << i for i in _in_sym4(n)) for n in _BATTERY_NAMES)
-        self._joins, self._tallies, self._fixes = {}, {}, {}
-
-    def _elements(self, mask):
-        return [x for x in range(self.g.order) if mask >> x & 1]
-
-    def joins(self, mask):
-        row = self._joins.get(mask)
-        if row is None:
-            mul = self.g.table
-            elements = self._elements(mask)
-            row = []
-            for v in range(self.g.order):
-                joined, span = mask | 1 << v, elements + [v]
-                for x in span:  # close under multiplying by v and K's elements
-                    for h in (v, *elements):
-                        y = mul[x][h]
-                        if not joined >> y & 1:
-                            joined |= 1 << y
-                            span.append(y)
-                row.append(joined)
-            self._joins[mask] = row
-        return row
-
-    def tally(self, mask, candidates):
-        key = mask, None if candidates is None else tuple(candidates)
-        pairs = self._tallies.get(key)
-        if pairs is None:
-            row = self.joins(mask)
-            every = range(self.g.order) if candidates is None else candidates
-            pairs = self._tallies[key] = tuple(Counter(row[v] for v in every).items())
-        return pairs
-
-    def fix(self, mask):
-        fixed = self._fixes.get(mask)
-        if fixed is None:
-            mul, inv = self.g.table, self.g.inverse
-            elements = self._elements(mask)
-            fixed = [0] * len(self.battery)
-            for x in range(self.g.order):
-                conjugate = 0
-                for h in elements:
-                    conjugate |= 1 << mul[mul[x][h]][inv[x]]
-                for i, battery_mask in enumerate(self.battery):
-                    fixed[i] += conjugate & battery_mask == conjugate
-            fixed = self._fixes[mask] = tuple(fixed)
-        return fixed
+def _reduce(basis, *rows):
+    """The echelon basis (rows with distinct leading bits, descending)
+    of the span of basis and rows."""
+    for row in rows:
+        for b in basis:
+            x = row ^ b
+            if x < row:
+                row = x
+        if row:
+            basis = tuple(sorted(basis + (row,), reverse=True))
+    return basis
 
 
 @lru_cache(maxsize=None)
-def _images():
-    return _Images()
+def _lift_tables():
+    """The tables that lift homomorphisms into sym3 to sym4.
+
+    sym4 is V x| sym3 for the Klein four-group V = {e, (01)(23), (02)(13),
+    (03)(12)}, and sym3, the permutations fixing 3, acts on V by
+    conjugation: M(g) is the matrix of v -> g v g^-1 over F_2, in the
+    basis (01)(23), (02)(13).  A pair of rows over V is kept as three
+    lanes, the rows and their sum (the three nonzero functionals), and
+    M(g) maps it to two of its lanes.  Returns (picks, inverse_letters,
+    joins, fixes), by sym3 element g or subgroup mask K (bit i for sym3's
+    element i): picks[g], the lanes that M(g)'s two rows pick;
+    inverse_letters[g], the lanes of slot 0's letter inverse to g, which
+    are M(g^-1)'s rows and their sum; joins[K][g], the mask of <K, g>; and
+    fixes[K], for each battery group H after sym3, the number of x in sym3
+    with x K x^-1 inside H."""
+    sym3, sym4 = builtin_group("sym3"), builtin_group("sym4")
+    mul, inv = sym4.table, sym4.inverse
+    perms = _perms("sym4")
+    basis = perms.index((1, 0, 3, 2)), perms.index((2, 3, 0, 1))
+    coords = {0: 0, basis[0]: 1, basis[1]: 2, mul[basis[0]][basis[1]]: 3}
+    into = _in_sym4("sym3")
+    picks = []
+    for x in into:
+        columns = [coords[mul[mul[x][e]][inv[x]]] for e in basis]
+        # row c of M(x) as a functional: bit j set when column j has bit c
+        picks.append(tuple((columns[0] >> c & 1 | (columns[1] >> c & 1) << 1) - 1 for c in (0, 1)))
+    mul3, inv3 = sym3.table, sym3.inverse
+    inverse_letters = tuple((c0 + 1, c1 + 1, (c0 + 1) ^ (c1 + 1)) for c0, c1 in (picks[i] for i in inv3))
+
+    def elements(mask):
+        return [h for h in range(sym3.order) if mask >> h & 1]
+
+    subgroups = [m for m in range(1, 1 << sym3.order, 2)
+                 if all(m >> mul3[a][b] & 1 for a in elements(m) for b in elements(m))]
+    # <K, g> is the smallest subgroup holding K and g
+    joins = {mask: [min((h for h in subgroups if h & mask == mask and h >> g & 1), key=int.bit_count)
+                    for g in range(sym3.order)] for mask in subgroups}
+    inside = [{i for i, x in enumerate(into) if x in _in_sym4(n)} for n in _BATTERY_NAMES[1:]]
+    fixes = {mask: tuple(sum(all(mul3[mul3[x][h]][inv3[x]] in part for h in elements(mask))
+                             for x in range(sym3.order)) for part in inside)
+             for mask in subgroups}
+    return tuple(picks), inverse_letters, joins, fixes
 
 
 def _active(p: Presentation, groups, cap) -> int:
@@ -590,13 +627,13 @@ def _active(p: Presentation, groups, cap) -> int:
     return k
 
 
-def _leaves(p: Presentation, k, g, images=None):
+def _leaves(p: Presentation, k, g, lift=False):
     """_count_assignments over p's plan, which is built on first use and
     kept on p."""
     try:
         if p._plan is None:
             p._plan = _plan(p)
-        return _count_assignments(g, p._plan, images)
+        return _count_assignments(g, p._plan, lift)
     except RecursionError:
         raise CapExceeded(
             f"enumerating {k} generators recurses deeper than the interpreter allows"
@@ -609,7 +646,7 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     if g.order == 1 or not p.relators:
         return g.order ** len(p.generators)
     k = _active(p, (g,), cap)
-    return g.order ** (len(p.generators) - k) * _leaves(p, k, g)[1]
+    return g.order ** (len(p.generators) - k) * _leaves(p, k, g)[1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +680,18 @@ def fingerprint(p: Presentation, battery=None, cap=None) -> Fingerprint:
     cap = effective_cap(cap)
     k = _active(p, battery, cap)
     if p.relators and len(battery) == len(default) and all(g is h for g, h in zip(battery, default)):
-        # one sym4 enumeration: a leaf of weight w stands for w conjugates
-        # of a hom with image K, and w fix(K, H) / 24 of them land in H
-        images = _images()
+        # one sym3 enumeration: a leaf of weight w stands for w conjugates of
+        # a hom with image K, each with 2^(2k - rank) lifts to sym4, and of
+        # the lifted homs w fix(K, H) / 6 land in H, for each H containing V
+        fixes = _lift_tables()[3]
         sums = [0] * len(default)
-        for mask, w in _leaves(p, k, images.g, images).items():
-            for i, fixed in enumerate(images.fix(mask)):
-                sums[i] += w * fixed
+        for (mask, rank), w in _leaves(p, k, default[0], lift=True).items():
+            lifts = w << 2 * k - rank
+            sums[0] += w
+            for i, fixed in enumerate(fixes[mask], 1):
+                sums[i] += lifts * fixed
         free = len(p.generators) - k
-        counts = [g.order ** free * s // images.g.order for g, s in zip(default, sums)]
+        counts = [g.order ** free * (s if i == 0 else s // 6) for i, (g, s) in enumerate(zip(default, sums))]
     else:
         counts = [count_homs(p, g, cap=cap) for g in battery]
     return Fingerprint(abelian_invariants(p), tuple((g.name, c) for g, c in zip(battery, counts)))

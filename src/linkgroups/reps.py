@@ -48,6 +48,7 @@ from .freegroup import (
     Endomorphism,
     Word,
     YID,
+    _check_size,
     compose,
     identity_endomorphism,
     is_identity,
@@ -55,7 +56,9 @@ from .freegroup import (
 
 
 def _conjugating(i: int, j: int, h: int) -> tuple[dict, dict]:
-    # x_i -> x_i^h x_j x_i^-h, x_j -> x_i: Wada type 1, and Artin's action at h = 1
+    # x_i -> x_i^h x_j x_i^-h, x_j -> x_i: Wada type 1, and Artin's action at h = 1;
+    # an image too long for a word is refused before its letters are built
+    _check_size(2 * h + 1)
     return ({i: (i,) * h + (j,) + (-i,) * h, j: (i,)},
             {i: (j,), j: (-j,) * h + (i,) + (j,) * h})
 

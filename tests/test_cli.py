@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -113,6 +114,39 @@ def test_act_rejects_wada_h_outside_wada1(capsys):
     result = invoke(capsys, "act", "--rep", "virtual", "--strands", "2", "--word", "r1",
                     "--wada-h", "7")
     assert one_line_error(*result) and "only to wada1" in result[2]
+
+
+@pytest.mark.parametrize("argv, h", [
+    (("act", "--rep", "wada1", "--strands", "3", "--word", "s1"), 10 ** 12),
+    (("present", "--theory", "welded", "--rep", "wada1", "--strands", "3", "--word", "s1"), 10 ** 8),
+    (("check-relations", "--rep", "wada1", "--strands", "3"), 10 ** 8),
+])
+def test_large_wada_h_is_one_line_error(capsys, argv, h):
+    # x_i's image under sigma_i has 2h + 1 letters, refused before it is built
+    result = invoke(capsys, *argv, "--wada-h", str(h))
+    assert one_line_error(*result)
+    assert result[2] == f"error: {2 * h + 1} letters exceeds limit 1000000\n"
+
+
+def test_wada_h_over_the_letter_limit_builds_no_image(capsys):
+    tracemalloc.start()
+    try:
+        result = invoke(capsys, "act", "--rep", "wada1", "--strands", "3", "--word", "s1",
+                        "--wada-h", "600000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[2] == "error: 1200001 letters exceeds limit 1000000\n"
+    assert peak < 10 ** 6  # a tuple of 1200001 letters alone takes about 10 MB
+
+
+@pytest.mark.parametrize("word", ["a1", "1"])
+def test_large_wada_h_without_sigma_letters(capsys, word):
+    # only a sigma letter builds the long image; alpha letters ignore h
+    argv = ("act", "--rep", "wada1", "--strands", "3", "--word", word)
+    expected = invoke(capsys, *argv)
+    assert invoke(capsys, *argv, "--wada-h", str(10 ** 12)) == expected
+    assert expected[0] == 0 and len(expected[1].splitlines()) == 3
 
 
 def test_homcount_rejects_group_order_over_ceiling(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from linkgroups.homcount import (
     Fingerprint,
     _in_sym4,
     _is_abelian,
+    _lift_tables,
     _plan,
     _solve,
     builtin_group,
@@ -431,6 +432,9 @@ def test_enumeration_deeper_than_the_recursion_limit():
     assert count_homs(chain(1000), builtin_group("c1")) == 1
     with pytest.raises(CapExceeded, match="recurses deeper"):
         count_homs(chain(1500), builtin_group("c2"), cap=10 ** 500)
+    # the default battery's one enumeration and its lifts run inside the same guard
+    with pytest.raises(CapExceeded, match="recurses deeper"):
+        fingerprint(chain(1500), cap=10 ** 2100)
 
 
 def test_effective_cap_env(monkeypatch):
@@ -498,6 +502,71 @@ def test_battery_embeds_in_sym4():
         for a in range(g.order):
             for b in range(g.order):
                 assert image[g.table[a][b]] == sym4.table[image[a]][image[b]]
+
+
+def test_klein_action_is_conjugation_in_sym4():
+    # V = {e, (01)(23), (02)(13), (03)(12)} with coordinates in the basis
+    # (01)(23), (02)(13); a sym3 element's matrix has as row c the
+    # functional of the lane it picks (lane 2 is the sum of rows 0 and 1)
+    picks = _lift_tables()[0]
+    sym3, sym4 = builtin_group("sym3"), builtin_group("sym4")
+    index = {perm: i for i, perm in enumerate(sorted(itertools.permutations(range(4))))}
+    klein = {index[(0, 1, 2, 3)]: (0, 0), index[(1, 0, 3, 2)]: (1, 0),
+             index[(2, 3, 0, 1)]: (0, 1), index[(3, 2, 1, 0)]: (1, 1)}
+    functionals = ((1, 0), (0, 1), (1, 1))
+
+    def matrix(g):
+        return tuple(functionals[lane] for lane in picks[g])
+
+    def apply(m, a):
+        return tuple((r[0] * a[0] + r[1] * a[1]) % 2 for r in m)
+
+    into = _in_sym4("sym3")
+    for g in range(sym3.order):
+        x = into[g]
+        for v, coordinates in klein.items():
+            assert klein[sym4.table[sym4.table[x][v]][sym4.inverse[x]]] == apply(matrix(g), coordinates)
+        for h in range(sym3.order):
+            product = tuple(apply(matrix(g), column) for column in zip(*matrix(h)))
+            assert matrix(sym3.table[g][h]) == tuple(zip(*product))
+    assert len({matrix(g) for g in range(sym3.order)}) == sym3.order  # faithful
+
+
+def test_lifted_fingerprint_matches_each_group_on_deep_plans():
+    # 4-6 generators, each the deepest of a relator that is solved (named
+    # once or twice) or tested (named three times), with inverse letters
+    # between; the default battery's counts come from the sym3 homs and
+    # their lifts, the others enumerate each group
+    rng = random.Random(2012)
+
+    def word(top, length):
+        return [rng.choice((1, -1)) * rng.randint(1, top - 1) for _ in range(length)]
+
+    deep = solved = tested = 0
+    for _ in range(200):
+        n = rng.randint(4, 6)
+        rels = []
+        for top in range(2, n + 1):
+            w = word(top, rng.randint(0, 2))
+            a = rng.choice((1, -1)) * rng.randint(1, top - 1)
+            kind = rng.randrange(4)
+            if kind == 0:  # a conjugacy equation
+                rels.append([top] + w + [a] + [-v for v in reversed(w)] + [-top] + word(top, rng.randint(0, 1)))
+            elif kind == 1:  # named twice: a square root or a conjugacy equation
+                rels.append([top] + w + [-top if rng.random() < 0.5 else top] + word(top, rng.randint(1, 2)))
+            elif kind == 2:  # tested
+                rels.append([top] + w + [top, a, -top] + word(top, 1))
+            else:  # a unique value, from x1 and x2
+                rels.append([rng.choice((1, -1)) * top] + word(min(top, 3), 2))
+        p = P(tuple(range(1, n + 1)), rels)
+        counts = dict(fingerprint(p, cap=10 ** 9).counts)
+        assert counts == {g.name: count_homs(P(p.generators, rels), g, cap=10 ** 9) for g in default_battery()}
+        if p._plan is not None:
+            levels = p._plan[0]
+            deep += len(levels) >= 4
+            solved += sum(solve is not None for _, solve, _ in levels)
+            tested += sum(len(tests) for _, _, tests in levels)
+    assert deep > 150 and solved > 100 and tested > 100
 
 
 @st.composite
