@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import braid, homcount, markov, present, reps
 from .freegroup import Word, WordLengthError, format_word, gen_name, parse_letters
@@ -76,14 +77,14 @@ def _build_parser():
 
 
 def _read_presentation(path: str) -> present.Presentation:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return present.parse_presentation(text)
 
 
 def _group_from_flag(flag: str):
     if flag.startswith("table:"):
         path = flag[len("table:") :]
-        return homcount.load_table_text(open(path).read(), name=path)
+        return homcount.load_table_text(Path(path).read_text(), name=path)
     return homcount.builtin_group(flag)
 
 

@@ -5,6 +5,11 @@ of small groups, together with the abelian invariants, is the
 fingerprint used to distinguish presented groups: equal fingerprints are
 necessary for isomorphism, unequal ones certify non-isomorphism.
 
+An abelian group A is counted from the abelian invariants: every
+homomorphism into A factors through the abelianization Z^r + Z/d_1 +
+... + Z/d_t, so there are |A|^r times the product over i of #{a in A :
+a^d_i = 1} of them.  Only a non-abelian group is enumerated.
+
 Enumeration is the oracle: tuples of images are tried depth by depth,
 with early abort on the first relator that fails once all its
 generators are assigned.  One symmetry rule cuts the tuples tried.  Let
@@ -19,35 +24,21 @@ the orbit size: the conjugacy classes at depth 0, the orbits of the
 first image's centraliser at depth 1, and so on down to single elements
 once S_d is trivial.  The counts are the same as those of trying every
 tuple.  The stabilisers met, their orbits and where each representative
-leads are built as the counts reach them and kept on the table; an
-abelian group has one stabiliser, G, whose orbits are its elements,
-listed without conjugating.  Generators that appear in no relator
-contribute an exact factor |G|^k without being enumerated.
+leads are built as the counts reach them and kept on the table.
+Generators that appear in no relator contribute an exact factor |G|^k
+without being enumerated.
 
-A relator that names its depth's generator v once or twice is solved,
-not searched: once the shallower images are fixed it reads
-c0 v^e1 c1 = 1 or c0 v^e1 c1 v^e2 c2 = 1, whose solutions are a unique
-value, the square roots of one element (same signs), or a coset of a
-centraliser (opposite signs, a conjugacy equation).  Its constants are
-products of images that S_d commutes with, so its solutions are a union
-of S_d-orbits: they filter that depth's representatives, weights kept,
-and the relator is not tested again; the counts are unchanged.  A last
-depth with no relator left to test lists no orbits: their weights add
-up to the number of its candidates, |G| or the solutions.  The
-square roots are one table of |G| entries per group; the solutions of a
-conjugacy equation are a row per conjugated element, built on first
-use, and an abelian group builds none, because there every conjugate of
-c is c.
-
-The constants are evaluated once per level, not once per relator and
-node.  A relator splits into pieces: the subwords between the letters
-of its deepest generator, each split again at the letters of its own
-deepest generator.  A piece whose deepest generator sits at depth m is
-evaluated once on entering depth m+1, from its letters and the values
-of its sub-pieces, and identical pieces are evaluated once.  The
-pieces and relator programs form a plan that depends on the
-presentation alone: it is built on its first count, after the cap
-check, and kept on the presentation.
+The subwords of the relators are evaluated once per level, not once per
+relator and node.  A relator splits into pieces: the subwords between
+the letters of its deepest generator, each split again at the letters
+of its own deepest generator.  A piece whose deepest generator sits at
+depth m is evaluated once on entering depth m+1, from its letters and
+the values of its sub-pieces, and identical pieces are evaluated once.
+A relator is tested at the depth of its deepest generator, as the
+program of that generator's letters and the pieces between them.  The
+pieces and programs form a plan that depends on the presentation
+alone: it is built on its first count, after the cap check, and kept
+on the presentation.
 
 The default battery is counted from one enumeration into sym3, the
 permutations of 0, 1, 2 inside sym4.  sym4 is V x| sym3 for the Klein
@@ -62,8 +53,7 @@ conjugates.  A piece's rows come with its value on entering its level,
 a relator's from its program at each choice, and they are reduced into
 an echelon basis carried down the recursion, so a leaf knows its rank;
 each node also carries the image K, the subgroup its values generate,
-as a mask of sym3's six elements.  A last level lists its orbits here,
-as each value has its own rank.  A leaf of weight w stands for the w
+as a mask of sym3's six elements.  A leaf of weight w stands for the w
 conjugates of one homomorphism with image K; they add w to sym3's count
 and L = w 2^(2k - rank) lifts to sym4's.  For H = dihedral4 or alt4,
 which is V x| (H meet sym3), the lifts of phi land in H exactly when
@@ -79,6 +69,7 @@ any plan is built.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import re
@@ -130,10 +121,6 @@ class FiniteGroupTable:
     # and kept on the table, so a table: group never shares a builtin's data
 
     @cached_property
-    def _abelian(self):
-        return _is_abelian(self)
-
-    @cached_property
     def _stabilisers(self):
         """The stabilisers met so far, interned: their ids by their elements
         (ascending), and by id [elements, orbits, moves].  Id 0 is G.  The
@@ -145,54 +132,24 @@ class FiniteGroupTable:
         return {everything: 0}, [[everything, None, None]]
 
     def _orbits(self, s):
-        """The orbits and moves of stabiliser s, built on first use.  An
-        abelian table has one stabiliser, G, whose orbits are its elements;
-        they are listed without conjugating."""
+        """The orbits and moves of stabiliser s, built on first use."""
         ids, data = self._stabilisers
         hs, orbits, moves = data[s]
         if orbits is None:
-            if self._abelian:
-                orbits, moves = dict.fromkeys(hs, 1), dict.fromkeys(hs, 0)
-            else:
-                mul, inv = self.table, self.inverse
-                orbits, moves, seen = {}, {}, set()
-                for x in range(self.order):
-                    if x not in seen:
-                        orbit = {mul[mul[inv[h]][x]][h] for h in hs}
-                        seen |= orbit
-                        orbits[x] = len(orbit)
-                        meet = tuple(h for h in hs if mul[h][x] == mul[x][h])
-                        if meet not in ids:
-                            data.append([meet, None, None])
-                            ids[meet] = len(data) - 1
-                        moves[x] = ids[meet]
+            mul, inv = self.table, self.inverse
+            orbits, moves, seen = {}, {}, set()
+            for x in range(self.order):
+                if x not in seen:
+                    orbit = {mul[mul[inv[h]][x]][h] for h in hs}
+                    seen |= orbit
+                    orbits[x] = len(orbit)
+                    meet = tuple(h for h in hs if mul[h][x] == mul[x][h])
+                    if meet not in ids:
+                        data.append([meet, None, None])
+                        ids[meet] = len(data) - 1
+                    moves[x] = ids[meet]
             data[s][1:] = orbits, moves
         return orbits, moves
-
-    @cached_property
-    def _square_roots(self):
-        """The elements r with r r = x, by x."""
-        roots = [[] for _ in range(self.order)]
-        for r in range(self.order):
-            roots[self.table[r][r]].append(r)
-        return roots
-
-    @cached_property
-    def _conjugators_by_element(self):
-        """The conjugator rows built so far, by conjugated element."""
-        return {}
-
-    def _conjugators(self, c):
-        """For each conjugate t of c, the elements v with v c v^-1 = t: a
-        left coset of the centraliser of c."""
-        row = self._conjugators_by_element.get(c)
-        if row is None:
-            mul, inv = self.table, self.inverse
-            row = {}
-            for v in range(self.order):
-                row.setdefault(mul[mul[v][c]][inv[v]], []).append(v)
-            self._conjugators_by_element[c] = row
-        return row
 
 
 def _is_abelian(g):
@@ -365,11 +322,10 @@ def _plan(p: Presentation):
     once on entering depth m+1, and identical pieces share one index.
     Each relator goes to the depth d of its deepest generator, as the
     program of its slot-d letters and the pieces between them.  Returns
-    (levels, size): per depth, the pieces to evaluate on entering it, the
-    relator to solve there (its constants as indices, 0 where empty, and
-    its exponents) or None, and the programs of the relators to test,
-    deduplicated, those with the fewest slot-d letters first (in relator
-    order on ties); size is the length of the value list."""
+    (levels, size): per depth, the pieces to evaluate on entering it and
+    the programs of the relators to test, deduplicated, those with the
+    fewest slot-d letters first (in relator order on ties); size is the
+    length of the value list."""
     occ = {}
     for count in p._letter_counts():
         for gid, n in count.items():
@@ -419,43 +375,8 @@ def _plan(p: Presentation):
     levels = []
     for d, progs in enumerate(programs):
         named = {prog: sum((i - 1) >> 1 == d for i in prog) for prog in progs}
-        progs = sorted(named, key=named.get)
-        solved = None
-        if progs and named[progs[0]] <= 2:
-            cs, exps, c = [], [], 0
-            for i in progs.pop(0):
-                if (i - 1) >> 1 == d:
-                    cs.append(c)
-                    exps.append(1 if i & 1 else -1)
-                    c = 0
-                else:
-                    c = i
-            solved = (tuple(cs) + (c,), tuple(exps))
-        levels.append((tuple(entry[d]), solved, tuple(progs)))
+        levels.append((tuple(entry[d]), tuple(sorted(named, key=named.get))))
     return tuple(levels), 1 + 2 * k + len(pieces)
-
-
-def _solve(g: FiniteGroupTable, cs, exps):
-    """The values v with c0 v^e1 c1 = 1, or c0 v^e1 c1 v^e2 c2 = 1, for
-    the constants cs and exponents exps; None stands for all of g."""
-    mul, inv = g.table, g.inverse
-    if len(exps) == 1:  # v^e1 = (c1 c0)^-1
-        x = mul[cs[1]][cs[0]]
-        return (inv[x],) if exps[0] > 0 else (x,)
-    c0, c, c2 = cs
-    t = inv[mul[c2][c0]]  # v^e1 c v^e2 = t
-    e1, e2 = exps
-    if e1 == e2:
-        if e1 < 0:  # v^-1 c v^-1 = t  is  v c^-1 v = t^-1
-            c, t = inv[c], inv[t]
-        # v c v = t  is  (v c)^2 = t c
-        cinv = inv[c]
-        return [mul[r][cinv] for r in g._square_roots[mul[t][c]]]
-    if g._abelian:  # v c v^-1 = c for every v
-        return None if t == c else ()
-    if e1 > 0:  # v c v^-1 = t
-        return g._conjugators(c).get(t, ())
-    return g._conjugators(t).get(c, ())  # v^-1 c v = t  is  v t v^-1 = c
 
 
 def _count_assignments(g: FiniteGroupTable, plan, lift=False):
@@ -467,9 +388,9 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
     slot s, kept as three lanes, the two rows and their sum, so that a
     conjugation picks two lanes.  A piece gets its rows on entering its
     level, with its value; at each choice, the rows of that depth's
-    relators, tested or solved, are reduced into an echelon basis carried
-    down the recursion.  A leaf's image is the mask of the subgroup its
-    values generate, and its rank the length of its basis."""
+    relators are reduced into an echelon basis carried down the
+    recursion.  A leaf's image is the mask of the subgroup its values
+    generate, and its rank the length of its basis."""
     mul = g.table
     inv = g.inverse
     levels, size = plan
@@ -483,16 +404,6 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
         by_prefix = [(lanes[c0], lanes[c1]) for c0, c1 in picks]
         for s in range(k):
             lane0[1 + 2 * s], lane1[1 + 2 * s], lane2[1 + 2 * s] = 1 << 2 * s, 2 << 2 * s, 3 << 2 * s
-        # by depth, the relators whose rows each choice adds: its tests, then
-        # the solved one, rebuilt from its constants and exponents
-        fox = []
-        for depth, (_, solved, tests) in enumerate(levels):
-            if solved is not None:
-                cs, exps = solved
-                at = 1 + 2 * depth
-                prog = (cs[0],) + tuple(i for e, c in zip(exps, cs[1:]) for i in (at if e > 0 else at + 1, c))
-                tests += (tuple(i for i in prog if i),)
-            fox.append(tests)
 
         def rows(prog):
             """The value of prog and its Fox rows: those of uv are u's plus
@@ -508,7 +419,7 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
         joins = {1: [1] * g.order}
 
     def rec(depth, s, image, basis, w):
-        entry, solved, tests = levels[depth]
+        entry, tests = levels[depth]
         for at, prog in entry:
             if lift:
                 val[at], f0, f1 = rows(prog)
@@ -518,17 +429,8 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
                 for i in prog:
                     x = mul[x][val[i]]
                 val[at] = x
-        solutions = None  # all of G
-        if solved is not None:
-            cs, exps = solved
-            solutions = _solve(g, [val[i] for i in cs], exps)
-        last = depth == k - 1
-        if last and not tests and not lift:  # a union of orbits: list no orbit, count its elements
-            leaves[1, 0] += w * (g.order if solutions is None else len(solutions))
-            return
         orbits, moves = g._orbits(s)
-        if solutions is not None:  # a union of orbits: keep its representatives
-            orbits = {v: orbits[v] for v in solutions if v in orbits}
+        last = depth == k - 1
         row = joins[image]
         at = 1 + 2 * depth
         shift = 2 * depth
@@ -546,7 +448,7 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
                 if lift:
                     a, b, c = inverse_letters[v]
                     lane0[at + 1], lane1[at + 1], lane2[at + 1] = a << shift, b << shift, c << shift
-                    for prog in fox[depth]:
+                    for prog in tests:
                         _, f0, f1 = rows(prog)
                         found = _reduce(found, f0, f1)
                 if last:
@@ -640,12 +542,33 @@ def _leaves(p: Presentation, k, g, lift=False):
         ) from None
 
 
+def _count_abelian(p: Presentation, g: FiniteGroupTable) -> int:
+    """|Hom(p, g)| for abelian g, which is Hom(G^ab, g): g.order^r times,
+    per torsion invariant d, the number of a in g with a^d = 1.  a^d = 1
+    exactly when a^gcd(d, |g|) = 1, as the order of a divides |g|."""
+    mul = g.table
+    inv = abelian_invariants(p)
+    count = g.order ** inv.free_rank
+    for d in inv.torsion:
+        e = math.gcd(d, g.order)
+        power, square = [0] * g.order, list(range(g.order))  # a^e by squaring, for each a
+        while e:
+            if e & 1:
+                power = [mul[x][y] for x, y in zip(power, square)]
+            square = [mul[y][y] for y in square]
+            e >>= 1
+        count *= power.count(0)
+    return count
+
+
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     """The exact number of homomorphisms from the presented group to g."""
     cap = effective_cap(cap)
-    if g.order == 1 or not p.relators:
+    if not p.relators:
         return g.order ** len(p.generators)
     k = _active(p, (g,), cap)
+    if _is_abelian(g):
+        return _count_abelian(p, g)
     return g.order ** (len(p.generators) - k) * _leaves(p, k, g)[1, 0]
 
 

@@ -444,7 +444,10 @@ def parse_presentation(text: str) -> Presentation:
     if not text:
         raise ValueError("empty presentation input")
     if text.startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("structured presentation: nested too deeply") from None
         gens = tuple(parse_gen(n) for n in _string_list(payload, "generators", None))
         return _parsed_presentation(gens, _string_list(payload, "relators", []))
     gens = None

@@ -176,8 +176,11 @@ def test_homcount_deep_enumeration(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", chain(1000))
     assert invoke(capsys, "homcount", "--group", "c1") == (0, "1\n", "")
     monkeypatch.setattr("sys.stdin", chain(1500))
-    result = invoke(capsys, "homcount", "--group", "c2", "--cap", str(10 ** 500))
+    result = invoke(capsys, "homcount", "--group", "sym3", "--cap", str(6 ** 1500))
     assert one_line_error(*result) and "recurses deeper" in result[2]
+    # an abelian group is counted from the abelian invariants, without recursion
+    monkeypatch.setattr("sys.stdin", chain(1500))
+    assert invoke(capsys, "homcount", "--group", "c2", "--cap", str(10 ** 500)) == (0, f"{2 ** 1499}\n", "")
 
 
 @pytest.mark.parametrize("cap, env, named", [
@@ -209,6 +212,12 @@ def test_structured_input_is_type_checked(capsys, monkeypatch, payload):
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     result = invoke(capsys, "abelianize")
     assert one_line_error(*result) and "must be a list of strings" in result[2]
+
+
+def test_deeply_nested_structured_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"generators": ' + "[" * 100000 + "]" * 100000 + "}"))
+    result = invoke(capsys, "homcount", "--group", "sym3")
+    assert one_line_error(*result) and "nested too deeply" in result[2]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Hom counting: builtin tables, brute-force agreement, invariances."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from linkgroups.homcount import (
     _is_abelian,
     _lift_tables,
     _plan,
-    _solve,
     builtin_group,
     count_homs,
     default_battery,
@@ -151,48 +151,6 @@ def test_weighted_count_matches_brute_force_in_the_battery(p):
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
 
 
-def _solver_tables():
-    sym3, c2 = builtin_group("sym3"), builtin_group("c2")
-    tables = [builtin_group(n) for n in ("sym3", "dihedral4", "alt4", "sym4", "c6")]
-    return tables + [make_table("sym3xc2", direct_product_table(sym3.table, c2.table))]
-
-
-def _brute_solutions(g, cs, exps):
-    """{v : c0 v^e1 c1 ... = 1}, by trying every v, with inverses found by search."""
-    mul = g.table
-    inv = [next(b for b in range(g.order) if mul[a][b] == 0) for a in range(g.order)]
-    found = set()
-    for v in range(g.order):
-        w = cs[0]
-        for e, c in zip(exps, cs[1:]):
-            w = mul[mul[w][v if e > 0 else inv[v]]][c]
-        if w == 0:
-            found.add(v)
-    return found
-
-
-def _solved(g, cs, exps):
-    got = _solve(g, cs, exps)
-    return set(range(g.order)) if got is None else set(got)
-
-
-@pytest.mark.parametrize("g", _solver_tables(), ids=lambda g: g.name)
-def test_solver_matches_brute_force(g):
-    mul, inv = g.table, g.inverse
-    for c0 in range(g.order):
-        for c1 in range(g.order):
-            for e1 in (1, -1):
-                assert _solved(g, (c0, c1), (e1,)) == _brute_solutions(g, (c0, c1), (e1,))
-    for c in range(g.order):
-        for t in range(g.order):
-            # v^e1 c v^e2 = t, with t split between the outer constants
-            c0 = (3 * c + t) % g.order
-            c2 = mul[inv[t]][inv[c0]]
-            for exps in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                cs = (c0, c, c2)
-                assert _solved(g, cs, exps) == _brute_solutions(g, cs, exps), (c, t, exps)
-
-
 @st.composite
 def solvable_presentations(draw):
     # the first relator names the last generator z once or twice, as
@@ -217,21 +175,20 @@ def test_solved_count_matches_brute_force_in_the_battery(p):
 
 
 def test_symmetry_data_belongs_to_the_table():
-    c6 = builtin_group("c6")
+    # a non-abelian impostor: dihedral4's table named sym3
+    sym3, dihedral4 = builtin_group("sym3"), builtin_group("dihedral4")
+    fresh_dihedral4 = make_table("dihedral4", dihedral4.table)
+    named_sym3 = make_table("sym3", dihedral4.table)
     commutator = P((1, 2), [(1, 2, -1, -2)])
-    sym3 = builtin_group("sym3")
     assert count_homs(commutator, sym3) == 18
-    named_sym3 = make_table("sym3", c6.table)
-    assert count_homs(commutator, named_sym3) == count_homs(commutator, c6) == 36
-    assert named_sym3._stabilisers == c6._stabilisers != sym3._stabilisers
-    # the square roots and conjugator rows are the table's own too: x3 is
-    # solved from x1 x1 x2 x2 x3 x1 x3^-1 and x2 from x1 x2 x1 x2
+    assert count_homs(commutator, named_sym3) == count_homs(commutator, fresh_dihedral4) == 40
+    assert named_sym3._stabilisers == fresh_dihedral4._stabilisers != sym3._stabilisers
+    # x3 is the deepest generator of x1 x1 x2 x2 x3 x1 x3^-1, and x2 of x1 x2 x1 x2
     fresh_sym3 = make_table("sym3", sym3.table)
-    solved = P((1, 2, 3), [(1, 1, 2, 2, 3, 1, -3), (1, 2, 1, 2)])
+    deep = P((1, 2, 3), [(1, 1, 2, 2, 3, 1, -3), (1, 2, 1, 2)])
     for g in (fresh_sym3, named_sym3):
-        assert count_homs(solved, g) == brute_count_homs((1, 2, 3), [r.letters for r in solved.relators], g)
-    assert named_sym3._square_roots == c6._square_roots != fresh_sym3._square_roots
-    assert named_sym3._conjugators_by_element == {} != fresh_sym3._conjugators_by_element
+        assert count_homs(deep, g) == brute_count_homs((1, 2, 3), [r.letters for r in deep.relators], g)
+    assert named_sym3._stabilisers != fresh_sym3._stabilisers
 
 
 @st.composite
@@ -266,17 +223,16 @@ def test_nested_pieces_match_brute_force(spec):
 
 
 def test_plan_shares_identical_pieces():
-    # slots x1, x2, x3 by occurrence; both relators reach x3's level, both
-    # start with the piece x1 x2 x1^-1, and the first is solved for x3
+    # slots x1, x2, x3 by occurrence; both relators reach x3's level, and
+    # both start with the piece x1 x2 x1^-1
     p = P((1, 2, 3), [(1, 2, -1, 3), (1, 2, -1, -3, 1, 2)])
     levels, size = _plan(p)
-    x1, x1inv, x2, x3inv = 1, 2, 3, 6
+    x1, x1inv, x2, x3, x3inv = 1, 2, 3, 5, 6
     assert size == 1 + 2 * 3 + 2
-    assert levels[0] == levels[1] == ((), None, ())
+    assert levels[0] == levels[1] == ((), ())
     assert levels[2] == (
         ((7, (x1, x2, x1inv)), (8, (x1, x2))),  # evaluated on entering x3's level
-        ((7, 0), (1,)),  # x1 x2 x1^-1 x3 = 1, solved for x3
-        ((7, x3inv, 8),),  # tested on every solved value
+        ((7, x3), (7, x3inv, 8)),  # tested on every value of x3
     )
     for g in default_battery():
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
@@ -368,13 +324,50 @@ def test_abelian_tables_are_not_reduced():
     assert count_homs(commutator, g) == 1024 ** 2
     assert count_homs(P((1, 2), [(1, 2, 1, 2)]), g) == 2048
     assert count_homs(P((1, 2), [(1, 2, 1, -2)]), g) == 2048
-    # G is the one stabiliser, its orbits are the elements, and no
-    # centraliser is built
-    everything = tuple(range(1024))
-    assert g._stabilisers == ({everything: 0}, [[everything, dict.fromkeys(everything, 1),
-                                                   dict.fromkeys(everything, 0)]])
-    # a conjugacy equation over an abelian table is solved without rows
-    assert g._conjugators_by_element == {}
+    # counted from the abelian invariants: no stabiliser data is built
+    assert "_stabilisers" not in vars(g)
+
+
+def _abelian_tables():
+    c2, c4 = builtin_group("c2"), builtin_group("c4")
+    tables = [builtin_group(f"c{k}") for k in range(1, 13)]
+    c2c2c2 = direct_product_table(direct_product_table(c2.table, c2.table), c2.table)
+    return tables + [make_table("c2^3", c2c2c2), make_table("c2xc4", direct_product_table(c2.table, c4.table))]
+
+
+@st.composite
+def abelian_presentations(draw):
+    # relators made of powers, so the abelianization has torsion, and
+    # presentations without relators
+    gens = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    power = st.tuples(st.sampled_from([v for g in gens for v in (g, -g)]), st.integers(1, 6))
+    rels = draw(st.lists(st.lists(power, min_size=1, max_size=4), max_size=3))
+    return P(gens, [tuple(v for v, n in r for _ in range(n)) for r in rels])
+
+
+@settings(max_examples=60, deadline=None)
+@given(abelian_presentations())
+def test_abelian_count_matches_brute_force(p):
+    relators = [r.letters for r in p.relators]
+    for g in _abelian_tables():
+        assert count_homs(p, g) == brute_count_homs(p.generators, relators, g), g.name
+        assert "_stabilisers" not in vars(g)
+
+
+def test_cyclic_count_closed_form():
+    # |Hom(G, Z/k)| = k^r times the product of gcd(d, k) over the torsion d
+    g = builtin_group("c1024")
+    for ds in ((1,), (2,), (6, 1000), (512, 768), (1024,), (2048, 3)):
+        # x1^d1, x2^d2, ... and a free generator y: Z + Z/d1 + Z/d2 + ...
+        gens = tuple(range(1, len(ds) + 1)) + (YID,)
+        p = P(gens, [(i,) * d for i, d in enumerate(ds, 1)])
+        assert abelian_invariants(p).free_rank == 1
+        expected = 1024
+        for d in ds:
+            expected *= math.gcd(d, 1024)
+        assert count_homs(p, g) == expected, ds
+    commutator = P((1, 2, YID), [(1, 2, -1, -2), (YID, YID)])  # Z^2 + Z/2
+    assert count_homs(commutator, g, cap=1024 ** 3) == 1024 ** 2 * 2
 
 
 def test_stabiliser_below_the_second_depth():
@@ -431,7 +424,9 @@ def test_enumeration_deeper_than_the_recursion_limit():
 
     assert count_homs(chain(1000), builtin_group("c1")) == 1
     with pytest.raises(CapExceeded, match="recurses deeper"):
-        count_homs(chain(1500), builtin_group("c2"), cap=10 ** 500)
+        count_homs(chain(1500), builtin_group("sym3"), cap=6 ** 1500)
+    # an abelian group is counted from the abelian invariants, Z^1499
+    assert count_homs(chain(1500), builtin_group("c2"), cap=10 ** 500) == 2 ** 1499
     # the default battery's one enumeration and its lifts run inside the same guard
     with pytest.raises(CapExceeded, match="recurses deeper"):
         fingerprint(chain(1500), cap=10 ** 2100)
@@ -533,16 +528,16 @@ def test_klein_action_is_conjugation_in_sym4():
 
 
 def test_lifted_fingerprint_matches_each_group_on_deep_plans():
-    # 4-6 generators, each the deepest of a relator that is solved (named
-    # once or twice) or tested (named three times), with inverse letters
-    # between; the default battery's counts come from the sym3 homs and
-    # their lifts, the others enumerate each group
+    # 4-6 generators, each the deepest of a relator that names it once,
+    # twice or three times, with inverse letters between; the default
+    # battery's counts come from the sym3 homs and their lifts, the others
+    # enumerate each group
     rng = random.Random(2012)
 
     def word(top, length):
         return [rng.choice((1, -1)) * rng.randint(1, top - 1) for _ in range(length)]
 
-    deep = solved = tested = 0
+    deep = few = many = 0
     for _ in range(200):
         n = rng.randint(4, 6)
         rels = []
@@ -554,7 +549,7 @@ def test_lifted_fingerprint_matches_each_group_on_deep_plans():
                 rels.append([top] + w + [a] + [-v for v in reversed(w)] + [-top] + word(top, rng.randint(0, 1)))
             elif kind == 1:  # named twice: a square root or a conjugacy equation
                 rels.append([top] + w + [-top if rng.random() < 0.5 else top] + word(top, rng.randint(1, 2)))
-            elif kind == 2:  # tested
+            elif kind == 2:  # named three times
                 rels.append([top] + w + [top, a, -top] + word(top, 1))
             else:  # a unique value, from x1 and x2
                 rels.append([rng.choice((1, -1)) * top] + word(min(top, 3), 2))
@@ -564,9 +559,11 @@ def test_lifted_fingerprint_matches_each_group_on_deep_plans():
         if p._plan is not None:
             levels = p._plan[0]
             deep += len(levels) >= 4
-            solved += sum(solve is not None for _, solve, _ in levels)
-            tested += sum(len(tests) for _, _, tests in levels)
-    assert deep > 150 and solved > 100 and tested > 100
+            # how many times each relator names its deepest generator
+            named = [sum((i - 1) >> 1 == d for i in prog) for d, (_, tests) in enumerate(levels) for prog in tests]
+            few += sum(n <= 2 for n in named)
+            many += sum(n >= 3 for n in named)
+    assert deep > 150 and few > 100 and many > 100
 
 
 @st.composite
