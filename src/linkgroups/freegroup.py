@@ -15,6 +15,8 @@ reduced or letter-checked again, because their letters come from words
 over the same ambient.  The public constructor Word(ambient, letters)
 still checks every letter and reduces its input, as one-letter pieces.
 LETTER_LIMIT bounds every word built, counted before cancellation.
+_substitute is the one substitution routine, on letter tuples: applying
+an Endomorphism to a word and reps' braid evaluation both use it.
 """
 
 from __future__ import annotations
@@ -87,6 +89,17 @@ def _check_size(n: int) -> None:
         raise WordLengthError(f"{n} letters exceeds limit {LETTER_LIMIT}")
 
 
+def _substitute(images: dict, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced word got from letters by replacing each generator g by
+    images[g] and each g^-1 by its inverse; images maps generator ids to
+    reduced letter tuples.  The substitution, counted before cancellation,
+    may have at most LETTER_LIMIT letters."""
+    size = sum(len(images[abs(v)]) for v in letters)
+    if size > LETTER_LIMIT:
+        raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
+    return _join([images[v] if v > 0 else _inverse(images[-v]) for v in letters])
+
+
 class Word:
     """A freely reduced word over an ambient generator set.
 
@@ -111,9 +124,15 @@ class Word:
         ambient, size letters in all.  Only size is checked; the caller
         vouches for the pieces, as when they are slices of words."""
         _check_size(size)
+        return cls._reduced(ambient, _join(pieces))
+
+    @classmethod
+    def _reduced(cls, ambient: Ambient, letters: tuple[int, ...]) -> "Word":
+        """The word of letters, a reduced letter tuple over ambient that
+        the caller vouches for and has checked against LETTER_LIMIT."""
         w = object.__new__(cls)
         w.ambient = ambient
-        w.letters = _join(pieces)
+        w.letters = letters
         return w
 
     def __mul__(self, other: "Word") -> "Word":
@@ -249,12 +268,8 @@ class Endomorphism:
         """Apply by substitution; the result is reduced."""
         if w.ambient != self.domain:
             raise ValueError("word is not over the domain generators")
-        images = self.images
-        size = sum(len(images[abs(v)].letters) for v in w.letters)
-        if size > LETTER_LIMIT:
-            raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
-        pieces = [images[v].letters if v > 0 else _inverse(images[-v].letters) for v in w.letters]
-        return Word._joined(self.codomain, pieces, size)
+        images = {g: image.letters for g, image in self.images.items()}
+        return Word._reduced(self.codomain, _substitute(images, w.letters))
 
     def __eq__(self, other) -> bool:
         return (

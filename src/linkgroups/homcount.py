@@ -328,8 +328,8 @@ def _plan(p: Presentation):
     length of the value list."""
     occ = {}
     for count in p._letter_counts():
-        for gid, n in count.items():
-            occ[gid] = occ.get(gid, 0) + n
+        for v, n in count.items():
+            occ[abs(v)] = occ.get(abs(v), 0) + n
     order = {gid: i for i, gid in enumerate(p.generators)}
     active = sorted(occ, key=lambda gid: (-occ[gid], order[gid]))
     k = len(active)
@@ -522,7 +522,10 @@ def _active(p: Presentation, groups, cap) -> int:
     """The number k of generators that occur in some relator, once every
     group's order^k is within the cap; the first group beyond it raises."""
     plan = p._plan
-    k = len(plan[0]) if plan is not None else len(set().union(*p._letter_counts()))
+    if plan is not None:
+        k = len(plan[0])
+    else:
+        k = len({abs(v) for count in p._letter_counts() for v in count})
     for g in groups:
         if g.order ** k > cap:
             raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")

@@ -34,7 +34,7 @@ from .braid import (
     serialize,
     stabilize,
 )
-from .freegroup import WordLengthError
+from . import freegroup
 from .homcount import CapExceeded, fingerprint
 from .present import closure_group, tietze_simplify
 
@@ -196,7 +196,7 @@ def run_trial(index, theory, max_strands, max_length, max_depth, seed, wada_type
             return index, "mismatch", Mismatch(
                 index, "end of chain", str(expected), str(final), trace.render()
             )
-    except (CapExceeded, WordLengthError) as exc:
+    except (CapExceeded, freegroup.WordLengthError) as exc:
         return index, "skipped", f"{type(exc).__name__}: {exc}"
     return index, "ok", None
 
@@ -213,7 +213,9 @@ def fuzz(
 ) -> FuzzReport:
     """Run the campaign; deterministic for a fixed seed regardless of jobs.
 
-    jobs, at least 1, is clamped to the CPU count and the number of trials."""
+    length is at most freegroup.LETTER_LIMIT, as a braid word is drawn
+    whole; jobs, at least 1, is clamped to the CPU count and the number of
+    trials."""
     if theory not in ("virtual", "welded"):
         raise ValueError("fuzzing is defined for virtual and welded braids")
     if wada_type is not None and theory != "welded":
@@ -224,6 +226,8 @@ def fuzz(
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if strands + depth > MAX_STRANDS:  # each move adds at most one strand
         raise ValueError(f"strands + depth {strands + depth} exceeds the ceiling {MAX_STRANDS}")
+    if length > freegroup.LETTER_LIMIT:
+        raise ValueError(f"length {length} exceeds the word-length limit {freegroup.LETTER_LIMIT}")
     trial = partial(run_trial, theory=theory, max_strands=strands, max_length=length,
                     max_depth=depth, seed=seed, wada_type=wada_type)
     jobs = min(jobs, os.cpu_count() or 1, trials)

@@ -19,7 +19,6 @@ from .freegroup import (
     Ambient,
     Word,
     YID,
-    exponent_sums,
     format_word,
     gen_name,
     parse_gen,
@@ -93,7 +92,9 @@ class Presentation:
         return p
 
     def _letter_counts(self) -> tuple[Counter, ...]:
-        """How often each generator occurs in each relator, counted once."""
+        """How often each signed letter (a generator id g or its inverse
+        -g) occurs in each relator, counted once and carried through
+        Tietze steps."""
         if self._counts is None:
             self._counts = tuple(_letter_count(r) for r in self.relators)
         return self._counts
@@ -195,7 +196,7 @@ def _gen_sort_key(gid: int):
 
 
 def _letter_count(r: Word) -> Counter:
-    return Counter(map(abs, r.letters))
+    return Counter(r.letters)
 
 
 def tietze_step(p: Presentation) -> Optional[Presentation]:
@@ -210,11 +211,11 @@ def tietze_step(p: Presentation) -> Optional[Presentation]:
     counts = p._letter_counts()
     best = None
     for ri, (r, count) in enumerate(zip(p.relators, counts)):
-        for gid, c in count.items():
-            if c == 1:
-                key = (len(r), _gen_sort_key(gid), ri)
+        for v, c in count.items():
+            if c == 1 and -v not in count:
+                key = (len(r), _gen_sort_key(abs(v)), ri)
                 if best is None or key < best[0]:
-                    best = (key, gid)
+                    best = (key, abs(v))
     if best is None:
         return None
     (_, _, ri), gid = best
@@ -232,7 +233,7 @@ def tietze_step(p: Presentation) -> Optional[Presentation]:
     for k, (r, count) in enumerate(zip(p.relators, counts)):
         if k == ri:
             continue
-        n = count[gid]
+        n = count[gid] + count[-gid]
         if n == 0:
             if ambient != p.ambient:
                 r = Word._joined(ambient, (r.letters,), len(r))
@@ -298,8 +299,10 @@ def _matmul(a, b):
 
 
 def relation_matrix(p: Presentation) -> list[list[int]]:
-    """Rows = relators, columns = generators, entries = exponent sums."""
-    return [exponent_sums(r, p.generators) for r in p.relators]
+    """Rows = relators, columns = generators, entries = exponent sums,
+    read from the relators' letter counts."""
+    gens = p.generators
+    return [[c[g] - c[-g] for g in gens] for c in p._letter_counts()]
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,19 @@ actions (types 1-4).  REPRESENTATIONS is the one table of their names,
 theories and sigma rules.  Composition is left to right throughout: the
 word l1 l2 acts by l1 first.
 
-evaluate computes a word's action from the right.  Starting from the
-identity, it sets e = compose(action of l, e) for each letter l from
-the last to the first.  By associativity this is the same endomorphism
-as the left-to-right fold.  A letter moves at most two generators, and
-compose shares the images a letter fixes, so a step rebuilds only two
-images, each from a word of at most 2h + 1 letters.  The LETTER_LIMIT
-check of freegroup therefore bounds the substitutions of suffix images
-into a letter's images; the final images are those of the left fold.
+evaluate computes a word's action from the right, on letter tuples.
+It keeps one dict of image letter tuples, starting from the identity,
+and for each letter l from the last to the first replaces the image of
+each generator that l moves by the current images substituted into l's
+image of it (freegroup._substitute).  That is precomposition by l's
+action, so by associativity the result is the endomorphism of the
+left-to-right fold.  Each letter's moved generators and their images
+are read once from its verified generator action and cached.  A letter
+moves at most two generators, each to a word of at most 2h + 1 letters,
+and the images it fixes are shared, not rebuilt.  The LETTER_LIMIT
+check of freegroup bounds each substitution of suffix images into a
+letter's images; the words of the endomorphism are built once, at the
+end.
 
 Reading convention: the closure group of b is the Wirtinger group of
 b's diagram drawn with its first letter at the bottom, read from the
@@ -49,9 +54,7 @@ from .freegroup import (
     Word,
     YID,
     _check_size,
-    compose,
-    identity_endomorphism,
-    is_identity,
+    _substitute,
 )
 
 
@@ -97,6 +100,9 @@ class Representation:
         self.theory, self._sigma_rule = REPRESENTATIONS[name]
         self.ambient = Ambient(strands, self.theory == "virtual")
         self._actions: dict[BraidLetter, Automorphism] = {}
+        # letter -> ((generator, letters of its forward image), ...) for
+        # the generators the letter moves
+        self._moves: dict[BraidLetter, tuple] = {}
 
     def _endo(self, moved: dict[int, tuple]) -> Endomorphism:
         images = {g: Word(self.ambient, (g,)) for g in self.ambient.gens()}
@@ -131,10 +137,18 @@ class Representation:
             raise ValueError(f"{self.name} acts on {self.theory} braids, got {b.theory}")
         if b.strands != self.strands:
             raise ValueError(f"strand mismatch: {b.strands} vs {self.strands}")
-        e = identity_endomorphism(self.ambient)
+        images = {g: (g,) for g in self.ambient.gens()}
+        moves = self._moves
         for letter in reversed(b.letters):
-            e = compose(self.generator_action(letter).forward, e)
-        return e
+            moved = moves.get(letter)
+            if moved is None:
+                forward = self.generator_action(letter).forward.images
+                moved = moves[letter] = tuple(
+                    (g, w.letters) for g, w in forward.items() if w.letters != (g,))
+            # the list is built in full, from the old images, before the update
+            images.update([(g, _substitute(images, fwd)) for g, fwd in moved])
+        amb = self.ambient
+        return Endomorphism._trusted(amb, amb, {g: Word._reduced(amb, ls) for g, ls in images.items()})
 
     def __repr__(self):
         extra = f", h={self.h}" if self.name == "wada1" else ""

@@ -384,6 +384,14 @@ def test_markov_fuzz_rejects_bad_sizes(capsys, flags):
     assert one_line_error(*result) and "must be at least" in result[2]
 
 
+def test_markov_fuzz_rejects_length_over_word_limit(capsys):
+    # a trial draws up to --len letters into one braid word; this length is
+    # only rejected, never drawn
+    result = invoke(capsys, "markov-fuzz", "--theory", "welded", "--trials", "1",
+                    "--len", str(10 ** 12))
+    assert one_line_error(*result) and "exceeds the word-length limit" in result[2]
+
+
 def test_examples_pass(capsys):
     code, out, _ = invoke(capsys, "examples")
     assert code == 0

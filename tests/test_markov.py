@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import linkgroups.freegroup as fg
 from linkgroups.braid import (
     MAX_STRANDS,
     conjugate,
@@ -99,7 +100,7 @@ def test_fuzz_parallel_matches_sequential():
     assert seq.render() == par.render()
 
 
-def test_fuzz_argument_validation():
+def test_fuzz_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         fuzz("classical", 1, 3, 5, 2, seed=0)
     with pytest.raises(ValueError):
@@ -113,6 +114,12 @@ def test_fuzz_argument_validation():
     # each move may add a strand, so strands + depth is held to the ceiling
     with pytest.raises(ValueError, match="exceeds the ceiling"):
         fuzz("welded", 1, MAX_STRANDS - 5, 5, 6, seed=0)
+    # a trial draws its braid word whole, so length is held to the word
+    # limit, read at call time; with no trials nothing is drawn
+    monkeypatch.setattr(fg, "LETTER_LIMIT", 7)
+    assert fuzz("welded", 0, 3, 7, 2, seed=0).ok
+    with pytest.raises(ValueError, match="length 8 exceeds the word-length limit 7"):
+        fuzz("welded", 0, 3, 8, 2, seed=0)
 
 
 def test_fuzz_jobs_clamped_to_trials(inline_pool, monkeypatch):

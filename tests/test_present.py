@@ -1,10 +1,13 @@
 """Presentations: builders, Tietze simplification, SNF, abelianization."""
 
+import importlib.util
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 
-from linkgroups.braid import BraidWord, parse, random_braid_from
+from linkgroups.braid import BraidLetter, BraidWord, parse, random_braid_from
 from linkgroups.examples import (
     EXCHANGE_RELATOR,
     KISHINO_CLOSURE,
@@ -12,7 +15,7 @@ from linkgroups.examples import (
     KISHINO_QUOTIENT_SYM3,
     VIRTUAL_TREFOIL,
 )
-from linkgroups.freegroup import Ambient, Word, YID, format_word, parse_word
+from linkgroups.freegroup import Ambient, Word, YID, exponent_sums, format_word, parse_word
 from linkgroups.homcount import builtin_group, count_homs, default_battery, fingerprint
 from linkgroups.present import (
     TIETZE_BUDGET,
@@ -233,6 +236,12 @@ def test_tietze_deterministic_scan_order():
     assert step.relators == ()
 
 
+def _assert_counts_carried(p):
+    # the signed counts a Tietze step carries, and the matrix read from them
+    assert p._letter_counts() == tuple(Counter(r.letters) for r in p.relators)
+    assert relation_matrix(p) == [exponent_sums(r, p.generators) for r in p.relators]
+
+
 def test_tietze_steps_preserve_fingerprint():
     rng = random.Random(41)
     battery = default_battery()
@@ -257,6 +266,7 @@ def test_tietze_steps_preserve_fingerprint():
             if nxt is None:
                 break
             assert fingerprint(nxt, battery) == fp
+            _assert_counts_carried(nxt)
             current = nxt
 
 
@@ -276,6 +286,28 @@ def test_tietze_matches_the_rebuild_everything_oracle():
         assert got + (res.exhausted, res.steps) == naive_tietze(gens, raw, budget, YID)
         exhausted += res.exhausted
     assert 20 <= exhausted <= 180
+
+
+def test_tietze_steps_carry_signed_letter_counts_on_long_braids():
+    # perfbench/workloads.py draws the benchmark's invariants-long braids
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    builders = {"classical": group_of_classical_link, "virtual": group_of_virtual_link,
+                "welded": group_of_welded_link}
+    steps = 0
+    for seed in range(1, 41):
+        theory, strands, letters = wl.invariant_braid(seed)
+        p = builders[theory](BraidWord(strands, theory, [BraidLetter(*l) for l in letters]))
+        _assert_counts_carried(p)
+        while p.total_letters() <= TIETZE_BUDGET:
+            p = tietze_step(p)
+            if p is None:
+                break
+            _assert_counts_carried(p)
+            steps += 1
+    assert steps > 40
 
 
 def test_free_rank_certificate():

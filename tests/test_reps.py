@@ -21,7 +21,9 @@ from linkgroups.freegroup import (
     Word,
     WordLengthError,
     YID,
+    compose,
     format_word,
+    identity_endomorphism,
     is_identity,
     parse_word,
 )
@@ -99,11 +101,24 @@ def test_evaluate_theory_and_strand_mismatch():
         virtual(3).evaluate(parse("s1", 2, "virtual"))
 
 
+def compose_fold(rep, b):
+    """The right fold of the letters' actions by compose, with the size of
+    the largest substitution it makes."""
+    e, largest = identity_endomorphism(rep.ambient), 0
+    for letter in reversed(b.letters):
+        f = rep.generator_action(letter).forward
+        for g, w in f.images.items():
+            if w.letters != (g,):
+                largest = max(largest, sum(len(e.images[abs(v)]) for v in w.letters))
+        e = compose(f, e)
+    return e, largest
+
+
 @pytest.mark.parametrize("name, h", [
-    ("artin", 1), ("virtual", 1), ("welded", 1), ("wada1", 1), ("wada1", 2),
+    ("artin", 1), ("virtual", 1), ("welded", 1), ("wada1", 1), ("wada1", 2), ("wada1", 3),
     ("wada2", 1), ("wada3", 1), ("wada4", 1),
 ])
-def test_evaluate_matches_the_letter_by_letter_oracle(name, h):
+def test_evaluate_matches_the_letter_by_letter_oracle(monkeypatch, name, h):
     rng = random.Random(f"evaluate {name} {h}")
     for _ in range(60):
         n = rng.randint(2, 5)
@@ -116,6 +131,21 @@ def test_evaluate_matches_the_letter_by_letter_oracle(name, h):
         e = rep.evaluate(b)
         got = {g: e.images[g].letters for g in rep.ambient.gens()}
         assert got == naive_evaluate(letter_images, rep.ambient.gens()), b
+        fold, largest = compose_fold(rep, b)
+        assert e == fold, b
+        if largest < 2:
+            continue  # a limit of 0 refuses even the identity words the fold starts from
+        # evaluate and the fold fail at the same LETTER_LIMIT, with the same message
+        with monkeypatch.context() as m:
+            m.setattr(fg, "LETTER_LIMIT", largest)
+            assert rep.evaluate(b) == e
+            m.setattr(fg, "LETTER_LIMIT", largest - 1)
+            messages = []
+            for run in (rep.evaluate, lambda b: compose_fold(rep, b)):
+                with pytest.raises(WordLengthError) as exc:
+                    run(b)
+                messages.append(str(exc.value))
+            assert messages == [f"image would exceed {largest - 1} letters"] * 2
 
 
 @pytest.mark.parametrize("theory, word, reversed_word, counts, reversed_counts", [
@@ -282,8 +312,6 @@ def test_project_y_examples():
     q = project_y(rep.generator_action(sigma(1)).forward)
     w = welded(2)
     assert q == w.generator_action(sigma(1)).forward
-
-    from linkgroups.freegroup import identity_endomorphism
 
     ident3 = identity_endomorphism(Ambient(2, True))
     assert project_y(ident3) == identity_endomorphism(Ambient(2, False))
