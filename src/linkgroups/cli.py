@@ -70,7 +70,6 @@ def _build_parser():
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--wada", type=int, choices=(1, 2), default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
     sub.add_parser("examples", help="replay the worked examples as a regression suite")
     return top
@@ -172,7 +171,6 @@ def _cmd_markov_fuzz(args) -> int:
         args.depth,
         args.seed,
         wada_type=args.wada,
-        jobs=args.jobs,
     )
     print(report.render())
     return 0 if report.ok else 3

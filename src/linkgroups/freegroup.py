@@ -12,8 +12,12 @@ only where two pieces meet.  _join is the one reduction routine: it
 cancels each piece against the reduced stack of the pieces before it and
 copies the rest of the piece whole.  Words built from other words are not
 reduced or letter-checked again, because their letters come from words
-over the same ambient.  The public constructor Word(ambient, letters)
-still checks every letter and reduces its input, as one-letter pieces.
+over the same ambient.  A slice of a reduced word is reduced, so slices
+(a cyclic core, a conjugator, a Tietze solution) are wrapped with
+Word._reduced and not re-joined, and a substitution into a one-letter
+word returns its one image as it is.  The public constructor
+Word(ambient, letters) still checks every letter and reduces its input,
+as one-letter pieces.
 LETTER_LIMIT bounds every word built, counted before cancellation.
 _substitute is the one substitution routine, on letter tuples: applying
 an Endomorphism to a word and reps' braid evaluation both use it.
@@ -94,10 +98,11 @@ def _substitute(images: dict, letters: tuple[int, ...]) -> tuple[int, ...]:
     images[g] and each g^-1 by its inverse; images maps generator ids to
     reduced letter tuples.  The substitution, counted before cancellation,
     may have at most LETTER_LIMIT letters."""
-    size = sum(len(images[abs(v)]) for v in letters)
-    if size > LETTER_LIMIT:
+    if sum(map(len, map(images.__getitem__, map(abs, letters)))) > LETTER_LIMIT:
         raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
-    return _join([images[v] if v > 0 else _inverse(images[-v]) for v in letters])
+    pieces = [images[v] if v > 0 else _inverse(images[-v]) for v in letters]
+    # a single piece is already reduced: it is returned, not copied
+    return pieces[0] if len(pieces) == 1 else _join(pieces)
 
 
 class Word:
@@ -178,9 +183,7 @@ class Word:
         while j - i >= 2 and ls[i] == -ls[j - 1]:
             i += 1
             j -= 1
-        core = Word._joined(self.ambient, (ls[i:j],), j - i)
-        conjugator = Word._joined(self.ambient, (ls[j:],), len(ls) - j)
-        return core, conjugator
+        return Word._reduced(self.ambient, ls[i:j]), Word._reduced(self.ambient, ls[j:])
 
     def without_y(self) -> "Word":
         """Erase every y letter, giving a word over the ambient without y.

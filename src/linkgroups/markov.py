@@ -15,10 +15,8 @@ fingerprint on the form it continues from.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from .braid import (
@@ -209,35 +207,25 @@ def fuzz(
     depth: int,
     seed: int,
     wada_type: Optional[int] = None,
-    jobs: int = 1,
 ) -> FuzzReport:
-    """Run the campaign; deterministic for a fixed seed regardless of jobs.
+    """Run the campaign's trials in order, in this process; deterministic
+    for a fixed seed.
 
     length is at most freegroup.LETTER_LIMIT, as a braid word is drawn
-    whole; jobs, at least 1, is clamped to the CPU count and the number of
-    trials."""
+    whole."""
     if theory not in ("virtual", "welded"):
         raise ValueError("fuzzing is defined for virtual and welded braids")
     if wada_type is not None and theory != "welded":
         raise ValueError("Wada fingerprints apply to welded braids")
     for name, value, least in (("trials", trials, 0), ("strands", strands, 2),
-                               ("length", length, 0), ("depth", depth, 0), ("jobs", jobs, 1)):
+                               ("length", length, 0), ("depth", depth, 0)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if strands + depth > MAX_STRANDS:  # each move adds at most one strand
         raise ValueError(f"strands + depth {strands + depth} exceeds the ceiling {MAX_STRANDS}")
     if length > freegroup.LETTER_LIMIT:
         raise ValueError(f"length {length} exceeds the word-length limit {freegroup.LETTER_LIMIT}")
-    trial = partial(run_trial, theory=theory, max_strands=strands, max_length=length,
-                    max_depth=depth, seed=seed, wada_type=wada_type)
-    jobs = min(jobs, os.cpu_count() or 1, trials)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(trial, range(trials)))
-    else:
-        results = list(map(trial, range(trials)))
+    results = [run_trial(i, theory, strands, length, depth, seed, wada_type) for i in range(trials)]
     mismatches = tuple(payload for _, status, payload in results if status == "mismatch")
     skipped = tuple((i, payload) for i, status, payload in results if status == "skipped")
     return FuzzReport(theory, trials, seed, wada_type, mismatches, skipped)

@@ -19,6 +19,8 @@ from .freegroup import (
     Ambient,
     Word,
     YID,
+    _check_size,
+    _inverse,
     format_word,
     gen_name,
     parse_gen,
@@ -52,7 +54,10 @@ class Presentation:
     """Ordered generator list plus cyclically reduced relator words.
 
     Trivial relators are dropped at construction; every relator letter
-    must name a listed generator.
+    must name a listed generator.  The constructor checks and cyclically
+    reduces every relator it is given, as for parsed input and quotient_y.
+    The closure builders and tietze_step make relators that are cyclically
+    reduced and over the ambient by construction, and use _built instead.
     """
 
     # _counts and _plan (homcount's enumeration plan) are caches, built on
@@ -82,7 +87,8 @@ class Presentation:
     @classmethod
     def _built(cls, generators, relators, ambient, counts) -> "Presentation":
         """A presentation from nontrivial cyclically reduced relators over
-        ambient that name only generators, with their letter counts."""
+        ambient that name only generators, with their letter counts, or
+        None to count them on first use."""
         p = object.__new__(cls)
         p.generators = generators
         p.relators = relators
@@ -118,13 +124,21 @@ class Presentation:
 
 
 def _relators_from(rep: reps.Representation, b: BraidWord) -> Presentation:
+    """The closure presentation of b under rep, built from relator words
+    that are reduced and over rep's ambient by construction: each is only
+    cyclically reduced and dropped if trivial, not checked again."""
     e = rep.evaluate(b)
-    gens = rep.ambient.gens()
+    amb = rep.ambient
     relators = []
     for i in range(1, b.strands + 1):
-        xi = Word(rep.ambient, (-i,))
-        relators.append(xi * e.images[i])
-    return Presentation(gens, relators)
+        image = e.images[i].letters
+        _check_size(1 + len(image))
+        # x_i^-1 cancels only against a leading x_i of the reduced image
+        letters = image[1:] if image[:1] == (i,) else (-i,) + image
+        core = Word._reduced(amb, letters).cyclic_reduce()[0]
+        if core:
+            relators.append(core)
+    return Presentation._built(amb.gens(), tuple(relators), amb, None)
 
 
 def group_of_virtual_link(b: BraidWord) -> Presentation:
@@ -220,12 +234,12 @@ def tietze_step(p: Presentation) -> Optional[Presentation]:
         return None
     (_, _, ri), gid = best
     rel = p.relators[ri].letters
-    pos = next(k for k, v in enumerate(rel) if abs(v) == gid)
-    # rel = u g^eps v is cyclically reduced, so v u is reduced
-    vu = Word._joined(p.ambient, (rel[pos + 1 :] + rel[:pos],), len(rel) - 1)
-    # u g v = 1  =>  g = u^-1 v^-1;  u g^-1 v = 1  =>  g = v u
-    solved = ~vu if rel[pos] > 0 else vu
-    pieces_of = {gid: solved.letters, -gid: (~solved).letters}
+    letter = gid if counts[ri][gid] else -gid
+    pos = rel.index(letter)
+    # rel = u letter v is cyclically reduced, so the slices v u make a
+    # reduced word, and letter = (v u)^-1
+    vu = rel[pos + 1 :] + rel[:pos]
+    pieces_of = {letter: _inverse(vu), -letter: vu}
 
     gens = tuple(g for g in p.generators if g != gid)
     ambient = _ambient_for(gens)
@@ -236,17 +250,23 @@ def tietze_step(p: Presentation) -> Optional[Presentation]:
         n = count[gid] + count[-gid]
         if n == 0:
             if ambient != p.ambient:
-                r = Word._joined(ambient, (r.letters,), len(r))
+                r = Word._reduced(ambient, r.letters)
             relators.append(r)
             new_counts.append(count)
             continue
         ls = r.letters
-        at = [j for j, w in enumerate(ls) if w in pieces_of]
+        at = []
+        for v in (gid, -gid):
+            j = -1
+            for _ in range(count[v]):
+                j = ls.index(v, j + 1)
+                at.append(j)
+        at.sort()
         pieces = []
         for a, j in zip([-1] + at, at):
             pieces += (ls[a + 1 : j], pieces_of[ls[j]])
         pieces.append(ls[at[-1] + 1 :])
-        core = Word._joined(ambient, pieces, len(ls) + n * (len(solved) - 1)).cyclic_reduce()[0]
+        core = Word._joined(ambient, pieces, len(ls) + n * (len(vu) - 1)).cyclic_reduce()[0]
         if core:
             relators.append(core)
             new_counts.append(_letter_count(core))
@@ -451,6 +471,9 @@ def parse_presentation(text: str) -> Presentation:
             payload = json.loads(text)
         except RecursionError:
             raise ValueError("structured presentation: nested too deeply") from None
+        unknown = sorted(set(payload) - {"generators", "relators"})
+        if unknown:
+            raise ValueError(f"structured presentation: unknown key {unknown[0]!r}")
         gens = tuple(parse_gen(n) for n in _string_list(payload, "generators", None))
         return _parsed_presentation(gens, _string_list(payload, "relators", []))
     gens = None

@@ -39,6 +39,9 @@ def test_usage_error_status():
     with pytest.raises(SystemExit) as exc:
         run(["homcount", "--group", "sym3", "--jobs", "2"])  # hom counting runs in one process
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["markov-fuzz", "--theory", "welded", "--trials", "2", "--jobs", "2"])  # so do fuzz trials
+    assert exc.value.code == 2
 
 
 def test_act_lists_images(capsys):
@@ -214,6 +217,15 @@ def test_structured_input_is_type_checked(capsys, monkeypatch, payload):
     assert one_line_error(*result) and "must be a list of strings" in result[2]
 
 
+@pytest.mark.parametrize("payload", ['{"generators": ["x1"], "relator": ["x1 x1"]}',
+                                     '{"generators": ["x1"], "relators": [], "gens": []}'])
+def test_structured_input_rejects_unknown_keys(capsys, monkeypatch, payload):
+    # a misspelled key would otherwise read as a presentation without relators
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    result = invoke(capsys, "abelianize")
+    assert one_line_error(*result) and "unknown key" in result[2]
+
+
 def test_deeply_nested_structured_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"generators": ' + "[" * 100000 + "]" * 100000 + "}"))
     result = invoke(capsys, "homcount", "--group", "sym3")
@@ -376,8 +388,8 @@ def test_markov_fuzz_cli(capsys):
 @pytest.mark.parametrize("flags", [
     ["--trials", "-2"],
     ["--trials", "2", "--strands", "1"],
-    ["--trials", "2", "--jobs", "0"],
-    ["--trials", "2", "--jobs", "-4"],
+    ["--trials", "2", "--len", "-1"],
+    ["--trials", "2", "--depth", "-4"],
 ])
 def test_markov_fuzz_rejects_bad_sizes(capsys, flags):
     result = invoke(capsys, "markov-fuzz", "--theory", "welded", *flags)

@@ -1,6 +1,5 @@
 """The move harness: legal moves, determinism, invariance campaigns."""
 
-import os
 import random
 
 import pytest
@@ -94,23 +93,14 @@ def test_fuzz_campaigns_small():
     assert fuzz("welded", 20, 4, 8, 5, seed=2, wada_type=2).ok
 
 
-def test_fuzz_parallel_matches_sequential():
-    seq = fuzz("welded", 12, 3, 6, 3, seed=4)
-    par = fuzz("welded", 12, 3, 6, 3, seed=4, jobs=2)
-    assert seq.render() == par.render()
-
-
 def test_fuzz_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         fuzz("classical", 1, 3, 5, 2, seed=0)
     with pytest.raises(ValueError):
         fuzz("virtual", 1, 3, 5, 2, seed=0, wada_type=1)
-    for trials, strands, length, depth, jobs in (
-        (-2, 3, 5, 2, 1), (1, 1, 5, 2, 1), (1, 3, -1, 2, 1), (1, 3, 5, -1, 1),
-        (1, 3, 5, 2, 0), (1, 3, 5, 2, -4),
-    ):
+    for trials, strands, length, depth in ((-2, 3, 5, 2), (1, 1, 5, 2), (1, 3, -1, 2), (1, 3, 5, -1)):
         with pytest.raises(ValueError, match="must be at least"):
-            fuzz("virtual", trials, strands, length, depth, seed=0, jobs=jobs)
+            fuzz("virtual", trials, strands, length, depth, seed=0)
     # each move may add a strand, so strands + depth is held to the ceiling
     with pytest.raises(ValueError, match="exceeds the ceiling"):
         fuzz("welded", 1, MAX_STRANDS - 5, 5, 6, seed=0)
@@ -120,13 +110,6 @@ def test_fuzz_argument_validation(monkeypatch):
     assert fuzz("welded", 0, 3, 7, 2, seed=0).ok
     with pytest.raises(ValueError, match="length 8 exceeds the word-length limit 7"):
         fuzz("welded", 0, 3, 8, 2, seed=0)
-
-
-def test_fuzz_jobs_clamped_to_trials(inline_pool, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    par = fuzz("welded", 3, 3, 6, 3, seed=4, jobs=10 ** 6)
-    assert inline_pool == [3]
-    assert par.render() == fuzz("welded", 3, 3, 6, 3, seed=4).render()
 
 
 def test_trial_reports_are_replayable():

@@ -7,6 +7,8 @@ from collections import Counter
 
 import pytest
 
+import linkgroups.freegroup as fg
+from linkgroups import reps
 from linkgroups.braid import BraidLetter, BraidWord, parse, random_braid_from
 from linkgroups.examples import (
     EXCHANGE_RELATOR,
@@ -15,7 +17,15 @@ from linkgroups.examples import (
     KISHINO_QUOTIENT_SYM3,
     VIRTUAL_TREFOIL,
 )
-from linkgroups.freegroup import Ambient, Word, YID, exponent_sums, format_word, parse_word
+from linkgroups.freegroup import (
+    Ambient,
+    Word,
+    WordLengthError,
+    YID,
+    exponent_sums,
+    format_word,
+    parse_word,
+)
 from linkgroups.homcount import builtin_group, count_homs, default_battery, fingerprint
 from linkgroups.present import (
     TIETZE_BUDGET,
@@ -159,6 +169,65 @@ def test_closure_group_matches_each_builder():
     for wada_type, h in ((None, 0), (None, 2), (1, 0), (2, 2)):
         with pytest.raises(ValueError, match="conjugation power"):
             closure_group(w, wada_type, h)
+
+
+# (theory, wada type, h, representation) of every closure action
+_CLOSURE_ACTIONS = (
+    ("classical", None, 1, "artin"),
+    ("virtual", None, 1, "virtual"),
+    ("welded", None, 1, "welded"),
+    ("welded", 1, 1, "wada1"),
+    ("welded", 1, 2, "wada1"),
+    ("welded", 2, 1, "wada2"),
+)
+
+
+def _seeded_closures():
+    """(b, wada type, h, representation) for seeded braids of every action."""
+    rng = random.Random(17)
+    for theory, wada_type, h, name in _CLOSURE_ACTIONS:
+        for _ in range(15):
+            n = rng.randint(2, 5)
+            b = random_braid_from(rng, n, rng.randint(0, 12), theory)
+            yield b, wada_type, h, reps.representation(name, n, h)
+
+
+def test_closure_group_matches_the_checking_constructor():
+    # the builders skip Presentation's checks; they must agree with it, and
+    # every Tietze step must carry the letter counts and the ambient
+    steps = 0
+    for b, wada_type, h, rep in _seeded_closures():
+        images = rep.evaluate(b).images
+        amb = rep.ambient
+        expected = Presentation(amb.gens(), [Word(amb, (-i,)) * images[i] for i in range(1, b.strands + 1)])
+        p = closure_group(b, wada_type, h)
+        assert (p.generators, p.relators, p.ambient) == (expected.generators, expected.relators, expected.ambient)
+        while p is not None:
+            _assert_counts_carried(p)
+            assert all(r.ambient == p.ambient for r in p.relators)
+            p = tietze_step(p)
+            steps += p is not None
+    assert steps > 60
+
+
+def test_closure_relator_is_held_to_the_word_limit(monkeypatch):
+    # x_i^-1 * image is counted before cancellation: at a limit of the
+    # longest image the relator is one letter over, one higher it is built
+    checked = 0
+    for b, wada_type, h, rep in _seeded_closures():
+        monkeypatch.undo()
+        longest = max(len(w) for w in rep.evaluate(b).images.values())
+        monkeypatch.setattr(fg, "LETTER_LIMIT", longest)
+        try:
+            rep.evaluate(b)
+        except WordLengthError:
+            continue  # a substitution in evaluate is already over
+        with pytest.raises(WordLengthError, match=f"^{longest + 1} letters exceeds limit {longest}$"):
+            closure_group(b, wada_type, h)
+        monkeypatch.setattr(fg, "LETTER_LIMIT", longest + 1)
+        closure_group(b, wada_type, h)
+        checked += 1
+    assert checked >= 30
 
 
 def test_wada_group_rejects_types_3_and_4():
