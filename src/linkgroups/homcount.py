@@ -600,12 +600,20 @@ class Fingerprint:
 def fingerprint(p: Presentation, battery=None, cap=None) -> Fingerprint:
     """Abelian invariants plus hom counts over the battery, in battery
     order.  Equal fingerprints are necessary for isomorphism.  The cap is
-    checked for every group before any enumeration."""
+    checked for every group before any enumeration, on every call.
+
+    The fingerprint over the default battery (its own tables, matched by
+    identity) is kept on p and returned again by later calls, once they
+    pass the cap check; the counts do not depend on the cap.  Any other
+    battery is counted afresh."""
     default = default_battery()
     battery = default if battery is None else tuple(battery)
     cap = effective_cap(cap)
     k = _active(p, battery, cap)
-    if p.relators and len(battery) == len(default) and all(g is h for g, h in zip(battery, default)):
+    is_default = len(battery) == len(default) and all(g is h for g, h in zip(battery, default))
+    if is_default and p._fingerprint is not None:
+        return p._fingerprint
+    if p.relators and is_default:
         # one sym3 enumeration: a leaf of weight w stands for w conjugates of
         # a hom with image K, each with 2^(2k - rank) lifts to sym4, and of
         # the lifted homs w fix(K, H) / 6 land in H, for each H containing V
@@ -620,4 +628,7 @@ def fingerprint(p: Presentation, battery=None, cap=None) -> Fingerprint:
         counts = [g.order ** free * (s if i == 0 else s // 6) for i, (g, s) in enumerate(zip(default, sums))]
     else:
         counts = [count_homs(p, g, cap=cap) for g in battery]
-    return Fingerprint(abelian_invariants(p), tuple((g.name, c) for g, c in zip(battery, counts)))
+    fp = Fingerprint(abelian_invariants(p), tuple((g.name, c) for g, c in zip(battery, counts)))
+    if is_default:
+        p._fingerprint = fp
+    return fp

@@ -11,6 +11,11 @@ changes strand count relative to the pre-split word), so the harness
 checks the chain fingerprint just before the exchange, checks the two
 produced forms against each other, and then rebases the expected
 fingerprint on the form it continues from.
+
+A trial checks the same braid several times in a row (a pre-exchange
+check right after an exchange, the end of a chain that ends in one, and
+depth 0); it builds, simplifies and fingerprints each run of equal
+consecutive braids once.
 """
 
 from __future__ import annotations
@@ -153,9 +158,15 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _fingerprint_of(b: BraidWord, wada_type):
-    """The default-battery fingerprint of b's simplified closure group."""
-    return fingerprint(tietze_simplify(closure_group(b, wada_type)).presentation)
+def _fingerprint_of(b: BraidWord, wada_type, last):
+    """The default-battery fingerprint of b's simplified closure group.
+
+    last is the trial's [braid, presentation] of the braid it checked
+    last; an equal braid reuses that presentation and the fingerprint
+    kept on it."""
+    if b != last[0]:
+        last[:] = b, tietze_simplify(closure_group(b, wada_type)).presentation
+    return fingerprint(last[1])
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -170,26 +181,27 @@ def run_trial(index, theory, max_strands, max_length, max_depth, seed, wada_type
     depth = rng.randint(0, max_depth)
     b = normalize(random_braid_from(rng, n, length, theory))
     trace = MoveTrace(theory, b)
+    last = [None, None]
     try:
-        expected = _fingerprint_of(b, wada_type)
+        expected = _fingerprint_of(b, wada_type, last)
         for _ in range(depth):
             move, nxt = random_move(b, rng)
             trace.record(move, nxt)
             if move.kind == "exchange":
-                pre = _fingerprint_of(b, wada_type)
+                pre = _fingerprint_of(b, wada_type, last)
                 if pre != expected:
                     return index, "mismatch", Mismatch(
                         index, "pre-exchange chain", str(expected), str(pre), trace.render()
                     )
-                first = _fingerprint_of(move.partner, wada_type)
-                second = _fingerprint_of(nxt, wada_type)
+                first = _fingerprint_of(move.partner, wada_type, last)
+                second = _fingerprint_of(nxt, wada_type, last)
                 if first != second:
                     return index, "mismatch", Mismatch(
                         index, "exchange pair", str(first), str(second), trace.render()
                     )
                 expected = second
             b = nxt
-        final = _fingerprint_of(b, wada_type)
+        final = _fingerprint_of(b, wada_type, last)
         if final != expected:
             return index, "mismatch", Mismatch(
                 index, "end of chain", str(expected), str(final), trace.render()

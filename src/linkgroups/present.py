@@ -60,9 +60,10 @@ class Presentation:
     reduced and over the ambient by construction, and use _built instead.
     """
 
-    # _counts and _plan (homcount's enumeration plan) are caches, built on
-    # first use and left out of equality and hashing
-    __slots__ = ("generators", "relators", "ambient", "_counts", "_plan")
+    # _counts, _plan (homcount's enumeration plan) and _fingerprint (the
+    # default-battery fingerprint) are caches, built on first use and left
+    # out of equality and hashing
+    __slots__ = ("generators", "relators", "ambient", "_counts", "_plan", "_fingerprint")
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
@@ -83,6 +84,7 @@ class Presentation:
         self.ambient = ambient
         self._counts = None
         self._plan = None
+        self._fingerprint = None
 
     @classmethod
     def _built(cls, generators, relators, ambient, counts) -> "Presentation":
@@ -95,6 +97,7 @@ class Presentation:
         p.ambient = ambient
         p._counts = counts
         p._plan = None
+        p._fingerprint = None
         return p
 
     def _letter_counts(self) -> tuple[Counter, ...]:
@@ -461,6 +464,17 @@ def _string_list(payload: dict, key: str, default) -> list:
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict; json.loads would keep the last
+    of two equal keys."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"structured presentation: repeated key {key!r}")
+        payload[key] = value
+    return payload
+
+
 def parse_presentation(text: str) -> Presentation:
     """Read either the line-oriented text form or the structured JSON form."""
     text = text.strip()
@@ -468,7 +482,7 @@ def parse_presentation(text: str) -> Presentation:
         raise ValueError("empty presentation input")
     if text.startswith("{"):
         try:
-            payload = json.loads(text)
+            payload = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("structured presentation: nested too deeply") from None
         unknown = sorted(set(payload) - {"generators", "relators"})

@@ -226,6 +226,17 @@ def test_structured_input_rejects_unknown_keys(capsys, monkeypatch, payload):
     assert one_line_error(*result) and "unknown key" in result[2]
 
 
+@pytest.mark.parametrize("payload, key", [
+    ('{"generators": ["x1"], "relators": ["x1 x1"], "relators": []}', "relators"),
+    ('{"generators": ["x1"], "generators": ["x1", "x2"], "relators": ["x1 x1"]}', "generators"),
+])
+def test_structured_input_rejects_repeated_keys(capsys, monkeypatch, payload, key):
+    # JSON keeps the last of two equal keys, so the first would be dropped
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    result = invoke(capsys, "abelianize")
+    assert one_line_error(*result) and f"repeated key {key!r}" in result[2]
+
+
 def test_deeply_nested_structured_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"generators": ' + "[" * 100000 + "]" * 100000 + "}"))
     result = invoke(capsys, "homcount", "--group", "sym3")

@@ -271,6 +271,7 @@ def test_plan_is_outside_equality_and_hashing():
     before = hash(p)
     fingerprint(p)
     assert p._plan is not None and q._plan is None
+    assert p._fingerprint is not None and q._fingerprint is None
     assert p == q and hash(p) == hash(q) == before
 
 
@@ -598,6 +599,35 @@ def test_fingerprint_routes_by_table_identity():
         fp = fingerprint(p, battery)
         assert fp.counts == tuple((g.name, count_homs(p, g)) for g in battery)
     assert count_homs(p, c24_named_sym4) != count_homs(p, sym4)
+
+
+def test_default_fingerprint_is_kept_on_the_presentation():
+    p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
+    fp = fingerprint(p)
+    assert p._fingerprint is fp and fingerprint(p) is fp
+    free = P((1, YID), [])  # counted by count_homs, kept all the same
+    assert fingerprint(free) is fingerprint(free)
+    # equal tables that are not the battery's own, a shorter battery and
+    # count_homs are counted afresh, even past a wrong kept value
+    copies = tuple(make_table(g.name, g.table) for g in default_battery())
+    fresh = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
+    assert fingerprint(fresh, copies) == fp and fresh._fingerprint is None
+    sym3 = default_battery()[0]
+    p._fingerprint = Fingerprint(fp.abelian, tuple((name, -1) for name, _ in fp.counts))
+    assert fingerprint(p, copies) == fp
+    assert fingerprint(p, (sym3,)).counts == fp.counts[:1]
+    assert count_homs(p, sym3) == dict(fp.counts)["sym3"]
+    assert fingerprint(p).counts[0] == ("sym3", -1)
+
+
+def test_kept_fingerprint_still_checks_the_cap():
+    trial_417 = parse_presentation(TRIAL_417)
+    fp = fingerprint(trial_417, cap=10 ** 9)
+    for _ in range(2):
+        with pytest.raises(CapExceeded) as exc:
+            fingerprint(trial_417)
+        assert str(exc.value) == "24^6 assignments exceed the cap 100000000"
+    assert fingerprint(trial_417, cap=10 ** 9) is fp
 
 
 def test_fingerprint_structure():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import linkgroups.freegroup as fg
+import linkgroups.markov as markov
 from linkgroups.braid import (
     MAX_STRANDS,
     conjugate,
@@ -18,7 +19,7 @@ from linkgroups.braid import (
 from linkgroups.examples import VIRTUAL_TREFOIL
 from linkgroups.homcount import fingerprint
 from linkgroups.markov import Move, fuzz, random_move, run_trial
-from linkgroups.present import group_of_virtual_link, tietze_simplify
+from linkgroups.present import Presentation, group_of_virtual_link, tietze_simplify
 
 
 def test_move_examples():
@@ -91,6 +92,51 @@ def test_fuzz_campaigns_small():
     assert fuzz("welded", 40, 4, 8, 5, seed=2).ok
     assert fuzz("welded", 20, 4, 8, 5, seed=2, wada_type=1).ok
     assert fuzz("welded", 20, 4, 8, 5, seed=2, wada_type=2).ok
+
+
+# the reports of 40-trial campaigns on 4 strands, length 10, seed 6
+CAMPAIGN_REPORTS = {
+    ("virtual", None, 6): "theory=virtual trials=40 seed=6 mismatches=0 skipped=1\n"
+                          "skipped trial 21: CapExceeded: 24^6 assignments exceed the cap 100000000",
+    ("welded", None, 6): "theory=welded trials=40 seed=6 mismatches=0 skipped=0",
+    ("welded", 1, 6): "theory=welded wada=1 trials=40 seed=6 mismatches=0 skipped=0",
+    ("welded", 2, 6): "theory=welded wada=2 trials=40 seed=6 mismatches=0 skipped=0",
+    ("virtual", None, 0): "theory=virtual trials=40 seed=6 mismatches=0 skipped=0",
+    ("welded", None, 0): "theory=welded trials=40 seed=6 mismatches=0 skipped=0",
+    ("welded", 1, 0): "theory=welded wada=1 trials=40 seed=6 mismatches=0 skipped=0",
+    ("welded", 2, 0): "theory=welded wada=2 trials=40 seed=6 mismatches=0 skipped=0",
+}
+
+
+def test_trial_builds_each_run_of_equal_braids_once(monkeypatch):
+    built, checked, trials = [], [], [0]
+    closure_group, trial = markov.closure_group, markov.run_trial
+
+    def counting_trial(*args):
+        trials[0] += 1
+        return trial(*args)
+
+    def counting_closure(b, wada_type=None):
+        built.append((trials[0], b))
+        return closure_group(b, wada_type)
+
+    def checked_fingerprint(p):
+        fp = fingerprint(p)
+        checked.append((p, fp))
+        return fp
+
+    monkeypatch.setattr(markov, "run_trial", counting_trial)
+    monkeypatch.setattr(markov, "closure_group", counting_closure)
+    monkeypatch.setattr(markov, "fingerprint", checked_fingerprint)
+    for (theory, wada_type, depth), report in CAMPAIGN_REPORTS.items():
+        built.clear()
+        checked.clear()
+        assert fuzz(theory, 40, 4, 10, depth, seed=6, wada_type=wada_type).render() == report
+        # within a trial, no two consecutive builds are of equal braids
+        assert all(a != b for a, b in zip(built, built[1:]))
+        assert len(checked) > len(built)
+        for p, fp in checked:
+            assert fp == fingerprint(Presentation(p.generators, p.relators))
 
 
 def test_fuzz_argument_validation(monkeypatch):
