@@ -105,6 +105,14 @@ def _substitute(images: dict, letters: tuple[int, ...]) -> tuple[int, ...]:
     return pieces[0] if len(pieces) == 1 else _join(pieces)
 
 
+def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclically reduced core of a reduced letter tuple."""
+    k = 0
+    while len(letters) - 2 * k >= 2 and letters[k] == -letters[-1 - k]:
+        k += 1
+    return letters[k : len(letters) - k]
+
+
 class Word:
     """A freely reduced word over an ambient generator set.
 
@@ -178,12 +186,9 @@ class Word:
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Split self = conjugator^-1 * core * conjugator with core
         cyclically reduced.  The core is empty iff the word is trivial."""
-        ls = self.letters
-        i, j = 0, len(ls)
-        while j - i >= 2 and ls[i] == -ls[j - 1]:
-            i += 1
-            j -= 1
-        return Word._reduced(self.ambient, ls[i:j]), Word._reduced(self.ambient, ls[j:])
+        core = _cyclic_core(self.letters)
+        conjugator = self.letters[(len(self) + len(core)) // 2 :]
+        return Word._reduced(self.ambient, core), Word._reduced(self.ambient, conjugator)
 
     def without_y(self) -> "Word":
         """Erase every y letter, giving a word over the ambient without y.

@@ -5,6 +5,9 @@ Virtual braids admit four move kinds (relation rewrite, conjugation,
 stabilization, exchange); welded braids the first three.  Each trial
 draws a random braid, fingerprints it, applies a chain of random moves,
 and fingerprints again; any mismatch is reported with a replayable trace.
+A relation rewrite picks among the first sites of the relation sides in
+the word, found in one pass that looks each pair of adjacent letters up
+in the sides' index, built once per (theory, strands).
 
 An exchange move relates the two words it *produces* (the closure even
 changes strand count relative to the pre-split word), so the harness
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .braid import (
@@ -71,19 +75,28 @@ class MoveTrace:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
+def _site_index(theory: str, strands: int) -> dict:
+    """Each nonempty side of each relation as (catalogue place, relation,
+    letters), filed under its first two letters."""
+    index = {}
+    sides = [(rel, s.letters) for rel in defining_relations(theory, strands) for s in (rel.left, rel.right)]
+    for place, (rel, side) in enumerate(sides):
+        if side:  # inserting an involution square is a no-op after normalization
+            index.setdefault(side[:2], []).append((place, rel, side))
+    return index
+
+
 def _relation_sites(b: BraidWord):
-    sites = []
-    for rel in defining_relations(b.theory, b.strands):
-        for use_left in (True, False):
-            pattern = rel.left if use_left else rel.right
-            k = len(pattern.letters)
-            if k == 0:
-                continue  # inserting an involution square is a no-op after normalization
-            for at in range(len(b.letters) - k + 1):
-                if b.letters[at : at + k] == pattern.letters:
-                    sites.append((rel, at))
-                    break  # one site per (relation, side) keeps the menu small
-    return sites
+    """(relation, index) of the first site in b of each side of each
+    defining relation, in catalogue order; one site per side keeps the
+    menu small."""
+    index, ls, found = _site_index(b.theory, b.strands), b.letters, {}
+    for at, pair in enumerate(zip(ls, ls[1:])):
+        for place, rel, side in index.get(pair, ()):
+            if place not in found and ls[at : at + len(side)] == side:
+                found[place] = (rel, at)
+    return [found[place] for place in sorted(found)]
 
 
 def random_move(b: BraidWord, rng: random.Random) -> tuple[Move, BraidWord]:
@@ -237,8 +250,10 @@ def fuzz(
         raise ValueError(f"strands + depth {strands + depth} exceeds the ceiling {MAX_STRANDS}")
     if length > freegroup.LETTER_LIMIT:
         raise ValueError(f"length {length} exceeds the word-length limit {freegroup.LETTER_LIMIT}")
-    results = [run_trial(i, theory, strands, length, depth, seed, wada_type) for i in range(trials)]
-    mismatches = tuple(payload for _, status, payload in results if status == "mismatch")
-    skipped = tuple((i, payload) for i, status, payload in results if status == "skipped")
-    return FuzzReport(theory, trials, seed, wada_type, mismatches, skipped)
+    found = {"mismatch": [], "skipped": []}  # a passing trial leaves nothing behind
+    for i in range(trials):
+        _, status, payload = run_trial(i, theory, strands, length, depth, seed, wada_type)
+        if status in found:
+            found[status].append(payload if status == "mismatch" else (i, payload))
+    return FuzzReport(theory, trials, seed, wada_type, tuple(found["mismatch"]), tuple(found["skipped"]))
 

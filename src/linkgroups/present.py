@@ -20,7 +20,9 @@ from .freegroup import (
     Word,
     YID,
     _check_size,
+    _cyclic_core,
     _inverse,
+    _join,
     format_word,
     gen_name,
     parse_gen,
@@ -56,8 +58,9 @@ class Presentation:
     Trivial relators are dropped at construction; every relator letter
     must name a listed generator.  The constructor checks and cyclically
     reduces every relator it is given, as for parsed input and quotient_y.
-    The closure builders and tietze_step make relators that are cyclically
-    reduced and over the ambient by construction, and use _built instead.
+    The closure builders and the Tietze routine, which wraps only the
+    presentation it returns, make relators that are cyclically reduced and
+    over the ambient by construction, and use _built instead.
     """
 
     # _counts, _plan (homcount's enumeration plan) and _fingerprint (the
@@ -105,7 +108,7 @@ class Presentation:
         -g) occurs in each relator, counted once and carried through
         Tietze steps."""
         if self._counts is None:
-            self._counts = tuple(_letter_count(r) for r in self.relators)
+            self._counts = tuple(Counter(r.letters) for r in self.relators)
         return self._counts
 
     def total_letters(self) -> int:
@@ -138,9 +141,9 @@ def _relators_from(rep: reps.Representation, b: BraidWord) -> Presentation:
         _check_size(1 + len(image))
         # x_i^-1 cancels only against a leading x_i of the reduced image
         letters = image[1:] if image[:1] == (i,) else (-i,) + image
-        core = Word._reduced(amb, letters).cyclic_reduce()[0]
+        core = _cyclic_core(letters)
         if core:
-            relators.append(core)
+            relators.append(Word._reduced(amb, core))
     return Presentation._built(amb.gens(), tuple(relators), amb, None)
 
 
@@ -207,73 +210,11 @@ def quotient_y(p: Presentation) -> Presentation:
 # Tietze simplification
 
 
-def _gen_sort_key(gid: int):
-    # x generators by index, y always last
-    return (1, 0) if gid == YID else (0, gid)
-
-
-def _letter_count(r: Word) -> Counter:
-    return Counter(r.letters)
-
-
-def tietze_step(p: Presentation) -> Optional[Presentation]:
-    """One elimination: find the shortest relator containing a generator
-    that occurs in it exactly once (lowest generator index breaking ties),
-    solve for that generator, substitute everywhere, and drop both.
-
-    Returns None at a fixpoint.  Relators without the generator are kept
-    as they are, letter counts included; the others are joined from the
-    slices between its occurrences and the solution or its inverse.
-    """
-    counts = p._letter_counts()
-    best = None
-    for ri, (r, count) in enumerate(zip(p.relators, counts)):
-        for v, c in count.items():
-            if c == 1 and -v not in count:
-                key = (len(r), _gen_sort_key(abs(v)), ri)
-                if best is None or key < best[0]:
-                    best = (key, abs(v))
-    if best is None:
-        return None
-    (_, _, ri), gid = best
-    rel = p.relators[ri].letters
-    letter = gid if counts[ri][gid] else -gid
-    pos = rel.index(letter)
-    # rel = u letter v is cyclically reduced, so the slices v u make a
-    # reduced word, and letter = (v u)^-1
-    vu = rel[pos + 1 :] + rel[:pos]
-    pieces_of = {letter: _inverse(vu), -letter: vu}
-
-    gens = tuple(g for g in p.generators if g != gid)
-    ambient = _ambient_for(gens)
-    relators, new_counts = [], []
-    for k, (r, count) in enumerate(zip(p.relators, counts)):
-        if k == ri:
-            continue
-        n = count[gid] + count[-gid]
-        if n == 0:
-            if ambient != p.ambient:
-                r = Word._reduced(ambient, r.letters)
-            relators.append(r)
-            new_counts.append(count)
-            continue
-        ls = r.letters
-        at = []
-        for v in (gid, -gid):
-            j = -1
-            for _ in range(count[v]):
-                j = ls.index(v, j + 1)
-                at.append(j)
-        at.sort()
-        pieces = []
-        for a, j in zip([-1] + at, at):
-            pieces += (ls[a + 1 : j], pieces_of[ls[j]])
-        pieces.append(ls[at[-1] + 1 :])
-        core = Word._joined(ambient, pieces, len(ls) + n * (len(vu) - 1)).cyclic_reduce()[0]
-        if core:
-            relators.append(core)
-            new_counts.append(_letter_count(core))
-    return Presentation._built(gens, tuple(relators), ambient, tuple(new_counts))
+def _elimination_key(r: tuple[int, ...], count: Counter):
+    """(len(r), (is y, id)) for the first generator (x by index, y last)
+    that occurs in r exactly once; None if no generator does."""
+    once = [(abs(v) == YID, abs(v)) for v, c in count.items() if c == 1 and -v not in count]
+    return (len(r), min(once)) if once else None
 
 
 @dataclass(frozen=True)
@@ -283,25 +224,84 @@ class TietzeResult:
     steps: int
 
 
+def _eliminate(p: Presentation, budget, max_steps) -> TietzeResult:
+    """Up to max_steps eliminations (see tietze_simplify), each solving the
+    shortest relator in which a generator occurs once (lowest generator,
+    then first relator) for it, substituting everywhere and dropping
+    both.  Relators are carried as letter tuples with their letter counts
+    and elimination keys, and the letter total as a running sum; only the
+    presentation returned is built."""
+    start = gens, rels, counts = p.generators, tuple(r.letters for r in p.relators), p._letter_counts()
+    keys = [_elimination_key(r, c) for r, c in zip(rels, counts)]
+    best_total = total = sum(map(len, rels))
+    best, steps, exhausted = start, 0, False
+    while not exhausted and steps < max_steps:
+        pick = min(filter(None, keys), default=None)
+        if pick is None:
+            break
+        ri, gid = keys.index(pick), pick[1][1]
+        rel = rels[ri]
+        letter = gid if counts[ri][gid] else -gid
+        pos = rel.index(letter)
+        # rel = u letter v is cyclically reduced, so the slices v u make a
+        # reduced word, and letter = (v u)^-1
+        vu = rel[pos + 1 :] + rel[:pos]
+        pieces_of = {letter: _inverse(vu), -letter: vu}
+        total -= len(rel)
+        kept = []
+        for k, (ls, count, key) in enumerate(zip(rels, counts, keys)):
+            n = count[gid] + count[-gid]
+            if n:
+                if k == ri:
+                    continue
+                at = []
+                for v in (gid, -gid):
+                    j = -1
+                    for _ in range(count[v]):
+                        j = ls.index(v, j + 1)
+                        at.append(j)
+                at.sort()
+                pieces = []
+                for a, j in zip([-1] + at, at):
+                    pieces += (ls[a + 1 : j], pieces_of[ls[j]])
+                pieces.append(ls[at[-1] + 1 :])
+                _check_size(len(ls) + n * (len(vu) - 1))
+                total -= len(ls)
+                ls = _cyclic_core(_join(pieces))
+                total += len(ls)
+                if not ls:
+                    continue
+                count = Counter(ls)
+                key = _elimination_key(ls, count)
+            kept.append((ls, count, key))
+        gens = tuple(g for g in gens if g != gid)
+        rels, counts, keys = zip(*kept) if kept else ((), (), ())
+        steps += 1
+        if total <= best_total:
+            best, best_total = (gens, rels, counts), total
+        exhausted = total > budget
+    state = best if exhausted else (gens, rels, counts) if steps else start
+    if state is not start:
+        gens, rels, counts = state
+        ambient = _ambient_for(gens)
+        p = Presentation._built(gens, tuple(Word._reduced(ambient, r) for r in rels), ambient, counts)
+    return TietzeResult(p, exhausted, steps)
+
+
+def tietze_step(p: Presentation) -> Optional[Presentation]:
+    """One elimination step of tietze_simplify; None at a fixpoint."""
+    res = _eliminate(p, float("inf"), 1)
+    return res.presentation if res.steps else None
+
+
 def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResult:
     """Eliminate until no generator occurs exactly once in any relator, or
     until the total relator letter count exceeds the budget (in which case
-    the smallest presentation seen so far is returned, flagged)."""
+    the smallest presentation seen so far, the last of equals, is
+    returned, flagged)."""
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    best = p
-    steps = 0
-    current = p
-    while True:
-        nxt = tietze_step(current)
-        if nxt is None:
-            return TietzeResult(current, False, steps)
-        steps += 1
-        current = nxt
-        if current.total_letters() <= best.total_letters():
-            best = current
-        if current.total_letters() > budget:
-            return TietzeResult(best, True, steps)
+    return _eliminate(p, budget, float("inf"))
 
 
 def free_rank_certificate(p: Presentation, budget: int = TIETZE_BUDGET) -> Optional[int]:

@@ -1,6 +1,7 @@
 """The move harness: legal moves, determinism, invariance campaigns."""
 
 import random
+import weakref
 
 import pytest
 
@@ -8,9 +9,12 @@ import linkgroups.freegroup as fg
 import linkgroups.markov as markov
 from linkgroups.braid import (
     MAX_STRANDS,
+    BraidWord,
     conjugate,
+    defining_relations,
     normalize,
     parse,
+    random_braid_from,
     rho,
     serialize,
     stabilize,
@@ -18,7 +22,7 @@ from linkgroups.braid import (
 )
 from linkgroups.examples import VIRTUAL_TREFOIL
 from linkgroups.homcount import fingerprint
-from linkgroups.markov import Move, fuzz, random_move, run_trial
+from linkgroups.markov import Mismatch, Move, fuzz, random_move, run_trial
 from linkgroups.present import Presentation, group_of_virtual_link, tietze_simplify
 
 
@@ -62,6 +66,46 @@ def test_random_move_welded_menu_has_no_exchange():
     kinds = {random_move(b, rng)[0].kind for _ in range(200)}
     assert "exchange" not in kinds
     assert kinds == {"relation", "conjugate", "stabilize"}
+
+
+def _scanned_sites(b):
+    # the brute-force scan: slide each nonempty side of each defining
+    # relation along the whole word and keep its first site
+    sites = []
+    for rel in defining_relations(b.theory, b.strands):
+        for side in (rel.left.letters, rel.right.letters):
+            hits = [at for at in range(len(b) - len(side) + 1) if b.letters[at : at + len(side)] == side]
+            if side and hits:
+                sites.append((rel, hits[0]))
+    return sites
+
+
+def test_relation_sites_match_a_brute_force_scan():
+    rng = random.Random(31)
+    ends = set()
+    for _ in range(3000):
+        theory = rng.choice(["virtual", "welded"])
+        n = rng.randint(2, 10)
+        letters = list(random_braid_from(rng, n, rng.randint(0, 10), theory).letters)
+        # splice a relation side in at the start, the end or anywhere; a
+        # spliced involution square stays only in a word left unnormalized
+        spliced = rng.choice(defining_relations(theory, n))
+        side = rng.choice((spliced.left.letters, spliced.right.letters))
+        at = rng.choice([0, len(letters), rng.randint(0, len(letters))])
+        letters[at:at] = side
+        b = BraidWord(n, theory, letters)
+        if rng.random() < 0.5:
+            b = normalize(b)
+        sites = markov._relation_sites(b)
+        assert sites == _scanned_sites(b)
+        for rel, at in sites:
+            if at == 0:
+                ends.add("first")
+            if b.letters[at:] in (rel.left.letters, rel.right.letters):
+                ends.add("last")
+            if rel.left.letters[0] == rel.left.letters[1] and b.letters[at : at + 2] == rel.left.letters:
+                ends.add("unnormalized square")
+    assert ends == {"first", "last", "unnormalized square"}
 
 
 def test_relation_moves_preserve_closure_group():
@@ -137,6 +181,30 @@ def test_trial_builds_each_run_of_equal_braids_once(monkeypatch):
         assert len(checked) > len(built)
         for p, fp in checked:
             assert fp == fingerprint(Presentation(p.generators, p.relators))
+
+
+def test_fuzz_keeps_only_mismatches_and_skips(monkeypatch):
+    class Passed:
+        pass
+
+    passed = []
+    mismatch = Mismatch(3, "end of chain", "a", "b", "trace")
+
+    def fake_trial(i, *args):
+        # the result of every earlier passing trial has been let go
+        assert all(ref() is None for ref in passed[:-1])
+        if i == 3:
+            return i, "mismatch", mismatch
+        if i == 7:
+            return i, "skipped", "CapExceeded: too many"
+        result = Passed()
+        passed.append(weakref.ref(result))
+        return i, "ok", result
+
+    monkeypatch.setattr(markov, "run_trial", fake_trial)
+    report = fuzz("welded", 50, 4, 10, 6, seed=1)
+    assert report.mismatches == (mismatch,) and report.skipped == ((7, "CapExceeded: too many"),)
+    assert len(passed) == 48
 
 
 def test_fuzz_argument_validation(monkeypatch):

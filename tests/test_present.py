@@ -339,36 +339,81 @@ def test_tietze_steps_preserve_fingerprint():
             current = nxt
 
 
-def test_tietze_matches_the_rebuild_everything_oracle():
+def _oracle_cases():
     # random generator orders and sparse ids, so eliminating the highest x
     # or y shrinks the ambient; small budgets make some runs exhaust
     rng = random.Random(83)
-    exhausted = 0
     for _ in range(200):
         gens = tuple(rng.sample([1, 2, 3, 4, 5, 6, YID], rng.randint(1, 6)))
         amb = Ambient(max((g for g in gens if g != YID), default=0), YID in gens)
         pool = [v for g in gens for v in (g, -g)]
         raw = [[rng.choice(pool) for _ in range(rng.randint(0, 12))] for _ in range(rng.randint(0, 6))]
         budget = rng.choice([0, 10, 40, TIETZE_BUDGET])
-        res = tietze_simplify(Presentation(gens, [Word(amb, r) for r in raw]), budget)
+        yield gens, raw, Presentation(gens, [Word(amb, r) for r in raw]), budget
+
+
+def test_tietze_matches_the_rebuild_everything_oracle():
+    exhausted = 0
+    for gens, raw, p, budget in _oracle_cases():
+        res = tietze_simplify(p, budget)
         got = (res.presentation.generators, [r.letters for r in res.presentation.relators])
         assert got + (res.exhausted, res.steps) == naive_tietze(gens, raw, budget, YID)
         exhausted += res.exhausted
     assert 20 <= exhausted <= 180
 
 
-def test_tietze_steps_carry_signed_letter_counts_on_long_braids():
-    # perfbench/workloads.py draws the benchmark's invariants-long braids
+def _invariants_long_groups():
+    # perfbench/workloads.py draws the benchmark's invariants-long braids;
+    # it is loaded read-only, by path
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     wl = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wl)
     builders = {"classical": group_of_classical_link, "virtual": group_of_virtual_link,
                 "welded": group_of_welded_link}
-    steps = 0
     for seed in range(1, 41):
         theory, strands, letters = wl.invariant_braid(seed)
-        p = builders[theory](BraidWord(strands, theory, [BraidLetter(*l) for l in letters]))
+        yield builders[theory](BraidWord(strands, theory, [BraidLetter(*l) for l in letters]))
+
+
+def _stepped(p, budget):
+    # tietze_simplify's stopping and best-seen rule, over tietze_step
+    best = current = p
+    steps = 0
+    while (nxt := tietze_step(current)) is not None:
+        steps += 1
+        current = nxt
+        if current.total_letters() <= best.total_letters():
+            best = current
+        if current.total_letters() > budget:
+            return best, True, steps
+    return current, False, steps
+
+
+def test_tietze_simplify_iterates_tietze_step():
+    # tietze_simplify carries relator letters, counts, elimination keys and
+    # the letter total through its steps; tietze_step starts each step afresh
+    cases = [p for _, _, p, _ in _oracle_cases()] + list(_invariants_long_groups())
+    exhausted = steps = 0
+    for p in cases:
+        for budget in (0, 10, 40, TIETZE_BUDGET):
+            res = tietze_simplify(p, budget)
+            q, q_exhausted, q_steps = _stepped(p, budget)
+            got = res.presentation
+            assert (got.generators, got.relators, got.ambient) == (q.generators, q.relators, q.ambient)
+            nx = max((g for g in got.generators if g != YID), default=0)
+            assert got.ambient == Ambient(nx, YID in got.generators)
+            assert (res.exhausted, res.steps) == (q_exhausted, q_steps)
+            if got is not p:
+                assert got._counts == tuple(Counter(r.letters) for r in got.relators)
+            exhausted += res.exhausted
+            steps += res.steps
+    assert exhausted > 200 and steps > 1000
+
+
+def test_tietze_steps_carry_signed_letter_counts_on_long_braids():
+    steps = 0
+    for p in _invariants_long_groups():
         _assert_counts_carried(p)
         while p.total_letters() <= TIETZE_BUDGET:
             p = tietze_step(p)
