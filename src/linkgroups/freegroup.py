@@ -205,13 +205,13 @@ def exponent_sums(w: Word, gens) -> list[int]:
     return [counts[g] - counts[-g] for g in gens]
 
 
-_GEN = re.compile(r"x([1-9][0-9]*)|y")
+_GEN = re.compile(r"x([1-9][0-9]{0,9})|y")  # YID = 2^30 has 10 digits
 
 
 def parse_gen(name: str) -> int:
-    """The id of a generator name: y, or x<k> (k >= 1, ASCII digits, no leading 0)."""
+    """The id of a generator name: y, or x<k> (1 <= k < YID, ASCII digits, no leading 0)."""
     m = _GEN.fullmatch(name)
-    if m is None:
+    if m is None or m.group(1) and int(m.group(1)) >= YID:
         raise ValueError(f"bad generator name {name!r}")
     return int(m.group(1)) if m.group(1) else YID
 

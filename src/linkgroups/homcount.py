@@ -59,11 +59,11 @@ and L = w 2^(2k - rank) lifts to sym4's.  For H = dihedral4 or alt4,
 which is V x| (H meet sym3), the lifts of phi land in H exactly when
 its image lies in H meet sym3.  That holds for w fix(K, H) / 6 of the
 conjugates, where fix(K, H) counts the x in sym3 with x K x^-1 inside
-H, so H gets L fix(K, H) / 6, and the division is exact.  Only a
-battery of the default battery's own tables is counted this way; any
-other battery, and count_homs, count one group at a time.  Either way
-the cap is checked for every battery group, in battery order, before
-any plan is built.
+H, so H gets L fix(K, H) / 6, and the division is exact.  count_homs
+counts the default battery's own tables (matched by identity) this way,
+from one enumeration kept on the presentation, and enumerates any other
+non-abelian table.  fingerprint checks the cap for every battery group,
+in battery order, before any plan is built, then calls count_homs.
 """
 
 from __future__ import annotations
@@ -564,12 +564,33 @@ def _count_abelian(p: Presentation, g: FiniteGroupTable) -> int:
     return count
 
 
+def _lifted(p: Presentation, k):
+    """The default battery's counts, kept on p: a sym3 leaf of weight w is
+    w conjugates of a hom with image K, each with 2^(2k - rank) lifts to
+    sym4, and w fix(K, H) / 6 of them land in H, for each H containing V."""
+    if p._lifted is None:
+        battery = default_battery()
+        fixes = _lift_tables()[3]
+        sums = [0] * len(battery)
+        for (mask, rank), w in _leaves(p, k, battery[0], lift=True).items():
+            lifts = w << 2 * k - rank
+            sums[0] += w
+            for i, fixed in enumerate(fixes[mask], 1):
+                sums[i] += lifts * fixed
+        free = len(p.generators) - k
+        p._lifted = tuple(g.order ** free * (s if i == 0 else s // 6) for i, (g, s) in enumerate(zip(battery, sums)))
+    return p._lifted
+
+
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     """The exact number of homomorphisms from the presented group to g."""
     cap = effective_cap(cap)
     if not p.relators:
         return g.order ** len(p.generators)
     k = _active(p, (g,), cap)
+    for i, h in enumerate(default_battery()):
+        if g is h:
+            return _lifted(p, k)[i]
     if _is_abelian(g):
         return _count_abelian(p, g)
     return g.order ** (len(p.generators) - k) * _leaves(p, k, g)[1, 0]
@@ -600,35 +621,9 @@ class Fingerprint:
 def fingerprint(p: Presentation, battery=None, cap=None) -> Fingerprint:
     """Abelian invariants plus hom counts over the battery, in battery
     order.  Equal fingerprints are necessary for isomorphism.  The cap is
-    checked for every group before any enumeration, on every call.
-
-    The fingerprint over the default battery (its own tables, matched by
-    identity) is kept on p and returned again by later calls, once they
-    pass the cap check; the counts do not depend on the cap.  Any other
-    battery is counted afresh."""
-    default = default_battery()
-    battery = default if battery is None else tuple(battery)
+    checked for every group before any group is counted, on every call."""
+    battery = default_battery() if battery is None else tuple(battery)
     cap = effective_cap(cap)
-    k = _active(p, battery, cap)
-    is_default = len(battery) == len(default) and all(g is h for g, h in zip(battery, default))
-    if is_default and p._fingerprint is not None:
-        return p._fingerprint
-    if p.relators and is_default:
-        # one sym3 enumeration: a leaf of weight w stands for w conjugates of
-        # a hom with image K, each with 2^(2k - rank) lifts to sym4, and of
-        # the lifted homs w fix(K, H) / 6 land in H, for each H containing V
-        fixes = _lift_tables()[3]
-        sums = [0] * len(default)
-        for (mask, rank), w in _leaves(p, k, default[0], lift=True).items():
-            lifts = w << 2 * k - rank
-            sums[0] += w
-            for i, fixed in enumerate(fixes[mask], 1):
-                sums[i] += lifts * fixed
-        free = len(p.generators) - k
-        counts = [g.order ** free * (s if i == 0 else s // 6) for i, (g, s) in enumerate(zip(default, sums))]
-    else:
-        counts = [count_homs(p, g, cap=cap) for g in battery]
-    fp = Fingerprint(abelian_invariants(p), tuple((g.name, c) for g, c in zip(battery, counts)))
-    if is_default:
-        p._fingerprint = fp
-    return fp
+    _active(p, battery, cap)
+    counts = tuple((g.name, count_homs(p, g, cap=cap)) for g in battery)
+    return Fingerprint(abelian_invariants(p), counts)

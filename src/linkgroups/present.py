@@ -63,10 +63,10 @@ class Presentation:
     over the ambient by construction, and use _built instead.
     """
 
-    # _counts, _plan (homcount's enumeration plan) and _fingerprint (the
-    # default-battery fingerprint) are caches, built on first use and left
-    # out of equality and hashing
-    __slots__ = ("generators", "relators", "ambient", "_counts", "_plan", "_fingerprint")
+    # _counts, _plan (homcount's enumeration plan) and _lifted (homcount's
+    # counts into the default battery, from the sym3 lift) are caches, built
+    # on first use and left out of equality and hashing
+    __slots__ = ("generators", "relators", "ambient", "_counts", "_plan", "_lifted")
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
@@ -87,7 +87,7 @@ class Presentation:
         self.ambient = ambient
         self._counts = None
         self._plan = None
-        self._fingerprint = None
+        self._lifted = None
 
     @classmethod
     def _built(cls, generators, relators, ambient, counts) -> "Presentation":
@@ -100,7 +100,7 @@ class Presentation:
         p.ambient = ambient
         p._counts = counts
         p._plan = None
-        p._fingerprint = None
+        p._lifted = None
         return p
 
     def _letter_counts(self) -> tuple[Counter, ...]:
@@ -512,12 +512,14 @@ def parse_presentation(text: str) -> Presentation:
 
 def _parsed_presentation(gens: tuple[int, ...], relator_texts) -> Presentation:
     """Every generator a relator names, even one that cancels, must be
-    listed in gens."""
-    ambient = _ambient_for(gens)
+    listed in gens; each letter is checked once, here, against gens."""
+    ambient = Presentation(gens).ambient  # rejects repeated generators
     signed = _signed(gens)
     relators = []
     for text in relator_texts:
         letters = parse_letters(text)
         _check_generators(letters, signed)
-        relators.append(Word(ambient, letters))
-    return Presentation(gens, relators)
+        core = Word._joined(ambient, zip(letters), len(letters)).cyclic_reduce()[0]
+        if core:
+            relators.append(core)
+    return Presentation._built(gens, tuple(relators), ambient, None)

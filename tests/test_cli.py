@@ -253,6 +253,15 @@ def test_generator_names_are_ascii(capsys, monkeypatch, payload):
     assert one_line_error(*result) and "bad generator name" in result[2]
 
 
+@pytest.mark.parametrize("payload", ["gens: x1073741824\nrel: x1073741824 x1073741824\n", "gens: x1073741824 y\n"])
+def test_generator_index_of_y_is_an_error(capsys, monkeypatch, payload):
+    # 1073741824 = 2^30 is y's id; x1073741824 is neither y nor a duplicate of it
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    result = invoke(capsys, "simplify")
+    assert one_line_error(*result)
+    assert result[2] == "error: bad generator name 'x1073741824'\n"
+
+
 @pytest.mark.parametrize(
     "payload, name",
     [

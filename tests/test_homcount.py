@@ -41,6 +41,12 @@ def P(gens, relator_letter_tuples):
     return Presentation(tuple(gens), [Word(amb, t) for t in relator_letter_tuples])
 
 
+# equal copies of the default battery's tables: count_homs matches the
+# battery by identity, so it enumerates these, and they are the reference
+# that the counts from the sym3 lift are checked against
+COPIES = tuple(make_table(g.name, g.table) for g in default_battery())
+
+
 def test_builtin_orders():
     assert builtin_group("c1").order == 1
     assert builtin_group("c5").order == 5
@@ -69,7 +75,7 @@ def test_class_and_centraliser_orbit_weights():
     sizes = {"sym3": [1, 2, 3], "dihedral4": [1, 1, 2, 2, 2], "alt4": [1, 3, 4, 4],
              "sym4": [1, 3, 6, 6, 8]}
     trial_417 = parse_presentation(TRIAL_417)
-    for g in default_battery():
+    for g in default_battery() + COPIES:
         mul = g.table
         classes, centralisers = g._orbits(0)  # S_0 = G acts on itself by conjugation
         assert sorted(classes.values()) == sizes[g.name]
@@ -132,7 +138,7 @@ def test_count_matches_brute_force_randomized():
         p = P(gens, amb_rels)
         # brute force over the presentation's own (reduced) relators
         expected = brute_count_homs(p.generators, [r.letters for r in p.relators], g6)
-        assert count_homs(p, g6) == expected
+        assert count_homs(p, g6) == count_homs(p, COPIES[0]) == expected
 
 
 @st.composite
@@ -147,7 +153,7 @@ def small_presentations(draw):
 @given(small_presentations())
 def test_weighted_count_matches_brute_force_in_the_battery(p):
     # alt4 and sym4 have classes and centraliser orbits of several sizes
-    for g in default_battery():
+    for g in default_battery() + COPIES:
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
 
 
@@ -170,7 +176,7 @@ def solvable_presentations(draw):
 @settings(max_examples=60, deadline=None)
 @given(solvable_presentations())
 def test_solved_count_matches_brute_force_in_the_battery(p):
-    for g in default_battery():
+    for g in default_battery() + COPIES:
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
 
 
@@ -212,12 +218,14 @@ def test_nested_pieces_match_brute_force(spec):
     checked = {"sym3", "dihedral4"} if len(gens) > 3 else {"sym3", "dihedral4", "alt4", "sym4"}
     relators = [r.letters for r in p.relators]
     plan = None
-    for g in default_battery() + (named_sym3,):
+    # the lift's reference is the enumeration into an equal copy, and the
+    # others' the same count on a fresh object
+    for g, reference in zip(default_battery() + COPIES + (named_sym3,), COPIES + COPIES + (named_sym3,)):
         # one object counted into every group builds its plan once
         count = count_homs(p, g)
         plan = plan or p._plan
         assert p._plan is plan
-        assert count == count_homs(P(gens, rels), g)
+        assert count == count_homs(P(gens, rels), reference)
         if g.name in checked:
             assert count == brute_count_homs(p.generators, relators, g), g.name
 
@@ -234,7 +242,7 @@ def test_plan_shares_identical_pieces():
         ((7, (x1, x2, x1inv)), (8, (x1, x2))),  # evaluated on entering x3's level
         ((7, x3), (7, x3inv, 8)),  # tested on every value of x3
     )
-    for g in default_battery():
+    for g in default_battery() + COPIES:
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
 
 
@@ -271,14 +279,14 @@ def test_plan_is_outside_equality_and_hashing():
     before = hash(p)
     fingerprint(p)
     assert p._plan is not None and q._plan is None
-    assert p._fingerprint is not None and q._fingerprint is None
+    assert p._lifted is not None and q._lifted is None
     assert p == q and hash(p) == hash(q) == before
 
 
 def test_tietze_steps_count_like_parsed_presentations():
     # tietze_step builds its result without the public constructor
     rng = random.Random(10)
-    battery = default_battery()
+    battery = default_battery() + COPIES
     for _ in range(60):
         gens = (1, 2, 3, 4)
         pool = [v for g in gens for v in (g, -g)]
@@ -287,7 +295,8 @@ def test_tietze_steps_count_like_parsed_presentations():
         while (current := tietze_step(current)) is not None:
             fresh = parse_presentation(format_presentation(current))
             assert fresh == current and fresh._plan is current._plan is None
-            assert [count_homs(current, g) for g in battery] == [count_homs(fresh, g) for g in battery]
+            # the lift and the enumeration, against the enumeration on the parsed presentation
+            assert [count_homs(current, g) for g in battery] == [count_homs(fresh, g) for g in COPIES + COPIES]
 
 
 # criterion 9's virtual trial 417 (seed 2026): 24^6 exceeds DEFAULT_CAP, and
@@ -303,9 +312,10 @@ rel: x6^-1 x5^-1 x5^-1 y x5 x6 x5^-1 y^-1 x5 x5
 
 
 def test_criterion_9_trial_417_counts():
-    p = parse_presentation(TRIAL_417)
-    counts = {g.name: count_homs(p, g, cap=10 ** 9) for g in default_battery()}
-    assert counts == {"sym3": 396, "dihedral4": 1792, "alt4": 3168, "sym4": 24768}
+    counts = {"sym3": 396, "dihedral4": 1792, "alt4": 3168, "sym4": 24768}
+    for battery in (COPIES, default_battery()):
+        p = parse_presentation(TRIAL_417)
+        assert {g.name: count_homs(p, g, cap=10 ** 9) for g in battery} == counts
     assert dict(fingerprint(parse_presentation(TRIAL_417), cap=10 ** 9).counts) == counts
 
 
@@ -378,7 +388,7 @@ def test_stabiliser_below_the_second_depth():
     # centraliser of x2
     rels = [(1, 2, -1, -2), (2, 3, -2, -3), (1, 1, 1, 2, 3, 3, 3)]
     p = P((1, 2, 3), rels)
-    for g in default_battery():
+    for g in default_battery() + COPIES:
         assert count_homs(p, g) == brute_count_homs((1, 2, 3), rels, g), g.name
     fresh_sym4 = make_table("sym4", builtin_group("sym4").table)
     assert count_homs(p, fresh_sym4) == count_homs(p, builtin_group("sym4"))
@@ -392,14 +402,14 @@ def test_stabiliser_below_the_second_depth():
 
 
 def test_count_invariant_under_reordering_and_cycling():
-    g = builtin_group("dihedral4")
     rel = (1, 2, -1, 2, 2)
-    base = count_homs(P((1, 2), [rel]), g)
-    assert count_homs(P((2, 1), [rel]), g) == base
-    # cyclic permutation and inversion of the relator
-    assert count_homs(P((1, 2), [rel[2:] + rel[:2]]), g) == base
-    inv = tuple(-v for v in reversed(rel))
-    assert count_homs(P((1, 2), [inv]), g) == base
+    for g in (builtin_group("dihedral4"), COPIES[1]):
+        base = count_homs(P((1, 2), [rel]), g)
+        assert count_homs(P((2, 1), [rel]), g) == base
+        # cyclic permutation and inversion of the relator
+        assert count_homs(P((1, 2), [rel[2:] + rel[:2]]), g) == base
+        inv = tuple(-v for v in reversed(rel))
+        assert count_homs(P((1, 2), [inv]), g) == base
 
 
 def test_count_multiplicative_over_direct_product():
@@ -424,8 +434,9 @@ def test_enumeration_deeper_than_the_recursion_limit():
         return P(tuple(range(1, k + 1)), [tuple(range(1, k + 1))])
 
     assert count_homs(chain(1000), builtin_group("c1")) == 1
-    with pytest.raises(CapExceeded, match="recurses deeper"):
-        count_homs(chain(1500), builtin_group("sym3"), cap=6 ** 1500)
+    for g in (builtin_group("sym3"), COPIES[0]):
+        with pytest.raises(CapExceeded, match="recurses deeper"):
+            count_homs(chain(1500), g, cap=6 ** 1500)
     # an abelian group is counted from the abelian invariants, Z^1499
     assert count_homs(chain(1500), builtin_group("c2"), cap=10 ** 500) == 2 ** 1499
     # the default battery's one enumeration and its lifts run inside the same guard
@@ -531,8 +542,8 @@ def test_klein_action_is_conjugation_in_sym4():
 def test_lifted_fingerprint_matches_each_group_on_deep_plans():
     # 4-6 generators, each the deepest of a relator that names it once,
     # twice or three times, with inverse letters between; the default
-    # battery's counts come from the sym3 homs and their lifts, the others
-    # enumerate each group
+    # battery's counts come from the sym3 homs and their lifts, the equal
+    # copies enumerate each group
     rng = random.Random(2012)
 
     def word(top, length):
@@ -556,7 +567,7 @@ def test_lifted_fingerprint_matches_each_group_on_deep_plans():
                 rels.append([rng.choice((1, -1)) * top] + word(min(top, 3), 2))
         p = P(tuple(range(1, n + 1)), rels)
         counts = dict(fingerprint(p, cap=10 ** 9).counts)
-        assert counts == {g.name: count_homs(P(p.generators, rels), g, cap=10 ** 9) for g in default_battery()}
+        assert counts == {g.name: count_homs(P(p.generators, rels), g, cap=10 ** 9) for g in COPIES}
         if p._plan is not None:
             levels = p._plan[0]
             deep += len(levels) >= 4
@@ -578,11 +589,11 @@ def battery_presentations(draw):
 @settings(max_examples=80, deadline=None)
 @given(battery_presentations())
 def test_fingerprint_counts_match_each_group(spec):
-    # the default battery is counted in one sym4 enumeration
+    # the default battery is counted from one sym3 enumeration and its lifts
     gens, rels = spec
     counts = dict(fingerprint(P(gens, rels)).counts)
     p = P(gens, rels)
-    assert counts == {g.name: count_homs(p, g) for g in default_battery()}
+    assert counts == {g.name: count_homs(p, g) for g in COPIES}
     relators = [r.letters for r in p.relators]
     for g in default_battery():
         if g.order ** len(gens) <= 24 ** 3:
@@ -590,44 +601,57 @@ def test_fingerprint_counts_match_each_group(spec):
 
 
 def test_fingerprint_routes_by_table_identity():
-    # one sym4 enumeration serves only the default battery's own tables
+    # the lift serves only the default battery's own tables, in any order
+    # and in any battery; an impostor with a battery name is counted as itself
     sym3, dihedral4, alt4, sym4 = default_battery()
     c24_named_sym4 = make_table("sym4", builtin_group("c24").table)
+    copy = dict(zip(default_battery(), COPIES))
     p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
     for battery in ((sym4, alt4, dihedral4, sym3), (sym3, dihedral4, alt4, c24_named_sym4),
                     (sym3, dihedral4, alt4, sym4)):
         fp = fingerprint(p, battery)
-        assert fp.counts == tuple((g.name, count_homs(p, g)) for g in battery)
+        assert fp.counts == tuple((g.name, count_homs(p, copy.get(g, g))) for g in battery)
     assert count_homs(p, c24_named_sym4) != count_homs(p, sym4)
 
 
-def test_default_fingerprint_is_kept_on_the_presentation():
+def test_default_battery_counts_are_kept_on_the_presentation():
     p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
     fp = fingerprint(p)
-    assert p._fingerprint is fp and fingerprint(p) is fp
-    free = P((1, YID), [])  # counted by count_homs, kept all the same
-    assert fingerprint(free) is fingerprint(free)
-    # equal tables that are not the battery's own, a shorter battery and
-    # count_homs are counted afresh, even past a wrong kept value
-    copies = tuple(make_table(g.name, g.table) for g in default_battery())
+    kept = p._lifted
+    assert kept == tuple(c for _, c in fp.counts)
+    assert fingerprint(p) == fp and p._lifted is kept
+    free = P((1, YID), [])  # counted from its free rank, nothing kept
+    assert fingerprint(free) == fingerprint(free) and free._lifted is None
+    # equal tables that are not the battery's own are counted afresh, even
+    # past a wrong kept value, which count_homs and fingerprint both read
     fresh = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
-    assert fingerprint(fresh, copies) == fp and fresh._fingerprint is None
+    assert fingerprint(fresh, COPIES) == fp and fresh._lifted is None
     sym3 = default_battery()[0]
-    p._fingerprint = Fingerprint(fp.abelian, tuple((name, -1) for name, _ in fp.counts))
-    assert fingerprint(p, copies) == fp
-    assert fingerprint(p, (sym3,)).counts == fp.counts[:1]
-    assert count_homs(p, sym3) == dict(fp.counts)["sym3"]
-    assert fingerprint(p).counts[0] == ("sym3", -1)
+    p._lifted = (-1, -2, -3, -4)
+    assert fingerprint(p, COPIES) == fp
+    assert count_homs(p, COPIES[0]) == dict(fp.counts)["sym3"]
+    assert fingerprint(p, (sym3,)).counts == (("sym3", -1),)
+    assert [count_homs(p, g) for g in default_battery()[::-1]] == [-4, -3, -2, -1]
+    assert fingerprint(p).counts == tuple(zip(("sym3", "dihedral4", "alt4", "sym4"), (-1, -2, -3, -4)))
 
 
-def test_kept_fingerprint_still_checks_the_cap():
+def test_kept_counts_still_check_the_cap():
     trial_417 = parse_presentation(TRIAL_417)
     fp = fingerprint(trial_417, cap=10 ** 9)
+    kept = trial_417._lifted
+    sym3, sym4 = default_battery()[0], default_battery()[3]
     for _ in range(2):
         with pytest.raises(CapExceeded) as exc:
             fingerprint(trial_417)
         assert str(exc.value) == "24^6 assignments exceed the cap 100000000"
-    assert fingerprint(trial_417, cap=10 ** 9) is fp
+        with pytest.raises(CapExceeded) as exc:
+            count_homs(trial_417, sym4)
+        assert str(exc.value) == "24^6 assignments exceed the cap 100000000"
+    # 6^6 is within the default cap, and sym3's count was kept with sym4's
+    assert count_homs(trial_417, sym3) == 396
+    with pytest.raises(CapExceeded, match=r"^6\^6 assignments exceed the cap 1000$"):
+        count_homs(trial_417, sym3, cap=1000)
+    assert fingerprint(trial_417, cap=10 ** 9) == fp and trial_417._lifted is kept
 
 
 def test_fingerprint_structure():

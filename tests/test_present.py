@@ -3,6 +3,7 @@
 import importlib.util
 import pathlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from linkgroups.freegroup import (
     YID,
     exponent_sums,
     format_word,
+    gen_name,
     parse_word,
 )
 from linkgroups.homcount import builtin_group, count_homs, default_battery, fingerprint
@@ -456,6 +458,28 @@ def test_presentation_text_round_trip():
         assert parse_presentation(text) == p
     sparse = P(["x3", "y"], ["x3 y x3^-1 y^-1"])
     assert parse_presentation(format_presentation(sparse)) == sparse
+
+
+def test_parsing_builds_what_the_checking_constructor_builds():
+    # relators as written, unreduced and possibly trivial
+    for gens, raw, p, _ in _oracle_cases():
+        rels = [" ".join(gen_name(abs(v)) + ("^-1" if v < 0 else "") for v in r) or "1" for r in raw]
+        text = "".join([f"gens: {' '.join(map(gen_name, gens))}\n"] + [f"rel: {r}\n" for r in rels])
+        q = parse_presentation(text)
+        assert q == p and q.ambient == p.ambient
+
+
+def test_parsing_a_large_generator_index_allocates_little():
+    # each letter is checked against the listed generators, not against a
+    # set of every letter up to the largest index
+    tracemalloc.start()
+    try:
+        p = parse_presentation("gens: x2000000\nrel: x2000000 x2000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.letters for r in p.relators] == [(2000000, 2000000)]
+    assert peak < 10 * 2 ** 20
 
 
 # --- matrices ---------------------------------------------------------------

@@ -142,8 +142,10 @@ def test_parse_rejects_bad_tokens():
 
 
 def test_generator_names():
-    assert [parse_gen(n) for n in ("x1", "x12", "y")] == [1, 12, YID]
-    for bad in ("x0", "x01", "x", "x1^-1", "y^-1", "z1", "x\u0661", "x\u00b2", "x1\n", " x1"):
+    assert [parse_gen(n) for n in ("x1", "x12", "y", f"x{YID - 1}")] == [1, 12, YID, YID - 1]
+    # y's id is YID, so an x index at or above it is refused, not read as y
+    for bad in ("x0", "x01", "x", "x1^-1", "y^-1", "z1", "x\u0661", "x\u00b2", "x1\n", " x1",
+                f"x{YID}", f"x{YID + 1}", "x1" + "0" * 5000):
         with pytest.raises(ValueError, match="bad generator name"):
             parse_gen(bad)
 
