@@ -122,6 +122,9 @@ def parse(text: str, strands: int, theory: str) -> BraidWord:
         m = _BRAID_TOKEN.match(tok)
         if m is None:
             raise ValueError(f"bad braid token {tok!r}")
+        # past every position: refused unread, as int() refuses 4300 digits
+        if len(m.group(2)) > len(str(MAX_STRANDS)):
+            raise ValueError(f"position {m.group(2)} out of range for {strands} strands")
         fam, pos, inv = m.group(1), int(m.group(2)), bool(m.group(3))
         sign = -1 if (inv and fam == "s") else 1
         letters.append(BraidLetter(fam, pos, sign))

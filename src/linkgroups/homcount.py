@@ -37,8 +37,7 @@ the values of its sub-pieces, and identical pieces are evaluated once.
 A relator is tested at the depth of its deepest generator, as the
 program of that generator's letters and the pieces between them.  The
 pieces and programs form a plan that depends on the presentation
-alone: it is built on its first count, after the cap check, and kept
-on the presentation.
+alone: it is built for each enumeration, after the cap check.
 
 The default battery is counted from one enumeration into sym3, the
 permutations of 0, 1, 2 inside sym4.  sym4 is V x| sym3 for the Klein
@@ -61,9 +60,10 @@ its image lies in H meet sym3.  That holds for w fix(K, H) / 6 of the
 conjugates, where fix(K, H) counts the x in sym3 with x K x^-1 inside
 H, so H gets L fix(K, H) / 6, and the division is exact.  count_homs
 counts the default battery's own tables (matched by identity) this way,
-from one enumeration kept on the presentation, and enumerates any other
-non-abelian table.  fingerprint checks the cap for every battery group,
-in battery order, before any plan is built, then calls count_homs.
+from one enumeration whose four counts are kept on the presentation, and
+enumerates any other non-abelian table.  fingerprint checks the cap for
+every battery group, in battery order, before any plan is built, then
+calls count_homs.
 """
 
 from __future__ import annotations
@@ -223,19 +223,8 @@ def _perms(name):
     element i of its table is the i-th."""
     if name == "sym3":
         return sorted(itertools.permutations(range(3)))
-    if name == "dihedral4":
-        rot = (1, 2, 3, 0)
-        refl = (3, 2, 1, 0)
-        elems = {(0, 1, 2, 3)}
-        frontier = [(0, 1, 2, 3)]
-        while frontier:
-            p = frontier.pop()
-            for g in (rot, refl):
-                q = _perm_compose(p, g)
-                if q not in elems:
-                    elems.add(q)
-                    frontier.append(q)
-        return sorted(elems)
+    if name == "dihedral4":  # the symmetries of the square 0-1-2-3
+        return [p for p in itertools.permutations(range(4)) if all((p[i] - p[i - 1]) % 2 for i in range(4))]
     if name == "alt4":
         return [p for p in itertools.permutations(range(4)) if _parity(p) == 0]
     return list(itertools.permutations(range(4)))  # sym4
@@ -267,15 +256,18 @@ def _builtin_group(name):
     if name == "c0":
         raise ValueError("cyclic order must be positive")
     if _CYCLIC.fullmatch(name):
-        k = int(name[1:])
-        _check_order(k)
+        k = _order(name[1:])
         return make_table(name, [[(i + j) % k for j in range(k)] for i in range(k)])
     raise ValueError(f"unknown builtin group {name!r}")
 
 
-def _check_order(m: int):
-    if m > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {m} exceeds the ceiling {MAX_GROUP_ORDER}")
+def _order(digits: str) -> int:
+    """The order written in ASCII digits without leading zeros, at most
+    MAX_GROUP_ORDER.  The digits are counted first: int() refuses to read
+    more than 4300."""
+    if len(digits) > len(str(MAX_GROUP_ORDER)) or int(digits) > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {digits} exceeds the ceiling {MAX_GROUP_ORDER}")
+    return int(digits)
 
 
 def _parity(p):
@@ -293,17 +285,19 @@ def load_table_text(text: str, name: str = "custom") -> FiniteGroupTable:
     if len(head) != 2 or head[0] != "order":
         raise ValueError("first line must be 'order m'")
 
-    def integer(k, field):
+    def digits(k, field):
         if not (field.isascii() and field.isdigit()):
             raise ValueError(f"table {name} line {k}: {field!r} is not a nonnegative integer")
-        return int(field)
+        return field.lstrip("0") or "0"
 
-    m = integer(lines[0][0], head[1])
-    _check_order(m)
+    m = _order(digits(lines[0][0], head[1]))
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} table rows, got {len(lines) - 1}")
-    table = [[integer(k, v) for v in line.split()] for k, line in lines[1:]]
-    return make_table(name, table)
+    table = [[digits(k, v) for v in line.split()] for k, line in lines[1:]]
+    for v in itertools.chain(*table):
+        if len(v) > len(str(MAX_GROUP_ORDER)):  # past every order: refused unread, as by _order
+            raise ValueError(f"{name}: entry {v} out of range")
+    return make_table(name, [[int(v) for v in row] for row in table])
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +515,7 @@ def _lift_tables():
 def _active(p: Presentation, groups, cap) -> int:
     """The number k of generators that occur in some relator, once every
     group's order^k is within the cap; the first group beyond it raises."""
-    plan = p._plan
-    if plan is not None:
-        k = len(plan[0])
-    else:
-        k = len({abs(v) for count in p._letter_counts() for v in count})
+    k = len({abs(v) for count in p._letter_counts() for v in count})
     for g in groups:
         if g.order ** k > cap:
             raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")
@@ -533,12 +523,10 @@ def _active(p: Presentation, groups, cap) -> int:
 
 
 def _leaves(p: Presentation, k, g, lift=False):
-    """_count_assignments over p's plan, which is built on first use and
-    kept on p."""
+    """_count_assignments over p's plan, built inside the recursion guard:
+    its pieces nest as deeply as the enumeration recurses."""
     try:
-        if p._plan is None:
-            p._plan = _plan(p)
-        return _count_assignments(g, p._plan, lift)
+        return _count_assignments(g, _plan(p), lift)
     except RecursionError:
         raise CapExceeded(
             f"enumerating {k} generators recurses deeper than the interpreter allows"

@@ -187,7 +187,7 @@ def _trial_seed(seed: int, index: int) -> int:
 
 
 def run_trial(index, theory, max_strands, max_length, max_depth, seed, wada_type):
-    """One fuzz trial; returns (index, status, payload)."""
+    """One fuzz trial; returns (status, payload)."""
     rng = random.Random(_trial_seed(seed, index))
     n = rng.randint(2, max_strands)
     length = rng.randint(0, max_length)
@@ -203,25 +203,25 @@ def run_trial(index, theory, max_strands, max_length, max_depth, seed, wada_type
             if move.kind == "exchange":
                 pre = _fingerprint_of(b, wada_type, last)
                 if pre != expected:
-                    return index, "mismatch", Mismatch(
+                    return "mismatch", Mismatch(
                         index, "pre-exchange chain", str(expected), str(pre), trace.render()
                     )
                 first = _fingerprint_of(move.partner, wada_type, last)
                 second = _fingerprint_of(nxt, wada_type, last)
                 if first != second:
-                    return index, "mismatch", Mismatch(
+                    return "mismatch", Mismatch(
                         index, "exchange pair", str(first), str(second), trace.render()
                     )
                 expected = second
             b = nxt
         final = _fingerprint_of(b, wada_type, last)
         if final != expected:
-            return index, "mismatch", Mismatch(
+            return "mismatch", Mismatch(
                 index, "end of chain", str(expected), str(final), trace.render()
             )
     except (CapExceeded, freegroup.WordLengthError) as exc:
-        return index, "skipped", f"{type(exc).__name__}: {exc}"
-    return index, "ok", None
+        return "skipped", f"{type(exc).__name__}: {exc}"
+    return "ok", None
 
 
 def fuzz(
@@ -252,7 +252,7 @@ def fuzz(
         raise ValueError(f"length {length} exceeds the word-length limit {freegroup.LETTER_LIMIT}")
     found = {"mismatch": [], "skipped": []}  # a passing trial leaves nothing behind
     for i in range(trials):
-        _, status, payload = run_trial(i, theory, strands, length, depth, seed, wada_type)
+        status, payload = run_trial(i, theory, strands, length, depth, seed, wada_type)
         if status in found:
             found[status].append(payload if status == "mismatch" else (i, payload))
     return FuzzReport(theory, trials, seed, wada_type, tuple(found["mismatch"]), tuple(found["skipped"]))

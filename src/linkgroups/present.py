@@ -63,10 +63,10 @@ class Presentation:
     over the ambient by construction, and use _built instead.
     """
 
-    # _counts, _plan (homcount's enumeration plan) and _lifted (homcount's
-    # counts into the default battery, from the sym3 lift) are caches, built
-    # on first use and left out of equality and hashing
-    __slots__ = ("generators", "relators", "ambient", "_counts", "_plan", "_lifted")
+    # _counts and _lifted (homcount's counts into the default battery, from
+    # the sym3 lift) are caches, built on first use and left out of equality
+    # and hashing
+    __slots__ = ("generators", "relators", "ambient", "_counts", "_lifted")
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
@@ -86,7 +86,6 @@ class Presentation:
         self.relators = tuple(cleaned)
         self.ambient = ambient
         self._counts = None
-        self._plan = None
         self._lifted = None
 
     @classmethod
@@ -99,7 +98,6 @@ class Presentation:
         p.relators = relators
         p.ambient = ambient
         p._counts = counts
-        p._plan = None
         p._lifted = None
         return p
 
@@ -482,7 +480,9 @@ def parse_presentation(text: str) -> Presentation:
         raise ValueError("empty presentation input")
     if text.startswith("{"):
         try:
-            payload = json.loads(text, object_pairs_hook=_unique_keys)
+            # no number is valid here, so each is read as a float, which has
+            # no digit limit: int() refuses to read more than 4300 digits
+            payload = json.loads(text, object_pairs_hook=_unique_keys, parse_int=float)
         except RecursionError:
             raise ValueError("structured presentation: nested too deeply") from None
         unknown = sorted(set(payload) - {"generators", "relators"})

@@ -152,10 +152,22 @@ def test_large_wada_h_without_sigma_letters(capsys, word):
     assert expected[0] == 0 and len(expected[1].splitlines()) == 3
 
 
+# more digits than int() reads from a string by default
+HUGE = "1" * 5000
+
+
+def refused_as(result, message):
+    """The one-line error message, not the interpreter's advice to raise
+    its limit on integer digits."""
+    assert "set_int_max_str_digits" not in result[2]
+    return one_line_error(*result) and result[2] == f"error: {message}\n"
+
+
 def test_homcount_rejects_group_order_over_ceiling(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1\nrel: x1 x1\n"))
-    result = invoke(capsys, "homcount", "--group", f"c{MAX_GROUP_ORDER + 1}")
-    assert one_line_error(*result) and "exceeds the ceiling" in result[2]
+    for order in (str(MAX_GROUP_ORDER + 1), HUGE):
+        monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1\nrel: x1 x1\n"))
+        result = invoke(capsys, "homcount", "--group", f"c{order}")
+        assert refused_as(result, f"group order {order} exceeds the ceiling {MAX_GROUP_ORDER}")
 
 
 @pytest.mark.parametrize("name, message", [
@@ -365,6 +377,37 @@ def test_homcount_table_with_a_bad_field(capsys, tmp_path, text, line, field):
     result = invoke(capsys, "homcount", "--in", str(pres), "--group", f"table:{table}")
     assert one_line_error(*result)
     assert f"line {line}: '{field}' is not a nonnegative integer" in result[2]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("order {}\n0\n", "group order {} exceeds the ceiling 1024"),
+    ("order 2\n0 1\n1 {}\n", "{table}: entry {} out of range"),
+])
+def test_homcount_table_with_a_huge_field(capsys, tmp_path, text, message):
+    table = tmp_path / "t.txt"
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: x1\n")
+    for value in ("2000", HUGE):
+        table.write_text(text.format(value))
+        result = invoke(capsys, "homcount", "--in", str(pres), "--group", f"table:{table}")
+        assert refused_as(result, message.format(value, table=table))
+
+
+def test_parse_huge_position(capsys):
+    for position in ("100", HUGE):
+        result = invoke(capsys, "parse", "--theory", "virtual", "--strands", "3", "--word", f"s1 s{position}")
+        assert refused_as(result, f"position {position} out of range for 3 strands")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{{"generators": ["x1"], "relators": [{}]}}', "'relators' must be a list of strings"),
+    ('{{"generators": ["x1"], "order": {}}}', "unknown key 'order'"),
+])
+def test_structured_input_with_a_huge_number(capsys, monkeypatch, payload, message):
+    for value in ("5", HUGE):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload.format(value)))
+        result = invoke(capsys, "abelianize")
+        assert refused_as(result, f"structured presentation: {message}")
 
 
 def test_homcount_free_rank_two(capsys, tmp_path):

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkgroups import homcount
 from linkgroups.freegroup import Ambient, Word, YID
 from linkgroups.homcount import (
     MAX_GROUP_ORDER,
@@ -15,6 +16,7 @@ from linkgroups.homcount import (
     _in_sym4,
     _is_abelian,
     _lift_tables,
+    _perms,
     _plan,
     builtin_group,
     count_homs,
@@ -54,6 +56,9 @@ def test_builtin_orders():
     assert builtin_group("dihedral4").order == 8
     assert builtin_group("d4").order == 8
     assert builtin_group("d4") is builtin_group("dihedral4")  # one table and one set of symmetry data
+    # the symmetries of the square 0-1-2-3, sorted: element i of the table is the i-th
+    assert _perms("dihedral4") == [(0, 1, 2, 3), (0, 3, 2, 1), (1, 0, 3, 2), (1, 2, 3, 0),
+                                   (2, 1, 0, 3), (2, 3, 0, 1), (3, 0, 1, 2), (3, 2, 1, 0)]
     assert builtin_group("alt4").order == 12
     assert builtin_group("sym4").order == 24
     with pytest.raises(ValueError):
@@ -217,14 +222,10 @@ def test_nested_pieces_match_brute_force(spec):
     # the brute-force oracle reaches 4-5 generators in the smaller groups only
     checked = {"sym3", "dihedral4"} if len(gens) > 3 else {"sym3", "dihedral4", "alt4", "sym4"}
     relators = [r.letters for r in p.relators]
-    plan = None
     # the lift's reference is the enumeration into an equal copy, and the
     # others' the same count on a fresh object
     for g, reference in zip(default_battery() + COPIES + (named_sym3,), COPIES + COPIES + (named_sym3,)):
-        # one object counted into every group builds its plan once
         count = count_homs(p, g)
-        plan = plan or p._plan
-        assert p._plan is plan
         assert count == count_homs(P(gens, rels), reference)
         if g.name in checked:
             assert count == brute_count_homs(p.generators, relators, g), g.name
@@ -246,17 +247,26 @@ def test_plan_shares_identical_pieces():
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
 
 
-def test_over_cap_count_builds_no_plan():
+def test_over_cap_count_builds_no_plan(monkeypatch):
+    plans = []
+
+    def counting_plan(p):
+        plans.append(p)
+        return _plan(p)
+
+    monkeypatch.setattr(homcount, "_plan", counting_plan)
     p = P((1, 2, 3), [(1, 2, 3)])
     sym3 = builtin_group("sym3")
     with pytest.raises(CapExceeded, match="exceed the cap 10$"):
         count_homs(p, sym3, cap=10)
-    assert p._plan is None
+    assert plans == []
     assert count_homs(p, sym3) == 36
-    assert p._plan is not None
-    # a built plan is no way round the cap
+    assert plans == [p]
+    # neither a plan built before nor the kept counts are a way round the cap
     with pytest.raises(CapExceeded, match="exceed the cap 10$"):
         count_homs(p, sym3, cap=10)
+    assert plans == [p]
+    plans.clear()
     # 6^3, 8^3, 12^3, 24^3 = 216, 512, 1728, 13824: fingerprint checks the
     # cap for every group, in battery order, before any group is counted
     for battery, cap, first in ((None, 1000, "12^3"), (None, 10000, "24^3"),
@@ -265,20 +275,18 @@ def test_over_cap_count_builds_no_plan():
         with pytest.raises(CapExceeded) as exc:
             fingerprint(p, battery, cap=cap)
         assert str(exc.value) == f"{first} assignments exceed the cap {cap}"
-        assert p._plan is None
     trial_417 = parse_presentation(TRIAL_417)
     with pytest.raises(CapExceeded) as exc:
         fingerprint(trial_417)
     assert str(exc.value) == "24^6 assignments exceed the cap 100000000"
-    assert trial_417._plan is None
+    assert plans == []
 
 
-def test_plan_is_outside_equality_and_hashing():
+def test_kept_counts_are_outside_equality_and_hashing():
     text = "gens: x1 x2 y\nrel: x1 x2 x1^-1 y\nrel: x2 y x2 y^-1\n"
     p, q = parse_presentation(text), parse_presentation(text)
     before = hash(p)
     fingerprint(p)
-    assert p._plan is not None and q._plan is None
     assert p._lifted is not None and q._lifted is None
     assert p == q and hash(p) == hash(q) == before
 
@@ -294,7 +302,7 @@ def test_tietze_steps_count_like_parsed_presentations():
         current = P(gens, rels)
         while (current := tietze_step(current)) is not None:
             fresh = parse_presentation(format_presentation(current))
-            assert fresh == current and fresh._plan is current._plan is None
+            assert fresh == current
             # the lift and the enumeration, against the enumeration on the parsed presentation
             assert [count_homs(current, g) for g in battery] == [count_homs(fresh, g) for g in COPIES + COPIES]
 
@@ -568,13 +576,12 @@ def test_lifted_fingerprint_matches_each_group_on_deep_plans():
         p = P(tuple(range(1, n + 1)), rels)
         counts = dict(fingerprint(p, cap=10 ** 9).counts)
         assert counts == {g.name: count_homs(P(p.generators, rels), g, cap=10 ** 9) for g in COPIES}
-        if p._plan is not None:
-            levels = p._plan[0]
-            deep += len(levels) >= 4
-            # how many times each relator names its deepest generator
-            named = [sum((i - 1) >> 1 == d for i in prog) for d, (_, tests) in enumerate(levels) for prog in tests]
-            few += sum(n <= 2 for n in named)
-            many += sum(n >= 3 for n in named)
+        levels = _plan(p)[0]
+        deep += len(levels) >= 4
+        # how many times each relator names its deepest generator
+        named = [sum((i - 1) >> 1 == d for i in prog) for d, (_, tests) in enumerate(levels) for prog in tests]
+        few += sum(n <= 2 for n in named)
+        many += sum(n >= 3 for n in named)
     assert deep > 150 and few > 100 and many > 100
 
 

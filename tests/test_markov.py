@@ -194,12 +194,12 @@ def test_fuzz_keeps_only_mismatches_and_skips(monkeypatch):
         # the result of every earlier passing trial has been let go
         assert all(ref() is None for ref in passed[:-1])
         if i == 3:
-            return i, "mismatch", mismatch
+            return "mismatch", mismatch
         if i == 7:
-            return i, "skipped", "CapExceeded: too many"
+            return "skipped", "CapExceeded: too many"
         result = Passed()
         passed.append(weakref.ref(result))
-        return i, "ok", result
+        return "ok", result
 
     monkeypatch.setattr(markov, "run_trial", fake_trial)
     report = fuzz("welded", 50, 4, 10, 6, seed=1)
@@ -227,9 +227,8 @@ def test_fuzz_argument_validation(monkeypatch):
 
 
 def test_trial_reports_are_replayable():
-    idx, status, payload = run_trial(3, "virtual", 4, 8, 4, 123, None)
-    idx2, status2, payload2 = run_trial(3, "virtual", 4, 8, 4, 123, None)
-    assert (idx, status) == (idx2, status2)
+    status, payload = run_trial(3, "virtual", 4, 8, 4, 123, None)
+    assert run_trial(3, "virtual", 4, 8, 4, 123, None) == (status, payload)
     assert status in ("ok", "skipped")
 
 
