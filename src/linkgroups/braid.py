@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 THEORIES = ("classical", "virtual", "welded")
@@ -183,10 +183,7 @@ def braid_inverse(b: BraidWord) -> BraidWord:
 
 def conjugate(b: BraidWord, g: BraidLetter) -> BraidWord:
     """g * b * g^-1, normalized."""
-    probe = BraidWord(b.strands, b.theory, (g,))  # validates g for this word
-    return normalize(
-        BraidWord(b.strands, b.theory, probe.letters + b.letters + (letter_inverse(g),))
-    )
+    return normalize(BraidWord(b.strands, b.theory, (g,) + b.letters + (letter_inverse(g),)))
 
 
 def stabilize(b: BraidWord, kind: str) -> BraidWord:
@@ -270,122 +267,75 @@ class DefiningRelation:
         return f"{self.name}({', '.join(str(p) for p in self.params)})"
 
 
+def _relation(theory, n, name, params, left, right) -> DefiningRelation:
+    left, right = BraidWord(n, theory, left), BraidWord(n, theory, right)
+    return DefiningRelation(theory, name, params, left, right)
+
+
+def _artin(rel, n, a, braid_name, commute_name) -> list[DefiningRelation]:
+    """The Artin relations a_i a_(i+1) a_i = a_(i+1) a_i a_(i+1) for each
+    i, then a_i a_j = a_j a_i for each |i - j| >= 2."""
+    rels = []
+    for i in range(1, n - 1):
+        rels.append(rel(braid_name, (i,), (a(i), a(i + 1), a(i)), (a(i + 1), a(i), a(i + 1))))
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            rels.append(rel(commute_name, (i, j), (a(i), a(j)), (a(j), a(i))))
+    return rels
+
+
+def _mixed(rel, n, v, name) -> list[DefiningRelation]:
+    """The mixed relation v_i v_(i+1) sigma_i = sigma_(i+1) v_i v_(i+1),
+    for v = rho in the virtual and v = alpha in the welded braid group."""
+    return [
+        rel(name, (i,), (v(i), v(i + 1), sigma(i)), (sigma(i + 1), v(i), v(i + 1)))
+        for i in range(1, n - 1)
+    ]
+
+
+def _forbidden_f1(rel, n, v, name) -> list[DefiningRelation]:
+    """The first forbidden relation F1: v_i sigma_(i+1) sigma_i =
+    sigma_(i+1) sigma_i v_(i+1).  It fails in the virtual braid group,
+    and the welded braid group adds it."""
+    return [
+        rel(name, (i,), (v(i), sigma(i + 1), sigma(i)), (sigma(i + 1), sigma(i), v(i + 1)))
+        for i in range(1, n - 1)
+    ]
+
+
 @lru_cache(maxsize=None)
 def defining_relations(theory: str, n: int) -> tuple[DefiningRelation, ...]:
     """The defining relation catalogue of the braid/virtual/welded group
     on n strands."""
     if theory not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}")
-
-    def W(*letters):
-        return BraidWord(n, theory, letters)
-
-    rels = []
-    for i in range(1, n - 1):
-        rels.append(
-            DefiningRelation(
-                theory, "braid", (i,),
-                W(sigma(i), sigma(i + 1), sigma(i)),
-                W(sigma(i + 1), sigma(i), sigma(i + 1)),
-            )
-        )
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append(
-                DefiningRelation(
-                    theory, "sigma-commute", (i, j),
-                    W(sigma(i), sigma(j)), W(sigma(j), sigma(i)),
-                )
-            )
+    rel = partial(_relation, theory, n)
+    rels = _artin(rel, n, sigma, "braid", "sigma-commute")
     if theory == "classical":
         return tuple(rels)
-
-    mk = rho if theory == "virtual" else alpha
-    tag = "rho" if theory == "virtual" else "alpha"
-    for i in range(1, n - 1):
-        rels.append(
-            DefiningRelation(
-                theory, f"{tag}-braid", (i,),
-                W(mk(i), mk(i + 1), mk(i)), W(mk(i + 1), mk(i), mk(i + 1)),
-            )
-        )
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append(
-                DefiningRelation(
-                    theory, f"{tag}-commute", (i, j),
-                    W(mk(i), mk(j)), W(mk(j), mk(i)),
-                )
-            )
-    for i in range(1, n):
-        rels.append(
-            DefiningRelation(theory, f"{tag}-involution", (i,), W(mk(i), mk(i)), W())
-        )
-    for i in range(1, n):
-        for j in range(1, n):
-            if abs(i - j) >= 2:
-                rels.append(
-                    DefiningRelation(
-                        theory, f"sigma-{tag}-commute", (i, j),
-                        W(sigma(i), mk(j)), W(mk(j), sigma(i)),
-                    )
-                )
+    mk, tag = (rho, "rho") if theory == "virtual" else (alpha, "alpha")
+    rels += _artin(rel, n, mk, f"{tag}-braid", f"{tag}-commute")
+    rels += [rel(f"{tag}-involution", (i,), (mk(i), mk(i)), ()) for i in range(1, n)]
+    rels += [
+        rel(f"sigma-{tag}-commute", (i, j), (sigma(i), mk(j)), (mk(j), sigma(i)))
+        for i in range(1, n) for j in range(1, n) if abs(i - j) >= 2
+    ]
     if theory == "virtual":
-        for i in range(1, n - 1):
-            rels.append(
-                DefiningRelation(
-                    theory, "mixed", (i,),
-                    W(rho(i), rho(i + 1), sigma(i)),
-                    W(sigma(i + 1), rho(i), rho(i + 1)),
-                )
-            )
-    else:
-        for i in range(1, n - 1):
-            rels.append(
-                DefiningRelation(
-                    theory, "swap-mixed", (i,),
-                    W(alpha(i), alpha(i + 1), sigma(i)),
-                    W(sigma(i + 1), alpha(i), alpha(i + 1)),
-                )
-            )
-        # the extra relation that distinguishes welded from virtual braids
-        for i in range(1, n - 1):
-            rels.append(
-                DefiningRelation(
-                    theory, "mixed", (i,),
-                    W(alpha(i), sigma(i + 1), sigma(i)),
-                    W(sigma(i + 1), sigma(i), alpha(i + 1)),
-                )
-            )
-    return tuple(rels)
+        return tuple(rels + _mixed(rel, n, mk, "mixed"))
+    return tuple(rels + _mixed(rel, n, mk, "swap-mixed") + _forbidden_f1(rel, n, mk, "mixed"))
 
 
 @lru_cache(maxsize=None)
 def forbidden_relations(n: int) -> tuple[DefiningRelation, ...]:
-    """The F1/F2 relations over the virtual alphabet.  They do not hold
-    in the virtual braid group; they are supplied to the relation checker
-    as extras."""
-
-    def W(*letters):
-        return BraidWord(n, "virtual", letters)
-
-    rels = []
-    for i in range(1, n - 1):
-        rels.append(
-            DefiningRelation(
-                "virtual", "F1", (i,),
-                W(rho(i), sigma(i + 1), sigma(i)),
-                W(sigma(i + 1), sigma(i), rho(i + 1)),
-            )
-        )
-        rels.append(
-            DefiningRelation(
-                "virtual", "F2", (i,),
-                W(rho(i + 1), sigma(i), sigma(i + 1)),
-                W(sigma(i), sigma(i + 1), rho(i)),
-            )
-        )
-    return tuple(rels)
+    """F1 and F2: rho_(i+1) sigma_i sigma_(i+1) = sigma_i sigma_(i+1) rho_i,
+    in turn for each i.  They do not hold in the virtual braid group; they
+    are supplied to the relation checker as extras."""
+    rel = partial(_relation, "virtual", n)
+    f2 = [
+        rel("F2", (i,), (rho(i + 1), sigma(i), sigma(i + 1)), (sigma(i), sigma(i + 1), rho(i)))
+        for i in range(1, n - 1)
+    ]
+    return tuple(r for pair in zip(_forbidden_f1(rel, n, rho, "F1"), f2) for r in pair)
 
 
 def rewrite_with_relation(b: BraidWord, rel: DefiningRelation, at: int) -> BraidWord:

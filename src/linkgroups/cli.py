@@ -16,6 +16,18 @@ from . import braid, homcount, markov, present, reps
 from .freegroup import Word, WordLengthError, format_word, gen_name, parse_letters
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value.  argparse names the flag in front of each
+    error, and keeps the message of an ArgumentTypeError only."""
+    try:
+        value = homcount.read_int(text, "the integer")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="linkgroups",
@@ -25,27 +37,27 @@ def _build_parser():
 
     p = sub.add_parser("parse", help="validate and normalize a braid word")
     p.add_argument("--theory", choices=braid.THEORIES, required=True)
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--word", required=True)
 
     p = sub.add_parser("act", help="print the free-group images of a braid word")
     p.add_argument("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
-    p.add_argument("--wada-h", type=int, default=1)
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--wada-h", type=_integer, default=1)
+    p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--on", help="apply to this free word instead of listing generators")
 
     p = sub.add_parser("present", help="emit the link group presentation of a braid closure")
     p.add_argument("--theory", choices=braid.THEORIES, required=True)
-    p.add_argument("--strands", type=int, required=True)
+    p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--rep", choices=("default", "wada1", "wada2"), default="default")
-    p.add_argument("--wada-h", type=int, default=1)
+    p.add_argument("--wada-h", type=_integer, default=1)
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("simplify", help="Tietze-simplify a presentation")
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--budget", type=int, default=present.TIETZE_BUDGET)
+    p.add_argument("--budget", type=_integer, default=present.TIETZE_BUDGET)
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("abelianize", help="abelian invariants of a presentation")
@@ -54,22 +66,22 @@ def _build_parser():
     p = sub.add_parser("homcount", help="count homomorphisms to a finite group")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--group", required=True, help="sym3|sym4|alt4|d4|c<k>|table:<path>")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_integer, default=None)
 
     p = sub.add_parser("check-relations", help="verify the defining relations under a representation")
     p.add_argument("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--wada-h", type=int, default=1)
+    p.add_argument("--strands", type=_integer, required=True)
+    p.add_argument("--wada-h", type=_integer, default=1)
     p.add_argument("--include-forbidden", action="store_true")
 
     p = sub.add_parser("markov-fuzz", help="fingerprint invariance under random moves")
     p.add_argument("--theory", choices=("virtual", "welded"), required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--strands", type=int, default=4)
-    p.add_argument("--len", dest="length", type=int, default=10)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--wada", type=int, choices=(1, 2), default=None)
+    p.add_argument("--trials", type=_integer, required=True)
+    p.add_argument("--strands", type=_integer, default=4)
+    p.add_argument("--len", dest="length", type=_integer, default=10)
+    p.add_argument("--depth", type=_integer, default=6)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--wada", type=_integer, choices=(1, 2), default=None)
 
     sub.add_parser("examples", help="replay the worked examples as a regression suite")
     return top

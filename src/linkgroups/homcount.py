@@ -73,6 +73,7 @@ import math
 import os
 import random
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -99,12 +100,23 @@ def effective_cap(cap=None) -> int:
     env = os.environ.get(_CAP_ENV)
     if not env:
         return DEFAULT_CAP
+    value = read_int(env, _CAP_ENV)
+    if value is None or value < 1:
+        raise ValueError(f"{_CAP_ENV} must be an integer at least 1, got {env!r}")
+    return value
+
+
+def read_int(text: str, name: str) -> int | None:
+    """int(text), or None if text is no integer.  The digits are counted
+    first: past the interpreter's limit (4300 by default) int() refuses
+    with advice on sys.set_int_max_str_digits(); this names `name`."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    if limit and sum(c.isdecimal() for c in text) > limit:
+        raise ValueError(f"{name} has more than {limit} digits")
     try:
-        if int(env) >= 1:
-            return int(env)
+        return int(text)
     except ValueError:
-        pass
-    raise ValueError(f"{_CAP_ENV} must be an integer at least 1, got {env!r}")
+        return None
 
 
 @dataclass(frozen=True)
@@ -590,6 +602,7 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
 _BATTERY_NAMES = ("sym3", "dihedral4", "alt4", "sym4")
 
 
+@lru_cache(maxsize=None)
 def default_battery() -> tuple[FiniteGroupTable, ...]:
     """The smallest groups rich enough to separate the worked example
     pairs while keeping |G|^gens enumerable at desk scale."""

@@ -63,10 +63,10 @@ class Presentation:
     over the ambient by construction, and use _built instead.
     """
 
-    # _counts and _lifted (homcount's counts into the default battery, from
-    # the sym3 lift) are caches, built on first use and left out of equality
-    # and hashing
-    __slots__ = ("generators", "relators", "ambient", "_counts", "_lifted")
+    # _counts, _invariants (abelian_invariants) and _lifted (homcount's
+    # counts into the default battery, from the sym3 lift) are caches, built
+    # on first use and left out of equality and hashing
+    __slots__ = ("generators", "relators", "ambient", "_counts", "_invariants", "_lifted")
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
@@ -86,6 +86,7 @@ class Presentation:
         self.relators = tuple(cleaned)
         self.ambient = ambient
         self._counts = None
+        self._invariants = None
         self._lifted = None
 
     @classmethod
@@ -98,6 +99,7 @@ class Presentation:
         p.relators = relators
         p.ambient = ambient
         p._counts = counts
+        p._invariants = None
         p._lifted = None
         return p
 
@@ -432,11 +434,13 @@ class AbelianInvariants:
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Free rank and torsion coefficients of the abelianized group, from
-    the Smith normal form of the relation matrix."""
-    snf = smith_normal_form(relation_matrix(p))
-    rank = sum(1 for d in snf.diagonal if d)
-    torsion = tuple(d for d in snf.diagonal if d >= 2)
-    return AbelianInvariants(len(p.generators) - rank, torsion)
+    the Smith normal form of the relation matrix; kept on p."""
+    if p._invariants is None:
+        snf = smith_normal_form(relation_matrix(p))
+        rank = sum(1 for d in snf.diagonal if d)
+        torsion = tuple(d for d in snf.diagonal if d >= 2)
+        p._invariants = AbelianInvariants(len(p.generators) - rank, torsion)
+    return p._invariants
 
 
 # ---------------------------------------------------------------------------

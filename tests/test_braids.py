@@ -107,8 +107,10 @@ def test_conjugate_examples():
 
 
 def test_conjugate_theory_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^letter family 'r' illegal for classical braids$"):
         conjugate(parse("s1", 2, "classical"), rho(1))
+    with pytest.raises(ValueError, match="^position 2 out of range for 2 strands$"):
+        conjugate(parse("s1", 2, "virtual"), sigma(2))
 
 
 def test_stabilize_examples():
@@ -175,6 +177,64 @@ def test_rewrite_with_relation():
     assert rewrite_with_relation(b, rels[("mixed", (1,))], 0) == parse("s2 r1 r2", 3, "virtual")
     with pytest.raises(ValueError):
         rewrite_with_relation(parse("s1 s1", 3, "virtual"), rels[("braid", (1,))], 0)
+
+
+# the catalogue on 4 strands, in order: fuzz traces pick relation-move sites
+# by catalogue position, so a reordering changes them
+ARTIN_4 = [
+    "braid(1): s1 s2 s1 = s2 s1 s2",
+    "braid(2): s2 s3 s2 = s3 s2 s3",
+    "sigma-commute(1, 3): s1 s3 = s3 s1",
+]
+CATALOGUE_4 = {
+    "classical": ARTIN_4,
+    "virtual": ARTIN_4 + [
+        "rho-braid(1): r1 r2 r1 = r2 r1 r2",
+        "rho-braid(2): r2 r3 r2 = r3 r2 r3",
+        "rho-commute(1, 3): r1 r3 = r3 r1",
+        "rho-involution(1): r1 r1 = 1",
+        "rho-involution(2): r2 r2 = 1",
+        "rho-involution(3): r3 r3 = 1",
+        "sigma-rho-commute(1, 3): s1 r3 = r3 s1",
+        "sigma-rho-commute(3, 1): s3 r1 = r1 s3",
+        "mixed(1): r1 r2 s1 = s2 r1 r2",
+        "mixed(2): r2 r3 s2 = s3 r2 r3",
+    ],
+    "welded": ARTIN_4 + [
+        "alpha-braid(1): a1 a2 a1 = a2 a1 a2",
+        "alpha-braid(2): a2 a3 a2 = a3 a2 a3",
+        "alpha-commute(1, 3): a1 a3 = a3 a1",
+        "alpha-involution(1): a1 a1 = 1",
+        "alpha-involution(2): a2 a2 = 1",
+        "alpha-involution(3): a3 a3 = 1",
+        "sigma-alpha-commute(1, 3): s1 a3 = a3 s1",
+        "sigma-alpha-commute(3, 1): s3 a1 = a1 s3",
+        "swap-mixed(1): a1 a2 s1 = s2 a1 a2",
+        "swap-mixed(2): a2 a3 s2 = s3 a2 a3",
+        "mixed(1): a1 s2 s1 = s2 s1 a2",
+        "mixed(2): a2 s3 s2 = s3 s2 a3",
+    ],
+}
+FORBIDDEN_4 = [
+    "F1(1): r1 s2 s1 = s2 s1 r2",
+    "F2(1): r2 s1 s2 = s1 s2 r1",
+    "F1(2): r2 s3 s2 = s3 s2 r3",
+    "F2(2): r3 s2 s3 = s2 s3 r2",
+]
+
+
+def listing(rels):
+    return [f"{r.label()}: {serialize(r.left)} = {serialize(r.right)}" for r in rels]
+
+
+def test_relation_catalogue_is_pinned():
+    for theory, expected in CATALOGUE_4.items():
+        rels = defining_relations(theory, 4)
+        assert listing(rels) == expected
+        assert all(r.theory == theory and r.left.strands == r.right.strands == 4 for r in rels)
+    assert [len(v) for v in CATALOGUE_4.values()] == [3, 13, 15]
+    assert listing(forbidden_relations(4)) == FORBIDDEN_4
+    assert all(r.theory == "virtual" for r in forbidden_relations(4))
 
 
 def test_rewrites_preserve_permutation():

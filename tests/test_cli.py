@@ -8,7 +8,7 @@ import pytest
 
 from linkgroups import examples
 from linkgroups.braid import MAX_STRANDS
-from linkgroups.cli import _build_parser, run
+from linkgroups.cli import _build_parser, _integer, run
 from linkgroups.examples import EXCHANGE_RELATOR, KISHINO_CLOSURE, TREFOIL_SYM3, VIRTUAL_TREFOIL
 from linkgroups.homcount import MAX_GROUP_ORDER
 from linkgroups.reps import REPRESENTATIONS
@@ -199,8 +199,9 @@ def test_homcount_deep_enumeration(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("cap, env, named", [
-    ("0", None, "--cap"), ("-1", None, "--cap"),
+    ("0", None, "--cap"), ("-1", None, "--cap"), (HUGE, None, "--cap"),
     (None, "abc", "LINKGROUPS_HOM_CAP"), (None, "0", "LINKGROUPS_HOM_CAP"),
+    (None, HUGE, "LINKGROUPS_HOM_CAP"),
 ])
 def test_homcount_rejects_cap_below_one(capsys, monkeypatch, cap, env, named):
     if env is None:
@@ -209,8 +210,38 @@ def test_homcount_rejects_cap_below_one(capsys, monkeypatch, cap, env, named):
         monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
     monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1 x2\n"))  # no relator to enumerate
     argv = ["homcount", "--group", "sym3"] + (["--cap", cap] if cap else [])
+    if cap == HUGE:  # refused by the parser: usage, then the error line, status 2
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        error = captured.err.splitlines()[-1]
+        assert error == "linkgroups homcount: error: argument --cap: the integer has more than 4300 digits"
+        return
     result = invoke(capsys, *argv)
     assert one_line_error(*result) and named in result[2]
+    if env == HUGE:
+        assert result[2] == "error: LINKGROUPS_HOM_CAP has more than 4300 digits\n"
+
+
+def test_integer_flags_state_the_digit_limit(capsys):
+    subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    flags = [a for sub in subcommands.values() for a in sub._actions if a.type is not None]
+    assert len(flags) == 15 and all(a.type is _integer for a in flags)
+    too_long = "the integer has more than 4300 digits"
+    for argv, error in (
+        (["markov-fuzz", "--theory", "welded", "--trials", "1", "--seed", HUGE], f"--seed: {too_long}"),
+        (["parse", "--theory", "virtual", "--strands", HUGE, "--word", "s1"], f"--strands: {too_long}"),
+        (["simplify", "--budget", "abc"], "--budget: invalid int value: 'abc'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f" error: argument {error}")
+    # 4000 digits are within the limit, as before
+    seed = "7" * 4000
+    code, out, _ = invoke(capsys, "markov-fuzz", "--theory", "welded", "--trials", "1", "--seed", seed)
+    assert code == 0 and out.startswith(f"theory=welded trials=1 seed={seed} ")
 
 
 def test_rep_choices_are_the_family_table():

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkgroups import homcount
+from linkgroups import homcount, present
 from linkgroups.freegroup import Ambient, Word, YID
 from linkgroups.homcount import (
     MAX_GROUP_ORDER,
@@ -31,6 +31,7 @@ from linkgroups.present import (
     abelian_invariants,
     format_presentation,
     parse_presentation,
+    smith_normal_form,
     tietze_step,
 )
 
@@ -288,6 +289,7 @@ def test_kept_counts_are_outside_equality_and_hashing():
     before = hash(p)
     fingerprint(p)
     assert p._lifted is not None and q._lifted is None
+    assert p._invariants is not None and q._invariants is None
     assert p == q and hash(p) == hash(q) == before
 
 
@@ -467,10 +469,12 @@ def test_cap_below_one_rejected_before_any_work(monkeypatch):
         for cap in (0, -1):
             with pytest.raises(ValueError, match="--cap"):
                 count_homs(p, g, cap=cap)
-        for env in ("abc", "0", "-3", "2.5"):
+        for env in ("abc", "0", "-3", "2.5", "1" * 5000):
             monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
             with pytest.raises(ValueError, match="LINKGROUPS_HOM_CAP"):
                 count_homs(p, g)
+        with pytest.raises(ValueError, match="^LINKGROUPS_HOM_CAP has more than 4300 digits$"):
+            count_homs(p, g)
         monkeypatch.delenv("LINKGROUPS_HOM_CAP")
 
 
@@ -621,12 +625,22 @@ def test_fingerprint_routes_by_table_identity():
     assert count_homs(p, c24_named_sym4) != count_homs(p, sym4)
 
 
-def test_default_battery_counts_are_kept_on_the_presentation():
+def test_default_battery_counts_are_kept_on_the_presentation(monkeypatch):
+    forms = []
+
+    def counting_smith(m):
+        forms.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(present, "smith_normal_form", counting_smith)
+    assert default_battery() is default_battery()
     p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
     fp = fingerprint(p)
     kept = p._lifted
     assert kept == tuple(c for _, c in fp.counts)
-    assert fingerprint(p) == fp and p._lifted is kept
+    assert len(forms) == 1 and p._invariants == fp.abelian
+    # a repeat fingerprint reads the kept counts and invariants: no Smith form
+    assert fingerprint(p) == fp and p._lifted is kept and len(forms) == 1
     free = P((1, YID), [])  # counted from its free rank, nothing kept
     assert fingerprint(free) == fingerprint(free) and free._lifted is None
     # equal tables that are not the battery's own are counted afresh, even
