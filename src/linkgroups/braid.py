@@ -115,6 +115,8 @@ def parse(text: str, strands: int, theory: str) -> BraidWord:
     word := '1' | token (' ' token)*.  Signed r/a tokens normalize to
     their unsigned form."""
     text = text.strip()
+    if not text:
+        raise ValueError("empty braid word: the empty word is written 1")
     if text == "1":
         return BraidWord(strands, theory, ())
     letters = []

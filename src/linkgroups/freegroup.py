@@ -220,6 +220,8 @@ def parse_letters(text: str) -> tuple[int, ...]:
     """The letters of the space-separated text form, as written: tokens
     x<k>, x<k>^-1, y, y^-1; the empty word is written 1."""
     text = text.strip()
+    if not text:
+        raise ValueError("empty word: the empty word is written 1")
     if text == "1":
         return ()
     letters = []

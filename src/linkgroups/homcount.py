@@ -61,9 +61,11 @@ conjugates, where fix(K, H) counts the x in sym3 with x K x^-1 inside
 H, so H gets L fix(K, H) / 6, and the division is exact.  count_homs
 counts the default battery's own tables (matched by identity) this way,
 from one enumeration whose four counts are kept on the presentation, and
-enumerates any other non-abelian table.  fingerprint checks the cap for
-every battery group, in battery order, before any plan is built, then
-calls count_homs.
+enumerates any other non-abelian table.  The cap bounds the enumeration
+a count runs over the k generators that occur in some relator: 6^k for
+the default battery, order^k for any other non-abelian table, and none
+for an abelian one, which enumerates nothing.  So a fingerprint over
+the default battery refuses at its first count or not at all.
 """
 
 from __future__ import annotations
@@ -524,16 +526,6 @@ def _lift_tables():
     return tuple(picks), inverse_letters, joins, fixes
 
 
-def _active(p: Presentation, groups, cap) -> int:
-    """The number k of generators that occur in some relator, once every
-    group's order^k is within the cap; the first group beyond it raises."""
-    k = len({abs(v) for count in p._letter_counts() for v in count})
-    for g in groups:
-        if g.order ** k > cap:
-            raise CapExceeded(f"{g.order}^{k} assignments exceed the cap {cap}")
-    return k
-
-
 def _leaves(p: Presentation, k, g, lift=False):
     """_count_assignments over p's plan, built inside the recursion guard:
     its pieces nest as deeply as the enumeration recurses."""
@@ -583,17 +575,22 @@ def _lifted(p: Presentation, k):
 
 
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
-    """The exact number of homomorphisms from the presented group to g."""
+    """The exact number of homomorphisms from the presented group to g; the
+    cap bounds the enumeration it runs (see the module docstring)."""
     cap = effective_cap(cap)
     if not p.relators:
         return g.order ** len(p.generators)
-    k = _active(p, (g,), cap)
-    for i, h in enumerate(default_battery()):
-        if g is h:
-            return _lifted(p, k)[i]
-    if _is_abelian(g):
+    battery = default_battery()
+    lifted = next((i for i, h in enumerate(battery) if g is h), None)
+    if lifted is None and _is_abelian(g):
         return _count_abelian(p, g)
-    return g.order ** (len(p.generators) - k) * _leaves(p, k, g)[1, 0]
+    order = g.order if lifted is None else battery[0].order  # all four read the sym3 enumeration
+    k = len({abs(v) for count in p._letter_counts() for v in count})
+    if order ** k > cap:
+        raise CapExceeded(f"{order}^{k} assignments exceed the cap {cap}")
+    if lifted is None:
+        return g.order ** (len(p.generators) - k) * _leaves(p, k, g)[1, 0]
+    return _lifted(p, k)[lifted]
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +618,8 @@ class Fingerprint:
 
 def fingerprint(p: Presentation, battery=None, cap=None) -> Fingerprint:
     """Abelian invariants plus hom counts over the battery, in battery
-    order.  Equal fingerprints are necessary for isomorphism.  The cap is
-    checked for every group before any group is counted, on every call."""
-    battery = default_battery() if battery is None else tuple(battery)
-    cap = effective_cap(cap)
-    _active(p, battery, cap)
+    order.  Equal fingerprints are necessary for isomorphism."""
+    battery = default_battery() if battery is None else battery
+    cap = effective_cap(cap)  # once: reading the environment costs more than a kept count
     counts = tuple((g.name, count_homs(p, g, cap=cap)) for g in battery)
     return Fingerprint(abelian_invariants(p), counts)

@@ -123,13 +123,13 @@ def test_criterion_08_abelianized_wada_power_law():
 def test_criterion_09_markov_fuzz():
     with Timer("criterion-9 markov fuzz", 600.0):
         virt = fuzz("virtual", 500, 4, 10, 6, seed=2026)
-        assert virt.ok, virt.render()
+        assert virt.ok and not virt.skipped, virt.render()
         weld = fuzz("welded", 500, 4, 10, 6, seed=2026)
-        assert weld.ok, weld.render()
+        assert weld.ok and not weld.skipped, weld.render()
         wada1 = fuzz("welded", 200, 4, 10, 6, seed=2026, wada_type=1)
-        assert wada1.ok, wada1.render()
+        assert wada1.ok and not wada1.skipped, wada1.render()
         wada2 = fuzz("welded", 200, 4, 10, 6, seed=2026, wada_type=2)
-        assert wada2.ok, wada2.render()
+        assert wada2.ok and not wada2.skipped, wada2.render()
         print(
             f"  virtual skipped={len(virt.skipped)} welded skipped={len(weld.skipped)} "
             f"wada1 skipped={len(wada1.skipped)} wada2 skipped={len(wada2.skipped)}"

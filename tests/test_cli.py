@@ -67,6 +67,28 @@ def test_act_on_names_an_unknown_generator(capsys, rep, on, name):
     assert result[2] == f"error: --on word uses unknown generator {name}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("parse", "--theory", "classical", "--strands", "3", "--word", ""),
+    ("parse", "--theory", "virtual", "--strands", "3", "--word", "  "),
+    ("present", "--theory", "virtual", "--strands", "2", "--word", ""),
+    ("act", "--rep", "virtual", "--strands", "2", "--word", "s1", "--on", ""),
+    ("act", "--rep", "virtual", "--strands", "2", "--word", "s1", "--on", " "),
+])
+def test_empty_word_text_is_an_error(capsys, argv):
+    # both grammars write the empty word as 1
+    result = invoke(capsys, *argv)
+    assert one_line_error(*result) and "the empty word is written 1" in result[2]
+    assert invoke(capsys, *argv[:-1], "1")[0] == 0
+
+
+@pytest.mark.parametrize("payload", ["gens: x1 x2\nrel: x1 x2\nrel:\n", "gens: x1\nrel:   \n",
+                                     '{"generators": ["x1"], "relators": [" "]}'])
+def test_blank_relator_is_an_error(capsys, monkeypatch, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    result = invoke(capsys, "abelianize")
+    assert one_line_error(*result) and "the empty word is written 1" in result[2]
+
+
 def test_present_text(capsys):
     code, out, _ = invoke(
         capsys, "present", "--theory", "virtual", "--strands", "2", "--word", VIRTUAL_TREFOIL

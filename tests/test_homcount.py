@@ -268,18 +268,18 @@ def test_over_cap_count_builds_no_plan(monkeypatch):
         count_homs(p, sym3, cap=10)
     assert plans == [p]
     plans.clear()
-    # 6^3, 8^3, 12^3, 24^3 = 216, 512, 1728, 13824: fingerprint checks the
-    # cap for every group, in battery order, before any group is counted
-    for battery, cap, first in ((None, 1000, "12^3"), (None, 10000, "24^3"),
-                                (default_battery()[::-1], 1000, "24^3")):
+    # every battery count reads the one sym3 enumeration, bounded by 6^3 =
+    # 216, so a fingerprint below that cap refuses at its first count, in
+    # whichever order the battery comes, before any plan is built
+    for battery, cap in ((None, 100), (None, 215), (default_battery()[::-1], 100)):
         p = P((1, 2, 3), [(1, 2, 3)])
         with pytest.raises(CapExceeded) as exc:
             fingerprint(p, battery, cap=cap)
-        assert str(exc.value) == f"{first} assignments exceed the cap {cap}"
+        assert str(exc.value) == f"6^3 assignments exceed the cap {cap}"
     trial_417 = parse_presentation(TRIAL_417)
     with pytest.raises(CapExceeded) as exc:
-        fingerprint(trial_417)
-    assert str(exc.value) == "24^6 assignments exceed the cap 100000000"
+        fingerprint(trial_417, cap=10 ** 4)
+    assert str(exc.value) == "6^6 assignments exceed the cap 10000"
     assert plans == []
 
 
@@ -434,6 +434,15 @@ def test_cap_exceeded():
     p = P((1, 2, 3), [(1, 2, 3)])
     with pytest.raises(CapExceeded):
         count_homs(p, builtin_group("sym3"), cap=10)
+    # an abelian group enumerates nothing, so no cap applies: Z^2, 1024^2 maps
+    for cap in (None, 1):
+        assert count_homs(p, builtin_group("c1024"), cap=cap) == 1048576
+    # the battery is bounded by its sym3 enumeration, 6^k, at every order
+    chain = P(tuple(range(1, 12)), [tuple(range(1, 12))])
+    for g in default_battery():
+        with pytest.raises(CapExceeded) as exc:
+            count_homs(chain, g)
+        assert str(exc.value) == "6^11 assignments exceed the cap 100000000"
     # free generators are not enumerated, so huge free groups stay cheap
     assert count_homs(P(tuple(range(1, 12)), []), builtin_group("sym4"), cap=10) == 24 ** 11
 
@@ -658,21 +667,19 @@ def test_default_battery_counts_are_kept_on_the_presentation(monkeypatch):
 
 def test_kept_counts_still_check_the_cap():
     trial_417 = parse_presentation(TRIAL_417)
-    fp = fingerprint(trial_417, cap=10 ** 9)
+    # 6^6 is within the default cap: the battery reads the sym3 enumeration
+    fp = fingerprint(trial_417)
     kept = trial_417._lifted
-    sym3, sym4 = default_battery()[0], default_battery()[3]
+    assert dict(fp.counts)["sym3"] == 396
     for _ in range(2):
         with pytest.raises(CapExceeded) as exc:
-            fingerprint(trial_417)
-        assert str(exc.value) == "24^6 assignments exceed the cap 100000000"
-        with pytest.raises(CapExceeded) as exc:
-            count_homs(trial_417, sym4)
-        assert str(exc.value) == "24^6 assignments exceed the cap 100000000"
-    # 6^6 is within the default cap, and sym3's count was kept with sym4's
-    assert count_homs(trial_417, sym3) == 396
-    with pytest.raises(CapExceeded, match=r"^6\^6 assignments exceed the cap 1000$"):
-        count_homs(trial_417, sym3, cap=1000)
-    assert fingerprint(trial_417, cap=10 ** 9) == fp and trial_417._lifted is kept
+            fingerprint(trial_417, cap=10 ** 4)
+        assert str(exc.value) == "6^6 assignments exceed the cap 10000"
+        for g in default_battery():
+            with pytest.raises(CapExceeded) as exc:
+                count_homs(trial_417, g, cap=10 ** 4)
+            assert str(exc.value) == "6^6 assignments exceed the cap 10000"
+    assert fingerprint(trial_417, cap=6 ** 6) == fp and trial_417._lifted is kept
 
 
 def test_fingerprint_structure():

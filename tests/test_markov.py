@@ -21,7 +21,7 @@ from linkgroups.braid import (
     underlying_permutation,
 )
 from linkgroups.examples import VIRTUAL_TREFOIL
-from linkgroups.homcount import fingerprint
+from linkgroups.homcount import count_homs, default_battery, fingerprint, make_table
 from linkgroups.markov import Mismatch, Move, fuzz, random_move, run_trial
 from linkgroups.present import Presentation, group_of_virtual_link, tietze_simplify
 
@@ -140,8 +140,7 @@ def test_fuzz_campaigns_small():
 
 # the reports of 40-trial campaigns on 4 strands, length 10, seed 6
 CAMPAIGN_REPORTS = {
-    ("virtual", None, 6): "theory=virtual trials=40 seed=6 mismatches=0 skipped=1\n"
-                          "skipped trial 21: CapExceeded: 24^6 assignments exceed the cap 100000000",
+    ("virtual", None, 6): "theory=virtual trials=40 seed=6 mismatches=0 skipped=0",
     ("welded", None, 6): "theory=welded trials=40 seed=6 mismatches=0 skipped=0",
     ("welded", 1, 6): "theory=welded wada=1 trials=40 seed=6 mismatches=0 skipped=0",
     ("welded", 2, 6): "theory=welded wada=2 trials=40 seed=6 mismatches=0 skipped=0",
@@ -181,6 +180,35 @@ def test_trial_builds_each_run_of_equal_braids_once(monkeypatch):
         assert len(checked) > len(built)
         for p, fp in checked:
             assert fp == fingerprint(Presentation(p.generators, p.relators))
+
+
+def test_six_strand_campaign_counts_every_trial(monkeypatch):
+    # the first presentation with six or more generators in a relator, by
+    # trial; at 24^6 assignments each was refused before the battery's cap
+    # became 6^k, the sym3 enumeration that all four counts read
+    first, trial = {}, [None]
+    run_trial, checked = markov.run_trial, markov.fingerprint
+
+    def tracking_trial(i, *args):
+        trial[0] = i
+        return run_trial(i, *args)
+
+    def tracking_fingerprint(p):
+        if len({abs(v) for r in p.relators for v in r.letters}) >= 6:
+            first.setdefault(trial[0], p)
+        return checked(p)
+
+    monkeypatch.setattr(markov, "run_trial", tracking_trial)
+    monkeypatch.setattr(markov, "fingerprint", tracking_fingerprint)
+    report = fuzz("virtual", 500, 6, 16, 6, seed=2027)
+    assert report.render() == "theory=virtual trials=500 seed=2027 mismatches=0 skipped=0"
+    assert sorted(first) == [67, 83, 103, 110, 130, 133, 180, 285, 306, 453, 481, 494]
+    # the lifted counts agree with enumerations into equal copies of the battery
+    copies = [make_table(g.name, g.table) for g in default_battery()]
+    for p in first.values():
+        k = len({abs(v) for r in p.relators for v in r.letters})
+        want = tuple((g.name, count_homs(p, g, cap=g.order ** k)) for g in copies)
+        assert fingerprint(p).counts == want
 
 
 def test_fuzz_keeps_only_mismatches_and_skips(monkeypatch):

@@ -28,7 +28,7 @@ from linkgroups.freegroup import (
     gen_name,
     parse_word,
 )
-from linkgroups.homcount import builtin_group, count_homs, default_battery, fingerprint
+from linkgroups.homcount import builtin_group, count_homs, default_battery, fingerprint, make_table
 from linkgroups.present import (
     TIETZE_BUDGET,
     AbelianInvariants,
@@ -364,7 +364,7 @@ def test_tietze_matches_the_rebuild_everything_oracle():
     assert 20 <= exhausted <= 180
 
 
-def _invariants_long_groups():
+def _invariants_long_groups(seeds=range(1, 41)):
     # perfbench/workloads.py draws the benchmark's invariants-long braids;
     # it is loaded read-only, by path
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -373,9 +373,23 @@ def _invariants_long_groups():
     spec.loader.exec_module(wl)
     builders = {"classical": group_of_classical_link, "virtual": group_of_virtual_link,
                 "welded": group_of_welded_link}
-    for seed in range(1, 41):
+    for seed in seeds:
         theory, strands, letters = wl.invariant_braid(seed)
         yield builders[theory](BraidWord(strands, theory, [BraidLetter(*l) for l in letters]))
+
+
+def test_seven_generator_long_braids_count_within_the_cap():
+    # the invariants-long braids among seeds 1-150 whose simplified group
+    # has 7 generators in its relators: 24^7 exceeds the default cap, 6^7
+    # does not, so the battery counts them all from the sym3 lift
+    seeds = (16, 76, 82, 86, 89, 92, 96, 100)
+    copies = [make_table(g.name, g.table) for g in default_battery()[:2]]
+    for p in _invariants_long_groups(seeds):
+        p = tietze_simplify(p).presentation
+        assert len({abs(v) for r in p.relators for v in r.letters}) == 7
+        counts = dict(fingerprint(p).counts)
+        for g in copies:
+            assert counts[g.name] == count_homs(p, g, cap=g.order ** 7)
 
 
 def _stepped(p, budget):
