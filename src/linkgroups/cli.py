@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import braid, homcount, markov, present, reps
@@ -29,25 +30,28 @@ def _integer(text: str) -> int:
 
 
 def _build_parser():
+    # allow_abbrev=False: a flag's prefix is refused, not read as the flag it
+    # abbreviates (present --wada 2 would silently set --wada-h)
     top = argparse.ArgumentParser(
         prog="linkgroups",
         description="Group-valued invariants of classical, virtual, and welded links",
+        allow_abbrev=False,
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    add_parser = partial(top.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("parse", help="validate and normalize a braid word")
+    p = add_parser("parse", help="validate and normalize a braid word")
     p.add_argument("--theory", choices=braid.THEORIES, required=True)
     p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--word", required=True)
 
-    p = sub.add_parser("act", help="print the free-group images of a braid word")
+    p = add_parser("act", help="print the free-group images of a braid word")
     p.add_argument("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
     p.add_argument("--wada-h", type=_integer, default=1)
     p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--on", help="apply to this free word instead of listing generators")
 
-    p = sub.add_parser("present", help="emit the link group presentation of a braid closure")
+    p = add_parser("present", help="emit the link group presentation of a braid closure")
     p.add_argument("--theory", choices=braid.THEORIES, required=True)
     p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--word", required=True)
@@ -55,26 +59,26 @@ def _build_parser():
     p.add_argument("--wada-h", type=_integer, default=1)
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
-    p = sub.add_parser("simplify", help="Tietze-simplify a presentation")
+    p = add_parser("simplify", help="Tietze-simplify a presentation")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--budget", type=_integer, default=present.TIETZE_BUDGET)
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
-    p = sub.add_parser("abelianize", help="abelian invariants of a presentation")
+    p = add_parser("abelianize", help="abelian invariants of a presentation")
     p.add_argument("--in", dest="infile", default="-")
 
-    p = sub.add_parser("homcount", help="count homomorphisms to a finite group")
+    p = add_parser("homcount", help="count homomorphisms to a finite group")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--group", required=True, help="sym3|sym4|alt4|d4|c<k>|table:<path>")
     p.add_argument("--cap", type=_integer, default=None)
 
-    p = sub.add_parser("check-relations", help="verify the defining relations under a representation")
+    p = add_parser("check-relations", help="verify the defining relations under a representation")
     p.add_argument("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
     p.add_argument("--strands", type=_integer, required=True)
     p.add_argument("--wada-h", type=_integer, default=1)
     p.add_argument("--include-forbidden", action="store_true")
 
-    p = sub.add_parser("markov-fuzz", help="fingerprint invariance under random moves")
+    p = add_parser("markov-fuzz", help="fingerprint invariance under random moves")
     p.add_argument("--theory", choices=("virtual", "welded"), required=True)
     p.add_argument("--trials", type=_integer, required=True)
     p.add_argument("--strands", type=_integer, default=4)
@@ -83,7 +87,7 @@ def _build_parser():
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--wada", type=_integer, choices=(1, 2), default=None)
 
-    sub.add_parser("examples", help="replay the worked examples as a regression suite")
+    add_parser("examples", help="replay the worked examples as a regression suite")
     return top
 
 

@@ -20,7 +20,10 @@ Word(ambient, letters) still checks every letter and reduces its input,
 as one-letter pieces.
 LETTER_LIMIT bounds every word built, counted before cancellation.
 _substitute is the one substitution routine, on letter tuples: applying
-an Endomorphism to a word and reps' braid evaluation both use it.
+an Endomorphism to a word and reps' braid evaluation of the Wada types
+2-4 both use it.  reps' pair fold of the conjugating actions builds no
+whole words to substitute, and bounds each substitution it stands for
+by the same check, _check_image.
 """
 
 from __future__ import annotations
@@ -93,13 +96,18 @@ def _check_size(n: int) -> None:
         raise WordLengthError(f"{n} letters exceeds limit {LETTER_LIMIT}")
 
 
+def _check_image(n: int) -> None:
+    """Refuse a substitution of n letters, counted before cancellation."""
+    if n > LETTER_LIMIT:
+        raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
+
+
 def _substitute(images: dict, letters: tuple[int, ...]) -> tuple[int, ...]:
     """The reduced word got from letters by replacing each generator g by
     images[g] and each g^-1 by its inverse; images maps generator ids to
     reduced letter tuples.  The substitution, counted before cancellation,
     may have at most LETTER_LIMIT letters."""
-    if sum(map(len, map(images.__getitem__, map(abs, letters)))) > LETTER_LIMIT:
-        raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
+    _check_image(sum(map(len, map(images.__getitem__, map(abs, letters)))))
     pieces = [images[v] if v > 0 else _inverse(images[-v]) for v in letters]
     # a single piece is already reduced: it is returned, not copied
     return pieces[0] if len(pieces) == 1 else _join(pieces)

@@ -7,19 +7,33 @@ actions (types 1-4).  REPRESENTATIONS is the one table of their names,
 theories and sigma rules.  Composition is left to right throughout: the
 word l1 l2 acts by l1 first.
 
-evaluate computes a word's action from the right, on letter tuples.
-It keeps one dict of image letter tuples, starting from the identity,
-and for each letter l from the last to the first replaces the image of
+evaluate computes a word's action from the right, on letter tuples:
+for each letter l from the last to the first it replaces the image of
 each generator that l moves by the current images substituted into l's
-image of it (freegroup._substitute).  That is precomposition by l's
-action, so by associativity the result is the endomorphism of the
-left-to-right fold.  Each letter's moved generators and their images
-are read once from its verified generator action and cached.  A letter
-moves at most two generators, each to a word of at most 2h + 1 letters,
-and the images it fixes are shared, not rebuilt.  The LETTER_LIMIT
-check of freegroup bounds each substitution of suffix images into a
-letter's images; the words of the endomorphism are built once, at the
-end.
+image of it.  That is precomposition by l's action, so by associativity
+the result is the endomorphism of the left-to-right fold.  A letter
+moves at most two generators, and the images it fixes are shared, not
+rebuilt.  Each letter's move is read once from its verified generator
+action and cached, and the words of the endomorphism are built once, at
+the end.
+
+Under artin, virtual, welded and wada1 (the families whose sigma rule is
+_conjugating) every letter sends each x_g it moves to v^k x_s v^-k, a
+conjugate of a generator by a power of one letter (x_i^h, x_j^-h, y^+-1
+or 1), and fixes y: these are basis-conjugating automorphisms.  So every
+image is c x_t c^-1, and evaluate keeps it as the pair (c, t), with c
+reduced and not ending in x_t^+-1; y is the pair ((), y).  The images
+send v^k to c u^k c^-1 for some pair (c, u), and x_s to the pair
+(c_s, t_s), so the new pair of x_g is t_s and the reduced c u^k c^-1 c_s
+stripped of its trailing x_(t_s)^+-1 letters.  Its letters cancel only
+from the one seam between c^-1 and c_s, so for sigma_i's image of x_i
+there is one seam where the full word has two, and about half the
+letters to copy.  Wada types 2-4 are not conjugating (wada2 sends x_i
+to x_i x_j^-1 x_i), so for them evaluate substitutes whole image words
+(freegroup._substitute).  Either way the LETTER_LIMIT check of
+freegroup bounds each substitution of suffix images into a letter's
+image, counted before cancellation; for pairs that is the sum of
+2|c| + 1 over the letters of the letter's image.
 
 Reading convention: the closure group of b is the Wirtinger group of
 b's diagram drawn with its first letter at the bottom, read from the
@@ -37,6 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
+from operator import ne
 from typing import Optional
 
 from .braid import (
@@ -53,7 +69,10 @@ from .freegroup import (
     Endomorphism,
     Word,
     YID,
+    _check_image,
     _check_size,
+    _inverse,
+    _join,
     _substitute,
 )
 
@@ -69,6 +88,8 @@ def _conjugating(i: int, j: int, h: int) -> tuple[dict, dict]:
 # name -> (theory of the braids it acts on, sigma rule).  The sigma rule
 # sigma_rule(i, j, h) gives the hand-derived (forward, inverse) moves of
 # x_i and x_j = x_(i+1) under sigma_i; every other generator is fixed.
+# A family conjugates, and evaluate folds its pairs, iff its sigma rule
+# is _conjugating.
 REPRESENTATIONS = {
     "artin": ("classical", _conjugating),
     "virtual": ("virtual", _conjugating),
@@ -79,6 +100,31 @@ REPRESENTATIONS = {
     "wada4": ("welded", lambda i, j, h: ({i: (i, i, j), j: (-j, -i, j)},
                                          {i: (i, -j, -i), j: (i, j, j)})),
 }
+
+
+def _image_pair(pairs: dict, v: int, k: int, s: int) -> tuple:
+    """The pair of the image of v^k x_s v^-k under the endomorphism E
+    whose images pairs gives, each generator's as its pair (c, t).  The
+    substitution of E's images into v^k x_s v^-k is checked against
+    LETTER_LIMIT first, at its size before cancellation."""
+    cs, t = pairs[s]
+    if not k:
+        _check_image(2 * len(cs) + 1)
+        return pairs[s]
+    c, u = pairs[abs(v)]
+    _check_image(2 * len(cs) + 1 + 2 * k * (2 * len(c) + 1))
+    # E(v^k) cs = c x_u^(+-k) c^-1 cs, and c^-1 cs cancels the common prefix
+    # of c and cs; if that is all of c, x_u^(+-k) meets the rest of cs
+    head = c + (u if v > 0 else -u,) * k
+    p = next(compress(count(), map(ne, c, cs)), min(len(c), len(cs)))
+    if p < len(c):
+        conj = head + _inverse(c[p:]) + cs[p:]
+    else:
+        conj = _join((head, cs[p:]))
+    n = len(conj)
+    while n and abs(conj[n - 1]) == t:
+        n -= 1
+    return conj[:n], t
 
 
 class Representation:
@@ -99,9 +145,9 @@ class Representation:
         self.h = h
         self.theory, self._sigma_rule = REPRESENTATIONS[name]
         self.ambient = Ambient(strands, self.theory == "virtual")
+        self._conjugates = self._sigma_rule is _conjugating
         self._actions: dict[BraidLetter, Automorphism] = {}
-        # letter -> ((generator, letters of its forward image), ...) for
-        # the generators the letter moves
+        # letter -> _move(letter)
         self._moves: dict[BraidLetter, tuple] = {}
 
     def _endo(self, moved: dict[int, tuple]) -> Endomorphism:
@@ -131,22 +177,37 @@ class Representation:
         self._actions[letter] = act
         return act
 
+    def _move(self, letter: BraidLetter) -> tuple:
+        """letter's move, cached: for each generator g it moves, (g, fwd)
+        with fwd the letters of g's forward image, or, if the family
+        conjugates, (g, v, k, s) with that image v^k x_s v^-k."""
+        forward = self.generator_action(letter).forward.images
+        moved = [(g, w.letters) for g, w in forward.items() if w.letters != (g,)]
+        if self._conjugates:
+            # fwd is v^k x_s v^-k; v is fwd[0], ignored when k = 0
+            moved = [(g, fwd[0], len(fwd) // 2, fwd[len(fwd) // 2]) for g, fwd in moved]
+        move = self._moves[letter] = tuple(moved)
+        return move
+
     def evaluate(self, b: BraidWord) -> Endomorphism:
         """The image of a whole braid word; its first letter acts first."""
         if b.theory != self.theory:
             raise ValueError(f"{self.name} acts on {self.theory} braids, got {b.theory}")
         if b.strands != self.strands:
             raise ValueError(f"strand mismatch: {b.strands} vs {self.strands}")
-        images = {g: (g,) for g in self.ambient.gens()}
         moves = self._moves
-        for letter in reversed(b.letters):
-            moved = moves.get(letter)
-            if moved is None:
-                forward = self.generator_action(letter).forward.images
-                moved = moves[letter] = tuple(
-                    (g, w.letters) for g, w in forward.items() if w.letters != (g,))
-            # the list is built in full, from the old images, before the update
-            images.update([(g, _substitute(images, fwd)) for g, fwd in moved])
+        # each list is built in full, from the old images, before the update
+        if self._conjugates:
+            pairs = {g: ((), g) for g in self.ambient.gens()}
+            for letter in reversed(b.letters):
+                moved = moves.get(letter) or self._move(letter)
+                pairs.update([(g, _image_pair(pairs, v, k, s)) for g, v, k, s in moved])
+            images = {g: c + (t,) + _inverse(c) for g, (c, t) in pairs.items()}
+        else:
+            images = {g: (g,) for g in self.ambient.gens()}
+            for letter in reversed(b.letters):
+                moved = moves.get(letter) or self._move(letter)
+                images.update([(g, _substitute(images, fwd)) for g, fwd in moved])
         amb = self.ambient
         return Endomorphism._trusted(amb, amb, {g: Word._reduced(amb, ls) for g, ls in images.items()})
 

@@ -44,6 +44,36 @@ def test_usage_error_status():
     assert exc.value.code == 2
 
 
+PRESENT_WELDED = ("present", "--theory", "welded", "--strands")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # --wada is markov-fuzz's Wada type; here it would have been read as --wada-h
+    (PRESENT_WELDED + ("2", "--word", "s1 s1 s1", "--rep", "wada1", "--wada", "2"),
+     "unrecognized arguments: --wada 2"),
+    (PRESENT_WELDED + ("3", "--word", "a1 a1", "--wada", "3"), "unrecognized arguments: --wada 3"),
+    (PRESENT_WELDED + ("2", "--word", "s1", "--form", "text"), "unrecognized arguments: --form text"),
+    (("markov-fuzz", "--theory", "welded", "--trials", "2", "--wad", "1"), "unrecognized arguments: --wad 1"),
+    (("homcount", "--group", "sym3", "--ca", "9"), "unrecognized arguments: --ca 9"),
+    # every flag abbreviated: argparse reports the missing flags first
+    (("present", "--the", "welded", "--str", "2", "--wo", "s1"),
+     "the following arguments are required: --theory, --strands, --word"),
+])
+def test_abbreviated_flags_are_refused(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == 2 and message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, count", [(None, 12), ("2", 6)])
+def test_present_wada_h_spelled_in_full(capsys, monkeypatch, h, count):
+    flags = () if h is None else ("--wada-h", h)
+    code, out, _ = invoke(capsys, *PRESENT_WELDED, "2", "--word", "s1 s1 s1", "--rep", "wada1", *flags)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert invoke(capsys, "homcount", "--group", "sym3") == (0, f"{count}\n", "")
+
+
 def test_act_lists_images(capsys):
     code, out, _ = invoke(
         capsys, "act", "--rep", "virtual", "--strands", "2", "--word", "r1"

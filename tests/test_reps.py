@@ -101,6 +101,19 @@ def test_evaluate_theory_and_strand_mismatch():
         virtual(3).evaluate(parse("s1", 2, "virtual"))
 
 
+def evaluate_against_the_oracle(rep, b):
+    """rep.evaluate(b), once its images are checked against the oracle's
+    letter-by-letter fold."""
+    letter_images = [
+        {g: w.letters for g, w in rep.generator_action(l).forward.images.items()}
+        for l in b.letters
+    ]
+    e = rep.evaluate(b)
+    got = {g: e.images[g].letters for g in rep.ambient.gens()}
+    assert got == naive_evaluate(letter_images, rep.ambient.gens()), b
+    return e
+
+
 def compose_fold(rep, b):
     """The right fold of the letters' actions by compose, with the size of
     the largest substitution it makes."""
@@ -124,13 +137,7 @@ def test_evaluate_matches_the_letter_by_letter_oracle(monkeypatch, name, h):
         n = rng.randint(2, 5)
         rep = representation(name, n, h)
         b = random_braid_from(rng, n, rng.randint(0, 12), rep.theory)
-        letter_images = [
-            {g: w.letters for g, w in rep.generator_action(l).forward.images.items()}
-            for l in b.letters
-        ]
-        e = rep.evaluate(b)
-        got = {g: e.images[g].letters for g in rep.ambient.gens()}
-        assert got == naive_evaluate(letter_images, rep.ambient.gens()), b
+        e = evaluate_against_the_oracle(rep, b)
         fold, largest = compose_fold(rep, b)
         assert e == fold, b
         if largest < 2:
@@ -146,6 +153,39 @@ def test_evaluate_matches_the_letter_by_letter_oracle(monkeypatch, name, h):
                     run(b)
                 messages.append(str(exc.value))
             assert messages == [f"image would exceed {largest - 1} letters"] * 2
+
+
+@pytest.mark.parametrize("name", ["welded", "wada1", "wada2"])
+def test_evaluate_letter_limit_zero_refuses_a_swap(monkeypatch, name):
+    # alpha_1 only swaps two generators, yet each swap is a substitution of one letter
+    rep, b = representation(name, 3), parse("a1", 3, "welded")
+    rep.evaluate(b)  # builds and caches alpha_1's action, whose words the limit would refuse
+    monkeypatch.setattr(fg, "LETTER_LIMIT", 0)
+    assert is_identity(rep.evaluate(BraidWord(3, "welded", ())))
+    with pytest.raises(WordLengthError, match="^image would exceed 0 letters$"):
+        rep.evaluate(b)
+
+
+@pytest.mark.parametrize("name, h", [
+    ("artin", 1), ("virtual", 1), ("welded", 1), ("wada1", 1), ("wada1", 2), ("wada1", 3), ("wada2", 1),
+])
+def test_evaluate_matches_the_oracle_on_long_braids(name, h):
+    """Braids of invariants-long's sizes: the pair fold (all but wada2)
+    and the substitution fold (wada2) against the oracle's fold."""
+    rng = random.Random(f"long {name} {h}")
+    for _ in range(6):
+        n = rng.randint(4, 9)
+        rep = representation(name, n, h)
+        b = random_braid_from(rng, n, rng.randint(20, 50), rep.theory)
+        e = evaluate_against_the_oracle(rep, b)
+        if name == "wada2":
+            continue
+        # a basis-conjugating automorphism: each x_g goes to a reduced c x_t c^-1, y to y
+        for g, w in e.images.items():
+            image, k = w.letters, len(w) // 2
+            c, t = image[:k], image[k]
+            assert len(image) % 2 == 1 and t > 0 and image[k + 1:] == tuple(-v for v in reversed(c)), b
+            assert (g != YID or image == (YID,)) and not (c and abs(c[-1]) == t), b
 
 
 @pytest.mark.parametrize("theory, word, reversed_word, counts, reversed_counts", [
