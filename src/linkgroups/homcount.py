@@ -324,12 +324,14 @@ def _plan(p: Presentation):
     The generators that occur in some relator get slots 0..k-1 by
     descending occurrence (first listed first on ties).  Values live in
     one list: index 0 is the identity, 1+2s and 2+2s are slot s's image
-    and its inverse, and the indices after those are pieces.  A piece is
-    a subword whose deepest slot is m, stored as the indices of its
-    slot-m letters and of the sub-pieces between them; it is evaluated
-    once on entering depth m+1, and identical pieces share one index.
-    Each relator goes to the depth d of its deepest generator, as the
-    program of its slot-d letters and the pieces between them.  Returns
+    and its inverse, and the indices after those are pieces.  Each
+    relator goes to the depth d of its deepest generator, as the program
+    of its slot-d letters and the runs between them: a run of one letter
+    is that letter, and a longer one a piece.  A piece whose deepest slot
+    is m is stored the same way, as its slot-m letters and the runs
+    between them, and evaluated once on entering depth m+1; identical
+    pieces share one index.  One pass over a relator builds them all,
+    closing the runs that each letter ends.  Returns
     (levels, size): per depth, the pieces to evaluate on entering it and
     the programs of the relators to test, deduplicated, those with the
     fewest slot-d letters first (in relator order on ties); size is the
@@ -347,39 +349,39 @@ def _plan(p: Presentation):
     pieces = {}  # program -> index, in evaluation order
     entry = [[] for _ in range(k)]
 
-    def split(word, m):
-        """The slot-m letters of word and the indices of the pieces
-        between them, empty ones dropped."""
-        prog, run = [], []
-        for i in word:
-            if (i - 1) >> 1 == m:
-                if run:
-                    prog.append(piece(run))
-                    run = []
-                prog.append(i)
-            else:
-                run.append(i)
-        if run:
-            prog.append(piece(run))
-        return tuple(prog)
-
-    def piece(word):
-        """The index of word's value: a letter's own, or its piece's."""
-        if len(word) == 1:
-            return word[0]
-        m = (max(word) - 1) >> 1
-        prog = split(word, m)
+    def close(run):
+        """The index of a finished run [m, items...]: its one letter's, or
+        that of the piece whose program is its items."""
+        if len(run) == 2:
+            return run[1]
+        prog = tuple(run[1:])
         at = pieces.get(prog)
         if at is None:
             at = pieces[prog] = 1 + 2 * k + len(pieces)
-            entry[m + 1].append((at, prog))  # a relator deeper than m needs it
+            entry[run[0] + 1].append((at, prog))  # a relator deeper than m needs it
         return at
 
     programs = [{} for _ in range(k)]  # insertion-ordered sets, by depth
     for r in p.relators:
         word = [letter[v] for v in r.letters]
         d = (max(word) - 1) >> 1
-        programs[d][split(word, d)] = None
+        # the open runs, as [m, items...]: the run of items no deeper than
+        # m, which holds a slot-m letter; m falls towards the top
+        runs = [[d]]
+        for i in word:
+            s = (i - 1) >> 1
+            while runs[-1][0] < s:  # a slot-s letter ends every run shallower
+                done = close(runs.pop())
+                if runs[-1][0] > s:
+                    runs.append([s])
+                runs[-1].append(done)
+            if runs[-1][0] > s:
+                runs.append([s])
+            runs[-1].append(i)
+        while len(runs) > 1:
+            done = close(runs.pop())
+            runs[-1].append(done)
+        programs[d][tuple(runs[0][1:])] = None
     levels = []
     for d, progs in enumerate(programs):
         named = {prog: sum((i - 1) >> 1 == d for i in prog) for prog in progs}
@@ -464,7 +466,10 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
                 else:
                     rec(depth + 1, moves[v], row[v], found, w * weight)
 
-    rec(0, 0, 1, (), 1)
+    try:
+        rec(0, 0, 1, (), 1)
+    except RecursionError:
+        raise CapExceeded(f"enumerating {k} generators recurses deeper than the interpreter allows") from None
     return leaves
 
 
@@ -526,17 +531,6 @@ def _lift_tables():
     return tuple(picks), inverse_letters, joins, fixes
 
 
-def _leaves(p: Presentation, k, g, lift=False):
-    """_count_assignments over p's plan, built inside the recursion guard:
-    its pieces nest as deeply as the enumeration recurses."""
-    try:
-        return _count_assignments(g, _plan(p), lift)
-    except RecursionError:
-        raise CapExceeded(
-            f"enumerating {k} generators recurses deeper than the interpreter allows"
-        ) from None
-
-
 def _count_abelian(p: Presentation, g: FiniteGroupTable) -> int:
     """|Hom(p, g)| for abelian g, which is Hom(G^ab, g): g.order^r times,
     per torsion invariant d, the number of a in g with a^d = 1.  a^d = 1
@@ -564,7 +558,7 @@ def _lifted(p: Presentation, k):
         battery = default_battery()
         fixes = _lift_tables()[3]
         sums = [0] * len(battery)
-        for (mask, rank), w in _leaves(p, k, battery[0], lift=True).items():
+        for (mask, rank), w in _count_assignments(battery[0], _plan(p), lift=True).items():
             lifts = w << 2 * k - rank
             sums[0] += w
             for i, fixed in enumerate(fixes[mask], 1):
@@ -589,7 +583,7 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     if order ** k > cap:
         raise CapExceeded(f"{order}^{k} assignments exceed the cap {cap}")
     if lifted is None:
-        return g.order ** (len(p.generators) - k) * _leaves(p, k, g)[1, 0]
+        return g.order ** (len(p.generators) - k) * _count_assignments(g, _plan(p))[1, 0]
     return _lifted(p, k)[lifted]
 
 

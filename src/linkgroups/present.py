@@ -78,9 +78,9 @@ class Presentation:
         for r in relators:
             if not isinstance(r, Word) or r.ambient != ambient:
                 raise ValueError("relators must be words over the presentation ambient")
+            _check_generators(r.letters, signed)
             core = r.cyclic_reduce()[0]
             if core:
-                _check_generators(core.letters, signed)
                 cleaned.append(core)
         self.generators = generators
         self.relators = tuple(cleaned)

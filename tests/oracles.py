@@ -5,7 +5,8 @@ package: repeated-scan reduction, plain substitution and its
 left-to-right fold over a braid word, Tietze elimination that rebuilds
 every relator, arc labels carried down a braid diagram, brute-force hom
 counting over full tuple products, schoolbook matrix multiplication,
-cofactor determinants and direct products of multiplication tables.
+cofactor determinants, direct products of multiplication tables and
+tables of permutation groups.
 """
 
 import itertools
@@ -210,3 +211,18 @@ def direct_product_table(g, h):
         for a1 in range(m)
         for a2 in range(k)
     ]
+
+
+def permutation_table(perms):
+    """The multiplication table of a group of permutations, each a tuple
+    of the images of 0..n-1.  Element i is the i-th permutation in
+    sorted order, so the identity is 0, and i * j applies i first."""
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(q[v] for v in p)] for q in perms] for p in perms]
+
+
+def even_permutations(n):
+    """The permutations of 0..n-1 with an even number of inversions."""
+    return [p for p in itertools.permutations(range(n))
+            if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0]

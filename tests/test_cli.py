@@ -303,6 +303,18 @@ def test_rep_choices_are_the_family_table():
         assert tuple(rep.choices) == tuple(REPRESENTATIONS)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ("", "empty presentation input"),
+    ("  \n\n", "empty presentation input"),
+    ("gens: x1\ngens: x2\n", "duplicate gens line"),
+    ("gens: x1\nrelator: x1\n", "bad presentation line 'relator: x1'"),
+    ("# no generators\nrel: x1 x1\n", "missing gens line"),
+])
+def test_malformed_text_presentation_is_an_error(capsys, monkeypatch, payload, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert invoke(capsys, "abelianize") == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "payload", ['{"generators": 5}', '{"generators": ["x1"], "relators": "x1"}']
 )

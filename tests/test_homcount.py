@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkgroups import homcount, present
+from linkgroups.braid import parse
+from linkgroups.examples import VIRTUAL_TREFOIL
 from linkgroups.freegroup import Ambient, Word, YID
 from linkgroups.homcount import (
     MAX_GROUP_ORDER,
@@ -35,7 +37,7 @@ from linkgroups.present import (
     tietze_step,
 )
 
-from oracles import brute_count_homs, direct_product_table
+from oracles import brute_count_homs, direct_product_table, even_permutations, permutation_table
 
 
 def P(gens, relator_letter_tuples):
@@ -186,6 +188,29 @@ def test_solved_count_matches_brute_force_in_the_battery(p):
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
 
 
+def test_a5_and_s5_counts():
+    # A5, the smallest non-solvable group, and S5: no lift through an
+    # abelian series counts them, so they keep the enumeration
+    a5 = make_table("a5", permutation_table(even_permutations(5)))
+    s5 = make_table("s5", permutation_table(itertools.permutations(range(5))))
+    assert (a5.order, s5.order) == (60, 120)
+    trefoil = present.group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
+    for g, classes, on_trefoil in ((a5, 5, 1140), (s5, 7, 4080)):
+        # Hom(F_2, G) is G^2, also as <x1, x2, x3 | x1 x2 x3^-1>, which is
+        # enumerated; Hom(Z^2, G) is the commuting pairs, |G| per class
+        assert count_homs(P((1, 2), []), g) == count_homs(P((1, 2, 3), [(1, 2, -3)]), g) == g.order ** 2
+        assert count_homs(P((1, 2), [(1, 2, -1, -2)]), g) == g.order * classes
+        assert count_homs(trefoil, g) == on_trefoil
+    # and on a seeded sample of two-generator presentations, tuple by tuple
+    rng = random.Random(5)
+    for g, n in ((a5, 10), (s5, 5)):
+        for _ in range(n):
+            rels = [tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(2, 7)))
+                    for _ in range(rng.randint(1, 2))]
+            p = P((1, 2), rels)
+            assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
+
+
 def test_symmetry_data_belongs_to_the_table():
     # a non-abelian impostor: dihedral4's table named sym3
     sym3, dihedral4 = builtin_group("sym3"), builtin_group("dihedral4")
@@ -244,6 +269,19 @@ def test_plan_shares_identical_pieces():
         ((7, (x1, x2, x1inv)), (8, (x1, x2))),  # evaluated on entering x3's level
         ((7, x3), (7, x3inv, 8)),  # tested on every value of x3
     )
+    for g in default_battery() + COPIES:
+        assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
+
+
+def test_plan_pieces_have_pieces_of_their_own():
+    # slots x1, x2, x3 by occurrence; the run before x3 is a piece at x2's
+    # depth, and its runs x1 x1 are one piece at x1's, evaluated once per
+    # value of x1 rather than once per value of x2
+    p = P((1, 2, 3), [(1, 1, 2, 1, 1, 3)])
+    levels, size = _plan(p)
+    x1, x2, x3 = 1, 3, 5
+    assert size == 1 + 2 * 3 + 2
+    assert levels == (((), ()), (((7, (x1, x1)),), ()), (((8, (7, x2, 7)),), ((8, x3),)))
     for g in default_battery() + COPIES:
         assert count_homs(p, g) == brute_count_homs(p.generators, [r.letters for r in p.relators], g)
 

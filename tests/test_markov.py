@@ -20,10 +20,11 @@ from linkgroups.braid import (
     stabilize,
     underlying_permutation,
 )
+from linkgroups.cli import run
 from linkgroups.examples import VIRTUAL_TREFOIL
-from linkgroups.homcount import count_homs, default_battery, fingerprint, make_table
+from linkgroups.homcount import Fingerprint, count_homs, default_battery, fingerprint, make_table
 from linkgroups.markov import Mismatch, Move, fuzz, random_move, run_trial
-from linkgroups.present import Presentation, group_of_virtual_link, tietze_simplify
+from linkgroups.present import Presentation, closure_group, group_of_virtual_link, tietze_simplify
 
 
 def test_move_examples():
@@ -252,6 +253,80 @@ def test_fuzz_argument_validation(monkeypatch):
     assert fuzz("welded", 0, 3, 7, 2, seed=0).ok
     with pytest.raises(ValueError, match="length 8 exceeds the word-length limit 7"):
         fuzz("welded", 0, 3, 8, 2, seed=0)
+
+
+def fault_in_trial(monkeypatch, trial, call):
+    """Make markov.fingerprint read one sym3 hom too many at its call-th
+    call (from 0) within the given trial, and at no other."""
+    current, calls = [None], [0]
+    run_trial = markov.run_trial
+
+    def tracking_trial(i, *args):
+        current[0], calls[0] = i, 0
+        return run_trial(i, *args)
+
+    def faulty_fingerprint(p):
+        fp = fingerprint(p)
+        if current[0] == trial:
+            if calls[0] == call:
+                (name, count), *rest = fp.counts
+                fp = Fingerprint(fp.abelian, ((name, count + 1), *rest))
+            calls[0] += 1
+        return fp
+
+    monkeypatch.setattr(markov, "run_trial", tracking_trial)
+    monkeypatch.setattr(markov, "fingerprint", faulty_fingerprint)
+
+
+# trial 3 of the virtual campaign on 3 strands, length 6, depth 3, seed 1
+# makes one move, an exchange, so its fingerprints are those of the start
+# (call 0), of the braid just before the exchange (1), of the exchange's two
+# forms (2 and 3) and of the end (4)
+FAULTY_CAMPAIGN = ("virtual", 5, 3, 6, 3)
+
+
+# a fault before the exchange is checked against the braid the trace
+# starts from, and one after it against the exchange's form that it lists
+@pytest.mark.parametrize("call, stage, checked", [
+    (1, "pre-exchange chain", 0), (3, "exchange pair", 1), (4, "end of chain", 1),
+])
+def test_a_faulty_fingerprint_is_reported_with_a_replayable_trace(monkeypatch, capsys, call, stage, checked):
+    fault_in_trial(monkeypatch, 3, call)
+    theory, trials, strands, length, depth = FAULTY_CAMPAIGN
+    status, mm = markov.run_trial(3, theory, strands, length, depth, 1, None)
+    assert status == "mismatch" and (mm.trial, mm.stage) == (3, stage)
+    # the trace names each braid in the grammar that braid.parse reads
+    head, *steps = mm.trace.splitlines()
+    assert len(steps) == 1 and steps[0].startswith("  exchange side=right cut=4 -> [")
+    traced, n, word = (field.split("=", 1)[1] for field in head.split(" ", 2))
+    words = [(int(n), word)] + [(int(m), w) for m, w in (s.split(" -> [", 1)[1].split("] ", 1) for s in steps)]
+    for m, w in words:
+        assert serialize(parse(w, m, traced)) == w
+    # the faulty fingerprint is the one reported as got
+    m, w = words[checked]
+    group = tietze_simplify(closure_group(parse(w, m, traced))).presentation
+    assert traced == theory and mm.expected == str(fingerprint(group)) != mm.got
+    report = fuzz(theory, trials, strands, length, depth, seed=1)
+    assert report.render().splitlines()[:2] == [
+        "theory=virtual trials=5 seed=1 mismatches=1 skipped=0",
+        f"MISMATCH trial 3 at {stage}: expected {mm.expected}, got {mm.got}",
+    ]
+    assert report.render().endswith("\n" + mm.trace)
+    argv = ["markov-fuzz", "--theory", theory, "--trials", str(trials), "--strands", str(strands),
+            "--len", str(length), "--depth", str(depth), "--seed", "1"]
+    assert run(argv) == 3
+    assert capsys.readouterr().out == report.render() + "\n"
+
+
+def test_a_refused_count_is_reported_as_a_skip(monkeypatch):
+    # every count with a relator is over a cap of 1; trial 3 is the first
+    # of this campaign whose simplified group keeps a relator
+    monkeypatch.setenv("LINKGROUPS_HOM_CAP", "1")
+    report = fuzz("virtual", 4, 3, 6, 3, seed=1)
+    assert report.ok and report.render().splitlines() == [
+        "theory=virtual trials=4 seed=1 mismatches=0 skipped=1",
+        "skipped trial 3: CapExceeded: 6^4 assignments exceed the cap 1",
+    ]
 
 
 def test_trial_reports_are_replayable():

@@ -463,6 +463,12 @@ def test_presentation_validation():
         Presentation((1, 2), [Word(amb, (3,))])
     with pytest.raises(ValueError):
         Presentation((1, 1), [])
+    # every letter is checked, not only those of the cyclic core: x2 x1 x2^-1
+    # reduces to x1, and parse_presentation refuses the same relator
+    with pytest.raises(ValueError, match="relator uses unknown generator x2$"):
+        Presentation((1, 3), [Word(amb, (2, 1, -2))])
+    with pytest.raises(ValueError, match="relator uses unknown generator x2$"):
+        parse_presentation("gens: x1 x3\nrel: x2 x1 x2^-1\n")
 
 
 def test_presentation_text_round_trip():
