@@ -50,9 +50,11 @@ conjugation (R. Fox, "Free differential calculus I", Ann. Math. 1953).
 So phi has 2^(2k - rank) lifts, the same number for each of its
 conjugates.  A piece's rows come with its value on entering its level,
 a relator's from its program at each choice, and they are reduced into
-an echelon basis carried down the recursion, so a leaf knows its rank;
-each node also carries the image K, the subgroup its values generate,
-as a mask of sym3's six elements.  A leaf of weight w stands for the w
+an echelon basis carried down the recursion, so a leaf knows its rank.
+A leaf also knows its stabiliser, the centraliser C(K) of the image K,
+the subgroup its values generate; and K = C(C(K)), as every subgroup of
+sym3 is its own double centraliser, so the leaves are added up by
+stabiliser and rank.  A leaf of weight w stands for the w
 conjugates of one homomorphism with image K; they add w to sym3's count
 and L = w 2^(2k - rank) lifts to sym4's.  For H = dihedral4 or alt4,
 which is V x| (H meet sym3), the lifts of phi land in H exactly when
@@ -72,8 +74,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
-import random
 import re
 import sys
 from collections import defaultdict
@@ -166,29 +168,35 @@ class FiniteGroupTable:
         return orbits, moves
 
 
-def _is_abelian(g):
-    """Whether g is abelian, from a generating set chosen greedily: only its
-    elements are compared, in O(order * generators) steps, not order^2."""
-    mul = g.table
-    inside = [True] + [False] * (g.order - 1)
+def _generators(table):
+    """A generating set of the table, chosen greedily: each generator is the
+    smallest element that is not a left-normed product ((s_1 s_2) ...) s_j
+    of those chosen before it.  Those products are the closure of {0} under
+    right multiplication by the generators, which needs no associativity.
+    In a group each generator at least doubles the subgroup, so there are
+    at most log2(order) of them."""
+    inside = [True] + [False] * (len(table) - 1)
     gens, span = [], [0]
-    for x in range(g.order):
+    for x in range(len(table)):
         if inside[x]:
             continue
-        if any(mul[x][s] != mul[s][x] for s in gens):
-            return False
         gens.append(x)
-        # x commutes with the subgroup span, so <span, x> is the union of
-        # the cosets span x^k, up to the first power of x inside span
-        power = x
-        cosets = []
-        while not inside[power]:
-            for h in span:
-                inside[mul[h][power]] = True
-                cosets.append(mul[h][power])
-            power = mul[power][x]
-        span += cosets
-    return True
+        # the span is closed under the generators before x, so its old
+        # elements need only x and its new ones every generator
+        old = len(span)
+        for i, h in enumerate(span):  # span grows as it is read
+            for s in gens[-1:] if i < old else gens:
+                y = table[h][s]
+                if not inside[y]:
+                    inside[y] = True
+                    span.append(y)
+    return gens
+
+
+def _is_abelian(g):
+    """Whether g is abelian: whether its generators commute."""
+    mul = g.table
+    return all(mul[a][b] == mul[b][a] for a, b in itertools.combinations(_generators(mul), 2))
 
 
 def _validate(name, table):
@@ -210,14 +218,14 @@ def _validate(name, table):
                 break
         if inverse[i] is None:
             raise ValueError(f"{name}: element {i} has no two-sided inverse")
-    if m <= 64:
-        triples = itertools.product(range(m), repeat=3)
-    else:
-        rng = random.Random(0)
-        triples = ((rng.randrange(m), rng.randrange(m), rng.randrange(m)) for _ in range(1000))
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise ValueError(f"{name}: not associative at ({a}, {b}, {c})")
+    # Light's test: the b with (x b) y = x (b y) for all x, y include 0 and
+    # are closed under products, so it is enough that the generators are
+    for s in _generators(table):
+        times_s = operator.itemgetter(*table[s])  # row x -> the row of x (s y)
+        for x in range(m):
+            if table[table[x][s]] != times_s(table[x]):
+                y = next(y for y in range(m) if table[table[x][s]][y] != table[x][table[s][y]])
+                raise ValueError(f"{name}: not associative at ({x}, {s}, {y})")
     return tuple(inverse)
 
 
@@ -390,8 +398,8 @@ def _plan(p: Presentation):
 
 
 def _count_assignments(g: FiniteGroupTable, plan, lift=False):
-    """The weights of the enumeration's leaves, added up by image and rank,
-    as {(image, rank): weight}; without lift every leaf has key (1, 0).
+    """The weights of the enumeration's leaves, added up by stabiliser and
+    rank, as {(stabiliser id, rank): weight}; without lift every rank is 0.
 
     With lift, g is sym3, and every value also carries its Fox rows into
     V = F_2^2 (see _lift_tables): two ints, with bits 2s and 2s+1 for
@@ -399,8 +407,8 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
     conjugation picks two lanes.  A piece gets its rows on entering its
     level, with its value; at each choice, the rows of that depth's
     relators are reduced into an echelon basis carried down the
-    recursion.  A leaf's image is the mask of the subgroup its values
-    generate, and its rank the length of its basis."""
+    recursion.  A leaf's stabiliser is the centraliser of its values, and
+    its rank the length of its basis."""
     mul = g.table
     inv = g.inverse
     levels, size = plan
@@ -408,7 +416,7 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
     val = [0] * size
     leaves = defaultdict(int)
     if lift:
-        picks, inverse_letters, joins, _ = _lift_tables()
+        picks, inverse_letters = _lift_tables()
         lanes = [0] * size, [0] * size, [0] * size
         lane0, lane1, lane2 = lanes
         by_prefix = [(lanes[c0], lanes[c1]) for c0, c1 in picks]
@@ -425,10 +433,8 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
                 f1 ^= q[i]
                 x = mul[x][val[i]]
             return x, f0, f1
-    else:
-        joins = {1: [1] * g.order}
 
-    def rec(depth, s, image, basis, w):
+    def rec(depth, s, basis, w):
         entry, tests = levels[depth]
         for at, prog in entry:
             if lift:
@@ -441,7 +447,6 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
                 val[at] = x
         orbits, moves = g._orbits(s)
         last = depth == k - 1
-        row = joins[image]
         at = 1 + 2 * depth
         shift = 2 * depth
         for v, weight in orbits.items():
@@ -462,12 +467,12 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
                         _, f0, f1 = rows(prog)
                         found = _reduce(found, f0, f1)
                 if last:
-                    leaves[row[v], len(found)] += w * weight
+                    leaves[moves[v], len(found)] += w * weight
                 else:
-                    rec(depth + 1, moves[v], row[v], found, w * weight)
+                    rec(depth + 1, moves[v], found, w * weight)
 
     try:
-        rec(0, 0, 1, (), 1)
+        rec(0, 0, (), 1)
     except RecursionError:
         raise CapExceeded(f"enumerating {k} generators recurses deeper than the interpreter allows") from None
     return leaves
@@ -495,40 +500,39 @@ def _lift_tables():
     conjugation: M(g) is the matrix of v -> g v g^-1 over F_2, in the
     basis (01)(23), (02)(13).  A pair of rows over V is kept as three
     lanes, the rows and their sum (the three nonzero functionals), and
-    M(g) maps it to two of its lanes.  Returns (picks, inverse_letters,
-    joins, fixes), by sym3 element g or subgroup mask K (bit i for sym3's
-    element i): picks[g], the lanes that M(g)'s two rows pick;
+    M(g) maps it to two of its lanes.  Returns (picks, inverse_letters),
+    by sym3 element g: picks[g], the lanes that M(g)'s two rows pick; and
     inverse_letters[g], the lanes of slot 0's letter inverse to g, which
-    are M(g^-1)'s rows and their sum; joins[K][g], the mask of <K, g>; and
-    fixes[K], for each battery group H after sym3, the number of x in sym3
-    with x K x^-1 inside H."""
-    sym3, sym4 = builtin_group("sym3"), builtin_group("sym4")
+    are M(g^-1)'s rows and their sum."""
+    sym4 = builtin_group("sym4")
     mul, inv = sym4.table, sym4.inverse
     perms = _perms("sym4")
     basis = perms.index((1, 0, 3, 2)), perms.index((2, 3, 0, 1))
     coords = {0: 0, basis[0]: 1, basis[1]: 2, mul[basis[0]][basis[1]]: 3}
-    into = _in_sym4("sym3")
     picks = []
-    for x in into:
+    for x in _in_sym4("sym3"):
         columns = [coords[mul[mul[x][e]][inv[x]]] for e in basis]
         # row c of M(x) as a functional: bit j set when column j has bit c
         picks.append(tuple((columns[0] >> c & 1 | (columns[1] >> c & 1) << 1) - 1 for c in (0, 1)))
-    mul3, inv3 = sym3.table, sym3.inverse
-    inverse_letters = tuple((c0 + 1, c1 + 1, (c0 + 1) ^ (c1 + 1)) for c0, c1 in (picks[i] for i in inv3))
+    inverse_letters = tuple((c0 + 1, c1 + 1, (c0 + 1) ^ (c1 + 1))
+                            for c0, c1 in (picks[i] for i in builtin_group("sym3").inverse))
+    return tuple(picks), inverse_letters
 
-    def elements(mask):
-        return [h for h in range(sym3.order) if mask >> h & 1]
 
-    subgroups = [m for m in range(1, 1 << sym3.order, 2)
-                 if all(m >> mul3[a][b] & 1 for a in elements(m) for b in elements(m))]
-    # <K, g> is the smallest subgroup holding K and g
-    joins = {mask: [min((h for h in subgroups if h & mask == mask and h >> g & 1), key=int.bit_count)
-                    for g in range(sym3.order)] for mask in subgroups}
+@lru_cache(maxsize=None)
+def _fixes(s):
+    """For each battery group H after sym3, the number of x in sym3 with
+    x K x^-1 inside H, where K is the image of the leaves whose sym3
+    stabiliser has id s.  That stabiliser is C(K), and K = C(C(K)), as every
+    subgroup of sym3 is its own double centraliser."""
+    sym3 = default_battery()[0]
+    mul, inv = sym3.table, sym3.inverse
+    hs = sym3._stabilisers[1][s][0]
+    image = [x for x in range(sym3.order) if all(mul[x][h] == mul[h][x] for h in hs)]
+    into = _in_sym4("sym3")
     inside = [{i for i, x in enumerate(into) if x in _in_sym4(n)} for n in _BATTERY_NAMES[1:]]
-    fixes = {mask: tuple(sum(all(mul3[mul3[x][h]][inv3[x]] in part for h in elements(mask))
-                             for x in range(sym3.order)) for part in inside)
-             for mask in subgroups}
-    return tuple(picks), inverse_letters, joins, fixes
+    return tuple(sum(all(mul[mul[x][h]][inv[x]] in part for h in image) for x in range(sym3.order))
+                 for part in inside)
 
 
 def _count_abelian(p: Presentation, g: FiniteGroupTable) -> int:
@@ -556,12 +560,11 @@ def _lifted(p: Presentation, k):
     sym4, and w fix(K, H) / 6 of them land in H, for each H containing V."""
     if p._lifted is None:
         battery = default_battery()
-        fixes = _lift_tables()[3]
         sums = [0] * len(battery)
-        for (mask, rank), w in _count_assignments(battery[0], _plan(p), lift=True).items():
+        for (stabiliser, rank), w in _count_assignments(battery[0], _plan(p), lift=True).items():
             lifts = w << 2 * k - rank
             sums[0] += w
-            for i, fixed in enumerate(fixes[mask], 1):
+            for i, fixed in enumerate(_fixes(stabiliser), 1):
                 sums[i] += lifts * fixed
         free = len(p.generators) - k
         p._lifted = tuple(g.order ** free * (s if i == 0 else s // 6) for i, (g, s) in enumerate(zip(battery, sums)))
@@ -583,7 +586,7 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     if order ** k > cap:
         raise CapExceeded(f"{order}^{k} assignments exceed the cap {cap}")
     if lifted is None:
-        return g.order ** (len(p.generators) - k) * _count_assignments(g, _plan(p))[1, 0]
+        return g.order ** (len(p.generators) - k) * sum(_count_assignments(g, _plan(p)).values())
     return _lifted(p, k)[lifted]
 
 

@@ -488,6 +488,29 @@ def test_homcount_table_with_a_huge_field(capsys, tmp_path, text, message):
         assert refused_as(result, message.format(value, table=table))
 
 
+def _c66_with_an_intercalate_swapped():
+    """c66 with t[2][7] <-> t[2][40] and t[35][7] <-> t[35][40]: every row
+    and column is still a permutation, with identity 0 and inverses, but
+    the table is no group."""
+    t = [[(i + j) % 66 for j in range(66)] for i in range(66)]
+    for row in t[2], t[35]:
+        row[7], row[40] = row[40], row[7]
+    return "order 66\n" + "".join(" ".join(map(str, row)) + "\n" for row in t)
+
+
+@pytest.mark.parametrize("text, triple", [
+    ("order 3\n0 1 2\n1 0 2\n2 2 0\n", "(1, 2, 2)"),
+    (_c66_with_an_intercalate_swapped(), "(1, 1, 7)"),
+])
+def test_homcount_table_not_associative(capsys, tmp_path, text, triple):
+    table = tmp_path / "t.txt"
+    table.write_text(text)
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: x1 x2\nrel: x1 x2 x1^-1 x2^-1 x1\n")
+    result = invoke(capsys, "homcount", "--in", str(pres), "--group", f"table:{table}")
+    assert refused_as(result, f"{table}: not associative at {triple}")
+
+
 def test_parse_huge_position(capsys):
     for position in ("100", HUGE):
         result = invoke(capsys, "parse", "--theory", "virtual", "--strands", "3", "--word", f"s1 s{position}")

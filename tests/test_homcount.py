@@ -15,6 +15,7 @@ from linkgroups.homcount import (
     MAX_GROUP_ORDER,
     CapExceeded,
     Fingerprint,
+    _generators,
     _in_sym4,
     _is_abelian,
     _lift_tables,
@@ -103,6 +104,18 @@ def test_class_and_centraliser_orbit_weights():
             # a representative v moves S to S intersected with C(v)
             for v, t in moves.items():
                 assert data[t][0] == tuple(h for h in hs if mul[h][v] == mul[v][h])
+
+
+def test_generators_span_every_builtin():
+    for name in ("c1", "c2", "c12", "c1024", "sym3", "dihedral4", "alt4", "sym4"):
+        g = builtin_group(name)
+        gens = _generators(g.table)
+        span, frontier = {0}, [0]
+        while frontier:
+            frontier = [y for y in {g.table[h][s] for h in frontier for s in gens} if y not in span]
+            span.update(frontier)
+        assert span == set(range(g.order)), name
+        assert 2 ** len(gens) <= g.order, name  # each generator at least doubles the subgroup
 
 
 def test_invalid_tables_rejected():
@@ -370,9 +383,15 @@ def test_criterion_9_trial_417_counts():
 def test_abelian_check_matches_the_transpose():
     c2, sym3 = builtin_group("c2"), builtin_group("sym3")
     c2c2c2 = direct_product_table(direct_product_table(c2.table, c2.table), c2.table)
+    c2_7 = direct_product_table(direct_product_table(c2c2c2, c2c2c2), c2.table)
     tables = [builtin_group(n) for n in ("c1", "c2", "c12", "sym3", "dihedral4", "alt4", "sym4")]
     tables += [make_table("c2^3", c2c2c2), make_table("sym3xc2", direct_product_table(sym3.table, c2.table)),
-               make_table("c2xsym3", direct_product_table(c2.table, sym3.table))]
+               make_table("c2xsym3", direct_product_table(c2.table, sym3.table)),
+               # its first three generators span c2^3 and commute; the fourth and fifth do not
+               make_table("sym3xc2^3", direct_product_table(sym3.table, c2c2c2)),
+               # orders above 64: seven commuting generators, and a non-abelian group of order 66
+               make_table("c2^7", c2_7),
+               make_table("sym3xc11", direct_product_table(sym3.table, builtin_group("c11").table))]
     for g in tables:
         assert _is_abelian(g) == (g.table == tuple(zip(*g.table))), g.name
 
