@@ -169,18 +169,22 @@ class FiniteGroupTable:
 
 
 def _generators(table):
-    """A generating set of the table, chosen greedily: each generator is the
-    smallest element that is not a left-normed product ((s_1 s_2) ...) s_j
-    of those chosen before it.  Those products are the closure of {0} under
-    right multiplication by the generators, which needs no associativity.
-    In a group each generator at least doubles the subgroup, so there are
-    at most log2(order) of them."""
+    """A generating set of the table, chosen greedily and yielded as each
+    is chosen: each generator is the smallest element that is not a
+    left-normed product ((s_1 s_2) ...) s_j of those chosen before it.
+    Those products are the closure of {0} under right multiplication by
+    the generators, which needs no associativity.  The span grows only
+    when the next generator is drawn, so a caller that refuses one stops
+    the work there.  If every row holds 0 and the generators pass Light's
+    test, each at least doubles the span (see _validate), so at most
+    floor(log2(order)) of them pass."""
     inside = [True] + [False] * (len(table) - 1)
     gens, span = [], [0]
     for x in range(len(table)):
         if inside[x]:
             continue
         gens.append(x)
+        yield x
         # the span is closed under the generators before x, so its old
         # elements need only x and its new ones every generator
         old = len(span)
@@ -190,7 +194,6 @@ def _generators(table):
                 if not inside[y]:
                     inside[y] = True
                     span.append(y)
-    return gens
 
 
 def _is_abelian(g):
@@ -210,23 +213,28 @@ def _validate(name, table):
     for j in range(m):
         if table[0][j] != j or table[j][0] != j:
             raise ValueError(f"{name}: element 0 is not a two-sided identity")
-    inverse = [None] * m
-    for i in range(m):
-        for j in range(m):
-            if table[i][j] == 0 and table[j][i] == 0:
-                inverse[i] = j
-                break
-        if inverse[i] is None:
+    for i, row in enumerate(table):
+        if 0 not in row:
             raise ValueError(f"{name}: element {i} has no two-sided inverse")
     # Light's test: the b with (x b) y = x (b y) for all x, y include 0 and
-    # are closed under products, so it is enough that the generators are
+    # are closed under products, so it is enough that the generators are.
+    # Each generator s is tested as it is drawn, so the work is bounded: a
+    # passing s has a right inverse t, and (x s) t = x makes right
+    # multiplication by s injective.  The span H of the generators before s
+    # is closed under each of them, so each permutes H, and each h in H has
+    # a w in H with h w = w h = 0.  Were h s in H for some h in H, so would
+    # be s = w (h s); so H s is disjoint from H and as large, and each
+    # passing generator at least doubles the span.  Hence at most
+    # floor(log2 m) + 1 generators are drawn, each one pass over the table.
+    # An associative table with two-sided identity 0 and 0 in every row is
+    # a group, so the right inverses read from the rows are two-sided.
     for s in _generators(table):
         times_s = operator.itemgetter(*table[s])  # row x -> the row of x (s y)
         for x in range(m):
             if table[table[x][s]] != times_s(table[x]):
                 y = next(y for y in range(m) if table[table[x][s]][y] != table[x][table[s][y]])
                 raise ValueError(f"{name}: not associative at ({x}, {s}, {y})")
-    return tuple(inverse)
+    return tuple(row.index(0) for row in table)
 
 
 def make_table(name: str, table) -> FiniteGroupTable:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -109,7 +110,7 @@ def test_class_and_centraliser_orbit_weights():
 def test_generators_span_every_builtin():
     for name in ("c1", "c2", "c12", "c1024", "sym3", "dihedral4", "alt4", "sym4"):
         g = builtin_group(name)
-        gens = _generators(g.table)
+        gens = list(_generators(g.table))
         span, frontier = {0}, [0]
         while frontier:
             frontier = [y for y in {g.table[h][s] for h in frontier for s in gens} if y not in span]
@@ -118,13 +119,58 @@ def test_generators_span_every_builtin():
         assert 2 ** len(gens) <= g.order, name  # each generator at least doubles the subgroup
 
 
+def refusal(table, name="bad"):
+    with pytest.raises(ValueError) as e:
+        make_table(name, table)
+    return str(e.value)
+
+
 def test_invalid_tables_rejected():
-    with pytest.raises(ValueError):
-        make_table("bad", [[0, 1], [1, 1]])  # 1 has no inverse row
-    with pytest.raises(ValueError):
-        make_table("bad", [[1, 0], [0, 1]])  # 0 not identity
-    with pytest.raises(ValueError):
-        make_table("bad", [[0, 1], [1, 0], [0, 1]])  # not square
+    assert refusal([[0, 1], [1, 0], [0, 1]]) == "bad: table must be square and nonempty"
+    assert refusal([[0, 1], [1, -1]]) == "bad: entry -1 out of range"
+    assert refusal([[1, 0], [0, 1]]) == "bad: element 0 is not a two-sided identity"
+    assert refusal([[0, 1], [1, 1]]) == "bad: element 1 has no two-sided inverse"  # no 0 in row 1
+    # 1 has only a right inverse (1 2 = 0, 2 1 = 2), and row 2 holds no 0
+    assert refusal([[0, 1, 2], [1, 2, 0], [2, 2, 1]]) == "bad: element 2 has no two-sided inverse"
+
+
+def generators_chosen(monkeypatch):
+    """A list that make_table fills with how many generators _generators
+    has chosen by each draw: those drawn so far, and any it holds ready
+    beyond them (as a list would)."""
+    chosen, choose = [], homcount._generators
+
+    def counted(table):
+        gens = iter(choose(table))
+        for s in gens:
+            chosen.append(len(chosen) + 1 + operator.length_hint(gens))
+            yield s
+
+    monkeypatch.setattr(homcount, "_generators", counted)
+    return chosen
+
+
+def test_a_table_that_is_no_group_is_refused_at_its_first_failing_generator(monkeypatch):
+    # x y = x for x != y and x x = 0: every nonzero element is a generator,
+    # and the first fails Light's test
+    m = 1024
+    table = [[y if x == 0 else 0 if x == y else x for y in range(m)] for x in range(m)]
+    chosen = generators_chosen(monkeypatch)
+    assert refusal(table, "xyx") == "xyx: not associative at (1, 1, 2)"
+    assert chosen == [1]
+
+
+def test_each_passing_generator_doubles_the_span(monkeypatch):
+    # C2^8 times an order-3 table that is no group ((1 2) 2 = 0 but
+    # 1 (2 2) = 1), id a + 256 b: the eight C2 generators and 256 pass
+    # Light's test, each doubling the span, and 512 fails
+    t3 = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+    m = 256 * 3
+    table = [[((x % 256) ^ (y % 256)) + 256 * t3[x // 256][y // 256] for y in range(m)] for x in range(m)]
+    chosen = generators_chosen(monkeypatch)
+    assert refusal(table, "c2^8xt3") == "c2^8xt3: not associative at (256, 512, 512)"
+    assert chosen == list(range(1, 11))
+    assert len(chosen) == math.floor(math.log2(m)) + 1
 
 
 def test_count_free_group():
