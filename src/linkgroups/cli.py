@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import braid, homcount, markov, present, reps
@@ -30,6 +29,19 @@ def _integer(text: str) -> int:
 
 
 def _build_parser():
+    """The CLI's one table: each subcommand with its handler, its help and
+    its flags in usage order.  A flag several subcommands share is one spec."""
+
+    def flag(*names, **options):
+        return names, options
+
+    theory = flag("--theory", choices=braid.THEORIES, required=True)
+    strands = flag("--strands", type=_integer, required=True)
+    word = flag("--word", required=True)
+    rep = flag("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
+    wada_h = flag("--wada-h", type=_integer, default=1)
+    infile = flag("--in", dest="infile", default="-")
+    form = flag("--format", choices=("text", "structured"), default="text")
     # allow_abbrev=False: a flag's prefix is refused, not read as the flag it
     # abbreviates (present --wada 2 would silently set --wada-h)
     top = argparse.ArgumentParser(
@@ -37,57 +49,38 @@ def _build_parser():
         description="Group-valued invariants of classical, virtual, and welded links",
         allow_abbrev=False,
     )
-    add_parser = partial(top.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False)
-
-    p = add_parser("parse", help="validate and normalize a braid word")
-    p.add_argument("--theory", choices=braid.THEORIES, required=True)
-    p.add_argument("--strands", type=_integer, required=True)
-    p.add_argument("--word", required=True)
-
-    p = add_parser("act", help="print the free-group images of a braid word")
-    p.add_argument("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
-    p.add_argument("--wada-h", type=_integer, default=1)
-    p.add_argument("--strands", type=_integer, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--on", help="apply to this free word instead of listing generators")
-
-    p = add_parser("present", help="emit the link group presentation of a braid closure")
-    p.add_argument("--theory", choices=braid.THEORIES, required=True)
-    p.add_argument("--strands", type=_integer, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--rep", choices=("default", "wada1", "wada2"), default="default")
-    p.add_argument("--wada-h", type=_integer, default=1)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-
-    p = add_parser("simplify", help="Tietze-simplify a presentation")
-    p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--budget", type=_integer, default=present.TIETZE_BUDGET)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-
-    p = add_parser("abelianize", help="abelian invariants of a presentation")
-    p.add_argument("--in", dest="infile", default="-")
-
-    p = add_parser("homcount", help="count homomorphisms to a finite group")
-    p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--group", required=True, help="sym3|sym4|alt4|d4|c<k>|table:<path>")
-    p.add_argument("--cap", type=_integer, default=None)
-
-    p = add_parser("check-relations", help="verify the defining relations under a representation")
-    p.add_argument("--rep", choices=tuple(reps.REPRESENTATIONS), required=True)
-    p.add_argument("--strands", type=_integer, required=True)
-    p.add_argument("--wada-h", type=_integer, default=1)
-    p.add_argument("--include-forbidden", action="store_true")
-
-    p = add_parser("markov-fuzz", help="fingerprint invariance under random moves")
-    p.add_argument("--theory", choices=("virtual", "welded"), required=True)
-    p.add_argument("--trials", type=_integer, required=True)
-    p.add_argument("--strands", type=_integer, default=4)
-    p.add_argument("--len", dest="length", type=_integer, default=10)
-    p.add_argument("--depth", type=_integer, default=6)
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--wada", type=_integer, choices=(1, 2), default=None)
-
-    add_parser("examples", help="replay the worked examples as a regression suite")
+    add_parser = top.add_subparsers(dest="command", required=True).add_parser
+    for name, handler, summary, *flags in (
+        ("parse", _cmd_parse, "validate and normalize a braid word", theory, strands, word),
+        ("act", _cmd_act, "print the free-group images of a braid word",
+         rep, wada_h, strands, word,
+         flag("--on", help="apply to this free word instead of listing generators")),
+        ("present", _cmd_present, "emit the link group presentation of a braid closure",
+         theory, strands, word,
+         flag("--rep", choices=("default", *(f"wada{k}" for k in present.WADA_TYPES)), default="default"),
+         wada_h, form),
+        ("simplify", _cmd_simplify, "Tietze-simplify a presentation",
+         infile, flag("--budget", type=_integer, default=present.TIETZE_BUDGET), form),
+        ("abelianize", _cmd_abelianize, "abelian invariants of a presentation", infile),
+        ("homcount", _cmd_homcount, "count homomorphisms to a finite group",
+         infile, flag("--group", required=True, help="sym3|sym4|alt4|d4|c<k>|table:<path>"),
+         flag("--cap", type=_integer)),
+        ("check-relations", _cmd_check_relations, "verify the defining relations under a representation",
+         rep, strands, wada_h, flag("--include-forbidden", action="store_true")),
+        ("markov-fuzz", _cmd_markov_fuzz, "fingerprint invariance under random moves",
+         flag("--theory", choices=markov.FUZZ_THEORIES, required=True),
+         flag("--trials", type=_integer, required=True),
+         flag("--strands", type=_integer, default=4),
+         flag("--len", dest="length", type=_integer, default=10),
+         flag("--depth", type=_integer, default=6),
+         flag("--seed", type=_integer, default=0),
+         flag("--wada", type=_integer, choices=present.WADA_TYPES)),
+        ("examples", _cmd_examples, "replay the worked examples as a regression suite"),
+    ):
+        p = add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        for names, options in flags:
+            p.add_argument(*names, **options)
     return top
 
 
@@ -206,24 +199,10 @@ def _cmd_examples(args) -> int:
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "act": _cmd_act,
-    "present": _cmd_present,
-    "simplify": _cmd_simplify,
-    "abelianize": _cmd_abelianize,
-    "homcount": _cmd_homcount,
-    "check-relations": _cmd_check_relations,
-    "markov-fuzz": _cmd_markov_fuzz,
-    "examples": _cmd_examples,
-}
-
-
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, WordLengthError, homcount.CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,6 +32,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import neg
 
 # x_k is the integer id k (k >= 1); y gets a reserved id that can never
@@ -167,10 +168,10 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return (~self) ** (-n)
-        w = Word(self.ambient)
-        for _ in range(n):
-            w = w * self
-        return w
+        if not self.letters:  # passes any size check, but would be joined n times
+            return self
+        # repeat is lazy: the size is checked before any letter is joined
+        return Word._joined(self.ambient, repeat(self.letters, n), n * len(self))
 
     def __len__(self) -> int:
         return len(self.letters)

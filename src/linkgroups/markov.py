@@ -45,6 +45,9 @@ from . import freegroup
 from .homcount import CapExceeded, fingerprint
 from .present import closure_group, tietze_simplify
 
+# The theories whose Markov moves fuzz checks.
+FUZZ_THEORIES = ("virtual", "welded")
+
 
 @dataclass(frozen=True)
 class Move:
@@ -238,7 +241,7 @@ def fuzz(
 
     length is at most freegroup.LETTER_LIMIT, as a braid word is drawn
     whole."""
-    if theory not in ("virtual", "welded"):
+    if theory not in FUZZ_THEORIES:
         raise ValueError("fuzzing is defined for virtual and welded braids")
     if wada_type is not None and theory != "welded":
         raise ValueError("Wada fingerprints apply to welded braids")

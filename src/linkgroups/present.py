@@ -34,6 +34,9 @@ from . import reps
 # count passes this and report the condition instead of truncating.
 TIETZE_BUDGET = 10 ** 5
 
+# The Wada types whose groups are welded link invariants.
+WADA_TYPES = (1, 2)
+
 
 def _ambient_for(gens: tuple[int, ...]) -> Ambient:
     nx = max((g for g in gens if g != YID), default=0)
@@ -163,13 +166,13 @@ def group_of_classical_link(b: BraidWord) -> Presentation:
 
 
 def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
-    """The Wada group of type k (k = 1 or 2) of a welded braid word.
+    """The Wada group of type k (k in WADA_TYPES) of a welded braid word.
 
     Types 3 and 4 are rejected: they do not give welded invariants since
     the mixed relation alpha_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i
     alpha_{i+1} is not preserved by their automorphisms.
     """
-    if k not in (1, 2):
+    if k not in WADA_TYPES:
         raise ValueError(
             f"Wada type {k} does not induce a welded-braid homomorphism "
             "(the mixed relation alpha_i sigma_(i+1) sigma_i = "
@@ -181,10 +184,10 @@ def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
 
 def closure_group(b: BraidWord, wada_type: Optional[int] = None, h: int = 1) -> Presentation:
     """The closure presentation of b: under the Wada action of type
-    wada_type (1 or 2, welded braids only) when given, otherwise under the
-    representation of b's theory.  h, the conjugation power of wada1, must
-    be 1 for every other action."""
-    if wada_type:
+    wada_type (one of WADA_TYPES, welded braids only) when given, otherwise
+    under the representation of b's theory.  h, the conjugation power of
+    wada1, must be 1 for every other action."""
+    if wada_type is not None:
         return wada_group(b, wada_type, h)
     # the builders are looked up as module globals at call time, so a
     # wrapper installed on this module sees every build

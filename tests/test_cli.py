@@ -6,11 +6,13 @@ import tracemalloc
 
 import pytest
 
-from linkgroups import examples
+from linkgroups import cli, examples
 from linkgroups.braid import MAX_STRANDS
 from linkgroups.cli import _build_parser, _integer, run
 from linkgroups.examples import EXCHANGE_RELATOR, KISHINO_CLOSURE, TREFOIL_SYM3, VIRTUAL_TREFOIL
 from linkgroups.homcount import MAX_GROUP_ORDER
+from linkgroups.markov import FUZZ_THEORIES
+from linkgroups.present import WADA_TYPES
 from linkgroups.reps import REPRESENTATIONS
 
 
@@ -298,9 +300,22 @@ def test_integer_flags_state_the_digit_limit(capsys):
 
 def test_rep_choices_are_the_family_table():
     subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+
+    def choices(name, dest):
+        return tuple(next(a for a in subcommands[name]._actions if a.dest == dest).choices)
+
     for name in ("act", "check-relations"):
-        rep = next(a for a in subcommands[name]._actions if a.dest == "rep")
-        assert tuple(rep.choices) == tuple(REPRESENTATIONS)
+        assert choices(name, "rep") == tuple(REPRESENTATIONS)
+    assert choices("present", "rep") == ("default", *(f"wada{k}" for k in WADA_TYPES))
+    assert choices("markov-fuzz", "wada") == WADA_TYPES
+    assert choices("markov-fuzz", "theory") == FUZZ_THEORIES
+
+
+def test_each_subcommand_carries_its_handler():
+    subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    assert len(subcommands) == 9
+    for name, parser in subcommands.items():
+        assert parser.get_default("handler") is getattr(cli, "_cmd_" + name.replace("-", "_"))
 
 
 @pytest.mark.parametrize("payload, message", [

@@ -241,6 +241,9 @@ def test_fuzz_argument_validation(monkeypatch):
         fuzz("classical", 1, 3, 5, 2, seed=0)
     with pytest.raises(ValueError):
         fuzz("virtual", 1, 3, 5, 2, seed=0, wada_type=1)
+    # Wada type 0 is refused, not run as the plain welded campaign
+    with pytest.raises(ValueError, match="^Wada type 0 does not induce"):
+        fuzz("welded", 2, 4, 10, 2, seed=0, wada_type=0)
     for trials, strands, length, depth in ((-2, 3, 5, 2), (1, 1, 5, 2), (1, 3, -1, 2), (1, 3, 5, -1)):
         with pytest.raises(ValueError, match="must be at least"):
             fuzz("virtual", trials, strands, length, depth, seed=0)

@@ -237,6 +237,9 @@ def test_wada_group_rejects_types_3_and_4():
     for k in (3, 4):
         with pytest.raises(ValueError, match="mixed relation"):
             wada_group(b, k)
+    # type 0 is refused too, not read as "no Wada type"
+    with pytest.raises(ValueError, match="^Wada type 0 does not induce"):
+        closure_group(b, 0)
 
 
 def test_classical_virtual_groups_have_y_free_relators():

@@ -119,6 +119,29 @@ def test_pow():
     assert W(1) ** 3 == W(1, 1, 1)
     assert W(1) ** -2 == W(-1, -1)
     assert W(1, 2) ** 0 == W()
+    rng = random.Random(5)
+    pool = [1, -1, 2, -2, 3, -3, YID, -YID]
+    for _ in range(500):
+        a = Word(AMB, [rng.choice(pool) for _ in range(rng.randint(0, 8))])
+        n = rng.randint(-6, 6)
+        product = Word(AMB)
+        for _ in range(abs(n)):
+            product = product * (a if n > 0 else ~a)
+        assert a ** n == product
+
+
+def test_pow_joins_once_and_checks_the_size_first(monkeypatch):
+    conjugate, pair, empty = W(1, 2, -1), Word(Ambient(2), (1, 2)), W()
+    expected = W(1, *(2,) * 50, -1)
+    calls = []
+    join = fg._join
+    monkeypatch.setattr(fg, "_join", lambda pieces: calls.append(1) or join(pieces))
+    assert conjugate ** 50 == expected
+    assert len(calls) == 1
+    with pytest.raises(WordLengthError, match="^2000000000000 letters exceeds limit 1000000$"):
+        pair ** 10 ** 12
+    assert empty ** 10 ** 12 == empty
+    assert len(calls) == 1
 
 
 def test_word_length_cap(monkeypatch):
