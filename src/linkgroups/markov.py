@@ -43,7 +43,7 @@ from .braid import (
 )
 from . import freegroup
 from .homcount import CapExceeded, fingerprint
-from .present import closure_group, tietze_simplify
+from .present import check_wada_type, closure_group, tietze_simplify
 
 # The theories whose Markov moves fuzz checks.
 FUZZ_THEORIES = ("virtual", "welded")
@@ -243,8 +243,10 @@ def fuzz(
     whole."""
     if theory not in FUZZ_THEORIES:
         raise ValueError("fuzzing is defined for virtual and welded braids")
-    if wada_type is not None and theory != "welded":
-        raise ValueError("Wada fingerprints apply to welded braids")
+    if wada_type is not None:
+        if theory != "welded":
+            raise ValueError("Wada fingerprints apply to welded braids")
+        check_wada_type(wada_type)
     for name, value, least in (("trials", trials, 0), ("strands", strands, 2),
                                ("length", length, 0), ("depth", depth, 0)):
         if value < least:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import Optional
 
 from .braid import BraidWord
@@ -165,13 +167,11 @@ def group_of_classical_link(b: BraidWord) -> Presentation:
     return _relators_from(reps.representation("artin", b.strands), b)
 
 
-def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
-    """The Wada group of type k (k in WADA_TYPES) of a welded braid word.
-
-    Types 3 and 4 are rejected: they do not give welded invariants since
-    the mixed relation alpha_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i
-    alpha_{i+1} is not preserved by their automorphisms.
-    """
+def check_wada_type(k: int) -> None:
+    """k is one of WADA_TYPES.  Types 3 and 4 are rejected: they do not
+    give welded invariants since the mixed relation alpha_i sigma_{i+1}
+    sigma_i = sigma_{i+1} sigma_i alpha_{i+1} is not preserved by their
+    automorphisms."""
     if k not in WADA_TYPES:
         raise ValueError(
             f"Wada type {k} does not induce a welded-braid homomorphism "
@@ -179,6 +179,11 @@ def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
             "sigma_(i+1) sigma_i alpha_(i+1) fails); only types 1 and 2 "
             "define link invariants"
         )
+
+
+def wada_group(b: BraidWord, k: int, h: int = 1) -> Presentation:
+    """The Wada group of type k (see check_wada_type) of a welded braid word."""
+    check_wada_type(k)
     return _relators_from(reps.representation(f"wada{k}", b.strands, h), b)
 
 
@@ -321,7 +326,8 @@ def free_rank_certificate(p: Presentation, budget: int = TIETZE_BUDGET) -> Optio
 
 
 def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def relation_matrix(p: Presentation) -> list[list[int]]:
@@ -339,80 +345,67 @@ class SmithForm:
     D: list[list[int]]
 
 
+def _gcdex(x, y):
+    """(g, p, q) with p x + q y = g = +-gcd(x, y), and (x, 1, 0) when x
+    divides y, so that the Bezout step by them subtracts a multiple of one
+    line."""
+    if x and not y % x:
+        return x, 1, 0
+    p, q, r, s = 1, 0, 0, 1
+    while y:
+        k = x // y
+        x, y, p, q, r, s = y, x - k * y, r, s, p - k * r, q - k * s
+    return x, p, q
+
+
 def smith_normal_form(m: list[list[int]]) -> SmithForm:
     """Diagonalize the matrix m, given as a list of rows, by unimodular
     row/column operations: U m V = D with d1 | d2 | ... and nonnegative
     diagonal.  The factorization is verified by multiplication before
-    returning."""
+    returning.
+
+    Each operation is a Bezout step (H. Cohen, GTM 138, section 2.4): the
+    lines t and i, with entries x and y in the line being cleared, become
+    p t + q i and (x i - y t) / g, where p x + q y = g = +-gcd(x, y)."""
     R, C = len(m), len(m[0]) if m else 0
     if any(len(r) != C for r in m):
         raise ValueError("ragged rows")
-    a = [list(r) for r in m]
-    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-
-    def row_sub(i, j, q):  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i, j, q):  # col i -= q * col j
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    t = 0
-    while t < R and t < C:
-        # pivot: smallest magnitude nonzero in the trailing block
-        pivot = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for r in a:
-                r[t], r[pj] = r[pj], r[t]
-            for r in v:
-                r[t], r[pj] = r[pj], r[t]
-        dirty = False
-        for i in range(t + 1, R):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                row_sub(i, t, q)
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, C):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                col_sub(j, t, q)
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue  # remainders became new, smaller pivot candidates
-        # pivot must divide the rest of the block
-        offender = None
-        for i in range(t + 1, R):
-            for j in range(t + 1, C):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
+    # w is [[m, I], [I, 0]]: the row steps on its first R rows act on m and
+    # U, the column steps on its first C columns on m and V
+    w = [list(r) + [0] * i + [1] + [0] * (R - 1 - i) for i, r in enumerate(m)]
+    w += [[0] * i + [1] + [0] * (C - 1 - i) for i in range(C)]
+    for t in range(min(R, C)):
+        while True:
+            for i in range(t + 1, R):  # row steps clear column t
+                if w[i][t]:
+                    g, p, q = _gcdex(w[t][t], w[i][t])
+                    x, y = w[t][t] // g, w[i][t] // g
+                    wt, wi = w[t], w[i]
+                    if q:
+                        w[t] = [p * e + q * f for e, f in zip(wt, wi)]
+                    w[i] = [x * f - y * e for e, f in zip(wt, wi)]
+            d = w[t][t]
+            for j in range(t + 1, C):  # column steps clear row t
+                if w[t][j]:
+                    g, p, q = _gcdex(w[t][t], w[t][j])
+                    x, y = w[t][t] // g, w[t][j] // g
+                    for row in w[t:]:  # the rows above t are 0 in columns t and j
+                        e, f = row[t], row[j]
+                        row[t], row[j] = p * e + q * f, x * f - y * e
+            if w[t][t] != d:
+                continue  # a column step changed the pivot and refilled column t
+            # the pivot must divide the rest of the block (a zero pivot
+            # divides only 0); if a row holds an entry it does not divide,
+            # add that row to row t and step again
+            bad = next((i for i in range(t + 1, R) if gcd(d, *w[i][:C]) != abs(d)), None)
+            if bad is None:
                 break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
+            w[t] = [e + f for e, f in zip(w[t], w[bad])]
+        if not d:
+            break  # the rest of the block is 0
+        if d < 0:
+            w[t] = [-e for e in w[t]]
+    a, u, v = [r[:C] for r in w[:R]], [r[C:] for r in w[:R]], w[R:]
     if _matmul(_matmul(u, m), v) != a:
         raise AssertionError("smith normal form verification failed")
     diag = tuple(a[k][k] for k in range(min(R, C)))

@@ -244,6 +244,10 @@ def test_fuzz_argument_validation(monkeypatch):
     # Wada type 0 is refused, not run as the plain welded campaign
     with pytest.raises(ValueError, match="^Wada type 0 does not induce"):
         fuzz("welded", 2, 4, 10, 2, seed=0, wada_type=0)
+    # and so are types 0 and 3 in a campaign of no trials, which builds no group
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=f"^Wada type {k} does not induce"):
+            fuzz("welded", 0, 4, 10, 2, seed=0, wada_type=k)
     for trials, strands, length, depth in ((-2, 3, 5, 2), (1, 1, 5, 2), (1, 3, -1, 2), (1, 3, 5, -1)):
         with pytest.raises(ValueError, match="must be at least"):
             fuzz("virtual", trials, strands, length, depth, seed=0)

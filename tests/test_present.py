@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import linkgroups.freegroup as fg
-from linkgroups import reps
+from linkgroups import present, reps
 from linkgroups.braid import BraidLetter, BraidWord, parse, random_braid_from
 from linkgroups.examples import (
     EXCHANGE_RELATOR,
@@ -532,22 +532,56 @@ def test_smith_normal_form_examples():
         smith_normal_form([[1, 2], [3]])
 
 
-def test_smith_normal_form_matches_sympy():
+def test_smith_normal_form_matches_sympy(monkeypatch):
     """The diagonal agrees with sympy's invariant factors, an independent
-    implementation, on square and non-square shapes with zero rows."""
+    implementation, on square and non-square shapes up to 10 x 10 with zero
+    rows, through both kinds of Bezout step: x | y, and x not dividing y."""
     pytest.importorskip("sympy")
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import invariant_factors
 
+    divides = Counter()
+    gcdex = present._gcdex
+
+    def counting_gcdex(x, y):
+        divides[x != 0 and y % x == 0] += 1
+        return gcdex(x, y)
+
+    monkeypatch.setattr(present, "_gcdex", counting_gcdex)
     rng = random.Random(14)
+    nonunit = 0
     for _ in range(200):
-        r, c = rng.randint(1, 6), rng.randint(1, 6)
-        # mostly small entries and some zeros, so nontrivial divisors occur
-        m = [[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(c)] for _ in range(r)]
+        r, c = rng.randint(1, 10), rng.randint(1, 10)
+        # some zeros, and entries mostly small, so nontrivial divisors occur,
+        # or up to 1000, so Bezout coefficients do
+        big = rng.choice((12, 12, 1000))
+        m = [[rng.choice((0, 0, rng.randint(-big, big))) for _ in range(c)] for _ in range(r)]
         for i in rng.sample(range(r), rng.randint(0, r // 2)):
             m[i] = [0] * c
         expected = tuple(int(d) for d in invariant_factors(Matrix(m), domain=ZZ))
         assert smith_normal_form(m).diagonal == expected, m
+        nonunit += any(d > 1 for d in expected)
+    assert nonunit >= 50 and divides[True] >= 1000 and divides[False] >= 1000
+
+
+def test_smith_normal_form_checks_its_factorization(monkeypatch):
+    """The closing U m V = D check runs: with a wrong product it refuses."""
+    assert smith_normal_form([[2, 4], [6, 8]]).diagonal == (2, 4)
+    matmul = present._matmul
+    monkeypatch.setattr(present, "_matmul", lambda a, b: [[2 * x for x in row] for row in matmul(a, b)])
+    with pytest.raises(AssertionError, match="^smith normal form verification failed$"):
+        smith_normal_form([[2, 4], [6, 8]])
+
+
+def test_cyclic_family_abelianizes_to_its_closed_form():
+    """<x1..xn | x_i x_(i+1)^2>, indices mod n, abelianizes to the cyclic
+    group of order |det(I + 2 shift)| = |1 - (-2)^n|: the minor without the
+    last relator and the last generator is unitriangular."""
+    for n in range(1, 61):
+        gens = " ".join(f"x{i}" for i in range(1, n + 1))
+        rels = "".join(f"rel: x{i} x{i % n + 1} x{i % n + 1}\n" for i in range(1, n + 1))
+        p = parse_presentation(f"gens: {gens}\n{rels}")
+        assert abelian_invariants(p) == AbelianInvariants(0, (abs(1 - (-2) ** n),)), n
 
 
 def test_smith_normal_form_randomized():
