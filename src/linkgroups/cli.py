@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import braid, homcount, markov, present, reps
-from .freegroup import Word, WordLengthError, format_word, gen_name, parse_letters
+from .freegroup import Word, format_word, gen_name, parse_letters
 
 
 def _integer(text: str) -> int:
@@ -203,7 +203,7 @@ def run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, WordLengthError, homcount.CapExceeded, OSError) as exc:
+    except (ValueError, homcount.CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -345,28 +345,17 @@ class SmithForm:
     D: list[list[int]]
 
 
-def _gcdex(x, y):
-    """(g, p, q) with p x + q y = g = +-gcd(x, y), and (x, 1, 0) when x
-    divides y, so that the Bezout step by them subtracts a multiple of one
-    line."""
-    if x and not y % x:
-        return x, 1, 0
-    p, q, r, s = 1, 0, 0, 1
-    while y:
-        k = x // y
-        x, y, p, q, r, s = y, x - k * y, r, s, p - k * r, q - k * s
-    return x, p, q
-
-
 def smith_normal_form(m: list[list[int]]) -> SmithForm:
     """Diagonalize the matrix m, given as a list of rows, by unimodular
     row/column operations: U m V = D with d1 | d2 | ... and nonnegative
     diagonal.  The factorization is verified by multiplication before
     returning.
 
-    Each operation is a Bezout step (H. Cohen, GTM 138, section 2.4): the
-    lines t and i, with entries x and y in the line being cleared, become
-    p t + q i and (x i - y t) / g, where p x + q y = g = +-gcd(x, y)."""
+    Each operation is a division step: a later line loses the pivot's line
+    times its quotient by the pivot, and a nonzero remainder, smaller than
+    the pivot, is the next pivot.  Taking the least pivot keeps the entries
+    of U and V small, against the coefficient growth that integer Smith
+    forms are prone to (Kannan and Bachem, SIAM J. Comput. 8, 1979)."""
     R, C = len(m), len(m[0]) if m else 0
     if any(len(r) != C for r in m):
         raise ValueError("ragged rows")
@@ -376,24 +365,31 @@ def smith_normal_form(m: list[list[int]]) -> SmithForm:
     w += [[0] * i + [1] + [0] * (C - 1 - i) for i in range(C)]
     for t in range(min(R, C)):
         while True:
-            for i in range(t + 1, R):  # row steps clear column t
-                if w[i][t]:
-                    g, p, q = _gcdex(w[t][t], w[i][t])
-                    x, y = w[t][t] // g, w[i][t] // g
-                    wt, wi = w[t], w[i]
-                    if q:
-                        w[t] = [p * e + q * f for e, f in zip(wt, wi)]
-                    w[i] = [x * f - y * e for e, f in zip(wt, wi)]
+            # a least nonzero entry of row t and column t is the pivot d
+            line = [(abs(w[i][t]), i, t) for i in range(t, R) if w[i][t]]
+            line += [(abs(w[t][j]), t, j) for j in range(t + 1, C) if w[t][j]]
+            _, i, j = min(line, default=(0, t, t))  # with none, the 0 at (t, t)
+            w[t], w[i] = w[i], w[t]
+            if j > t:
+                for row in w[t:]:  # the rows above t are 0 in columns t and j
+                    row[t], row[j] = row[j], row[t]
             d = w[t][t]
-            for j in range(t + 1, C):  # column steps clear row t
-                if w[t][j]:
-                    g, p, q = _gcdex(w[t][t], w[t][j])
-                    x, y = w[t][t] // g, w[t][j] // g
-                    for row in w[t:]:  # the rows above t are 0 in columns t and j
-                        e, f = row[t], row[j]
-                        row[t], row[j] = p * e + q * f, x * f - y * e
-            if w[t][t] != d:
-                continue  # a column step changed the pivot and refilled column t
+            if d:
+                # q is the nearest quotient, so a remainder is at most |d| / 2;
+                # row t is reduced only once column t is clear
+                for i in range(t + 1, R):  # row steps reduce column t
+                    q = (2 * w[i][t] + d) // (2 * d)
+                    if q:
+                        w[i] = [f - q * e for e, f in zip(w[t], w[i])]
+                if any(w[i][t] for i in range(t + 1, R)):
+                    continue
+                for j in range(t + 1, C):  # column steps reduce row t
+                    q = (2 * w[t][j] + d) // (2 * d)
+                    if q:
+                        for row in w[t:]:
+                            row[j] -= q * row[t]
+                if any(w[t][t + 1 : C]):
+                    continue
             # the pivot must divide the rest of the block (a zero pivot
             # divides only 0); if a row holds an entry it does not divide,
             # add that row to row t and step again

@@ -5,8 +5,9 @@ package: repeated-scan reduction, plain substitution and its
 left-to-right fold over a braid word, Tietze elimination that rebuilds
 every relator, arc labels carried down a braid diagram, brute-force hom
 counting over full tuple products, schoolbook matrix multiplication,
-cofactor determinants, direct products of multiplication tables and
-tables of permutation groups.
+cofactor determinants, kernels mod a prime by Gaussian elimination,
+direct products of multiplication tables and tables of permutation
+groups.
 """
 
 import itertools
@@ -200,6 +201,26 @@ def mat_det(a):
         (-1) ** j * a[0][j] * mat_det([row[:j] + row[j + 1 :] for row in a[1:]])
         for j in range(len(a))
     )
+
+
+def mat_nullity_mod(a, p):
+    """The dimension of the kernel of x -> a x over the integers mod the
+    prime p, by Gaussian elimination."""
+    rows = [[x % p for x in row] for row in a]
+    rank = 0
+    for j in range(len(a[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return len(a[0]) - rank
 
 
 def direct_product_table(g, h):

@@ -50,7 +50,7 @@ from linkgroups.present import (
     wada_group,
 )
 
-from oracles import mat_det, mat_identity, mat_mul, naive_tietze
+from oracles import mat_det, mat_identity, mat_mul, mat_nullity_mod, naive_tietze
 
 
 def P(gen_names, relator_texts):
@@ -528,32 +528,44 @@ def test_smith_normal_form_examples():
     assert snf.diagonal == (2, 4)
     snf = smith_normal_form([[0, 0], [0, 0]])
     assert snf.diagonal == (0, 0)
+    # one input for each path of the division loop: a remainder that
+    # becomes the pivot, in column t and in row t; a pivot that does not
+    # divide a later row; a zero pivot before a nonzero block; negative pivots
+    for m, diagonal in [
+        ([[4], [6]], (2,)),
+        ([[6, 4, 9]], (1,)),
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[0, 0], [0, 5]], (5, 0)),
+        ([[0, 0, 0], [0, 0, 0], [0, 4, 0]], (4, 0, 0)),
+        ([[-3, 0], [0, -6]], (3, 6)),
+    ]:
+        snf = smith_normal_form(m)
+        assert snf.diagonal == diagonal, m
+        assert mat_mul(mat_mul(snf.U, m), snf.V) == snf.D
     with pytest.raises(ValueError, match="ragged"):
         smith_normal_form([[1, 2], [3]])
 
 
-def test_smith_normal_form_matches_sympy(monkeypatch):
+def _dense_matrix(b):
+    """A seeded dense 40 x 40 matrix with entries in [-b, b]."""
+    rng = random.Random(40 * 1000 + b)
+    return [[rng.randint(-b, b) for _ in range(40)] for _ in range(40)]
+
+
+def test_smith_normal_form_matches_sympy():
     """The diagonal agrees with sympy's invariant factors, an independent
     implementation, on square and non-square shapes up to 10 x 10 with zero
-    rows, through both kinds of Bezout step: x | y, and x not dividing y."""
+    rows and entries up to 12 or 1000, and on the dense 40 x 40 matrices."""
     pytest.importorskip("sympy")
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import invariant_factors
 
-    divides = Counter()
-    gcdex = present._gcdex
-
-    def counting_gcdex(x, y):
-        divides[x != 0 and y % x == 0] += 1
-        return gcdex(x, y)
-
-    monkeypatch.setattr(present, "_gcdex", counting_gcdex)
     rng = random.Random(14)
     nonunit = 0
     for _ in range(200):
         r, c = rng.randint(1, 10), rng.randint(1, 10)
         # some zeros, and entries mostly small, so nontrivial divisors occur,
-        # or up to 1000, so Bezout coefficients do
+        # or up to 1000, so long chains of remainders do
         big = rng.choice((12, 12, 1000))
         m = [[rng.choice((0, 0, rng.randint(-big, big))) for _ in range(c)] for _ in range(r)]
         for i in rng.sample(range(r), rng.randint(0, r // 2)):
@@ -561,7 +573,31 @@ def test_smith_normal_form_matches_sympy(monkeypatch):
         expected = tuple(int(d) for d in invariant_factors(Matrix(m), domain=ZZ))
         assert smith_normal_form(m).diagonal == expected, m
         nonunit += any(d > 1 for d in expected)
-    assert nonunit >= 50 and divides[True] >= 1000 and divides[False] >= 1000
+    assert nonunit >= 50
+    for b in (1, 9):
+        m = _dense_matrix(b)
+        expected = tuple(int(d) for d in invariant_factors(Matrix(m), domain=ZZ))
+        assert smith_normal_form(m).diagonal == expected, b
+
+
+def test_smith_normal_form_entries_stay_small_on_dense_matrices():
+    """U and V keep entries of at most 10 000 bits on dense 40 x 40
+    matrices.  Least-pivot division steps give under 2 000 bits here, so
+    the bound leaves fivefold room; Bezout steps with no pivot choice give
+    about 650 000 bits and take seconds, which the bound catches.  The
+    abelian hom count reads the same Smith form: into c6 it is the kernel
+    size of the relation matrix mod 2 times that mod 3."""
+    for b in (1, 9):
+        m = _dense_matrix(b)
+        snf = smith_normal_form(m)
+        assert mat_mul(mat_mul(snf.U, m), snf.V) == snf.D
+        assert max(abs(x).bit_length() for a in (snf.U, snf.V) for row in a for x in row) <= 10_000
+    m = _dense_matrix(1)
+    gens = [f"x{j}" for j in range(1, 41)]
+    p = P(gens, [" ".join(g + ("^-1" if e < 0 else "") for g, e in zip(gens, row) if e) for row in m])
+    assert relation_matrix(p) == m
+    expected = 2 ** mat_nullity_mod(m, 2) * 3 ** mat_nullity_mod(m, 3)
+    assert count_homs(p, builtin_group("c6")) == expected
 
 
 def test_smith_normal_form_checks_its_factorization(monkeypatch):
