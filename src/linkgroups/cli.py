@@ -108,7 +108,7 @@ def _cmd_act(args) -> int:
     e = rep.evaluate(b)
     if args.on is not None:
         letters = parse_letters(args.on)
-        bad = next((v for v in letters if v not in rep.ambient.letter_set), None)
+        bad = next((v for v in letters if not rep.ambient.has_letter(v)), None)
         if bad is not None:
             raise ValueError(f"--on word uses unknown generator {gen_name(abs(bad))}")
         print(format_word(e(Word(rep.ambient, letters))))

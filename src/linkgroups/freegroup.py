@@ -31,7 +31,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import neg
 
@@ -60,10 +59,14 @@ class Ambient:
         base = tuple(range(1, self.nx + 1))
         return base + (YID,) if self.has_y else base
 
-    @cached_property
-    def letter_set(self) -> frozenset[int]:
-        """Every letter of a word over this ambient: each generator id and its negation."""
-        return frozenset(g for gid in self.gens() for g in (gid, -gid))
+    def has_letter(self, v) -> bool:
+        """Whether v is a letter of a word over this ambient: a generator id
+        or its negation.  Tested by arithmetic, so it costs the same for
+        any nx."""
+        if not isinstance(v, int):
+            return False
+        gid = abs(v)
+        return 0 < gid <= self.nx or gid == YID and self.has_y
 
     def without_y(self) -> "Ambient":
         return Ambient(self.nx, False)
@@ -134,8 +137,8 @@ class Word:
     def __init__(self, ambient: Ambient, letters=()):
         letters = tuple(letters)
         _check_size(len(letters))
-        if not ambient.letter_set.issuperset(letters):
-            bad = next(v for v in letters if v not in ambient.letter_set)
+        if not all(map(ambient.has_letter, letters)):
+            bad = next(v for v in letters if not ambient.has_letter(v))
             raise ValueError(f"letter {bad!r} outside ambient {ambient}")
         self.ambient = ambient
         self.letters = _join(zip(letters))

@@ -23,8 +23,9 @@ therefore runs over one representative of each S_d-orbit, weighted by
 the orbit size: the conjugacy classes at depth 0, the orbits of the
 first image's centraliser at depth 1, and so on down to single elements
 once S_d is trivial.  The counts are the same as those of trying every
-tuple.  The stabilisers met, their orbits and where each representative
-leads are built as the counts reach them and kept on the table.
+tuple.  Each stabiliser entered is named by the bitmask of its elements,
+and its orbits, as (representative, size, next stabiliser) triples, are
+built as the counts reach it and kept on the table.
 Generators that appear in no relator contribute an exact factor |G|^k
 without being enumerated.
 
@@ -137,35 +138,27 @@ class FiniteGroupTable:
     # and kept on the table, so a table: group never shares a builtin's data
 
     @cached_property
-    def _stabilisers(self):
-        """The stabilisers met so far, interned: their ids by their elements
-        (ascending), and by id [elements, orbits, moves].  Id 0 is G.  The
-        orbits and moves are None until the stabiliser S is entered; then
-        they are S's orbits on G acting by conjugation, as
-        {representative: size}, and by representative v the id of S
-        intersected with C(v)."""
-        everything = tuple(range(self.order))
-        return {everything: 0}, [[everything, None, None]]
+    def _orbits(self):
+        """The orbit lists of the stabilisers entered so far, by stabiliser
+        S as the bitmask of its elements (bit h for element h, G is
+        (1 << order) - 1): S's orbits on G acting by conjugation, as
+        (representative v, orbit size, bitmask of S intersected with C(v))."""
+        return {}
 
-    def _orbits(self, s):
-        """The orbits and moves of stabiliser s, built on first use."""
-        ids, data = self._stabilisers
-        hs, orbits, moves = data[s]
+    def _orbit_list(self, s):
+        """The orbit list of stabiliser s, built on first use."""
+        orbits = self._orbits.get(s)
         if orbits is None:
             mul, inv = self.table, self.inverse
-            orbits, moves, seen = {}, {}, set()
+            hs = [h for h in range(self.order) if s >> h & 1]
+            orbits, seen = [], set()
             for x in range(self.order):
                 if x not in seen:
                     orbit = {mul[mul[inv[h]][x]][h] for h in hs}
                     seen |= orbit
-                    orbits[x] = len(orbit)
-                    meet = tuple(h for h in hs if mul[h][x] == mul[x][h])
-                    if meet not in ids:
-                        data.append([meet, None, None])
-                        ids[meet] = len(data) - 1
-                    moves[x] = ids[meet]
-            data[s][1:] = orbits, moves
-        return orbits, moves
+                    orbits.append((x, len(orbit), sum(1 << h for h in hs if mul[h][x] == mul[x][h])))
+            self._orbits[s] = orbits
+        return orbits
 
 
 def _generators(table):
@@ -407,7 +400,8 @@ def _plan(p: Presentation):
 
 def _count_assignments(g: FiniteGroupTable, plan, lift=False):
     """The weights of the enumeration's leaves, added up by stabiliser and
-    rank, as {(stabiliser id, rank): weight}; without lift every rank is 0.
+    rank, as {(stabiliser, rank): weight}, a stabiliser being the bitmask
+    of its elements; without lift every rank is 0.
 
     With lift, g is sym3, and every value also carries its Fox rows into
     V = F_2^2 (see _lift_tables): two ints, with bits 2s and 2s+1 for
@@ -453,11 +447,10 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
                 for i in prog:
                     x = mul[x][val[i]]
                 val[at] = x
-        orbits, moves = g._orbits(s)
         last = depth == k - 1
         at = 1 + 2 * depth
         shift = 2 * depth
-        for v, weight in orbits.items():
+        for v, weight, meet in g._orbit_list(s):
             val[at] = v
             val[at + 1] = inv[v]
             for prog in tests:
@@ -475,12 +468,12 @@ def _count_assignments(g: FiniteGroupTable, plan, lift=False):
                         _, f0, f1 = rows(prog)
                         found = _reduce(found, f0, f1)
                 if last:
-                    leaves[moves[v], len(found)] += w * weight
+                    leaves[meet, len(found)] += w * weight
                 else:
-                    rec(depth + 1, moves[v], found, w * weight)
+                    rec(depth + 1, meet, found, w * weight)
 
     try:
-        rec(0, 0, (), 1)
+        rec(0, (1 << g.order) - 1, (), 1)
     except RecursionError:
         raise CapExceeded(f"enumerating {k} generators recurses deeper than the interpreter allows") from None
     return leaves
@@ -531,11 +524,12 @@ def _lift_tables():
 def _fixes(s):
     """For each battery group H after sym3, the number of x in sym3 with
     x K x^-1 inside H, where K is the image of the leaves whose sym3
-    stabiliser has id s.  That stabiliser is C(K), and K = C(C(K)), as every
-    subgroup of sym3 is its own double centraliser."""
+    stabiliser is s, as the bitmask of its elements.  That stabiliser is
+    C(K), and K = C(C(K)), as every subgroup of sym3 is its own double
+    centraliser."""
     sym3 = default_battery()[0]
     mul, inv = sym3.table, sym3.inverse
-    hs = sym3._stabilisers[1][s][0]
+    hs = [h for h in range(sym3.order) if s >> h & 1]
     image = [x for x in range(sym3.order) if all(mul[x][h] == mul[h][x] for h in hs)]
     into = _in_sym4("sym3")
     inside = [{i for i, x in enumerate(into) if x in _in_sym4(n)} for n in _BATTERY_NAMES[1:]]

@@ -16,6 +16,7 @@ from linkgroups.homcount import (
     MAX_GROUP_ORDER,
     CapExceeded,
     Fingerprint,
+    _count_assignments,
     _generators,
     _in_sym4,
     _is_abelian,
@@ -86,25 +87,26 @@ def test_class_and_centraliser_orbit_weights():
              "sym4": [1, 3, 6, 6, 8]}
     trial_417 = parse_presentation(TRIAL_417)
     for g in default_battery() + COPIES:
-        mul = g.table
-        classes, centralisers = g._orbits(0)  # S_0 = G acts on itself by conjugation
-        assert sorted(classes.values()) == sizes[g.name]
+        mul, inv = g.table, g.inverse
+        # a stabiliser is the bitmask of its elements; S_0 = G acts on itself by conjugation
+        classes = g._orbit_list((1 << g.order) - 1)
+        assert sorted(size for _, size, _ in classes) == sizes[g.name]
         count_homs(trial_417, g, cap=10 ** 9)
-        for s in centralisers.values():  # S_1 = C(v) for every class representative v
-            g._orbits(s)
-        ids, data = g._stabilisers
-        assert len(data) > 1
-        for s, (hs, orbits, moves) in enumerate(data):
-            assert ids[hs] == s
-            if orbits is None:  # met, not entered
-                continue
-            assert sum(orbits.values()) == g.order
+        for _, _, s in classes:  # S_1 = C(v) for every class representative v
+            g._orbit_list(s)
+        assert len(g._orbits) > 1
+        for s, orbits in g._orbits.items():
+            hs = {h for h in range(g.order) if s >> h & 1}
+            # the representatives' S-orbits, found here, partition G with the sizes given
+            found = [{mul[mul[inv[h]][v]][h] for h in hs} for v, _, _ in orbits]
+            assert [len(orbit) for orbit in found] == [size for _, size, _ in orbits]
+            assert set().union(*found) == set(range(g.order)) and sum(map(len, found)) == g.order
             # orbit-counting lemma: the number of orbits is the mean number of fixed points
             fixed = sum(mul[h][x] == mul[x][h] for h in hs for x in range(g.order))
             assert len(orbits) * len(hs) == fixed
             # a representative v moves S to S intersected with C(v)
-            for v, t in moves.items():
-                assert data[t][0] == tuple(h for h in hs if mul[h][v] == mul[v][h])
+            for v, _, t in orbits:
+                assert {h for h in range(g.order) if t >> h & 1} == {h for h in hs if mul[h][v] == mul[v][h]}
 
 
 def test_generators_span_every_builtin():
@@ -278,13 +280,14 @@ def test_symmetry_data_belongs_to_the_table():
     commutator = P((1, 2), [(1, 2, -1, -2)])
     assert count_homs(commutator, sym3) == 18
     assert count_homs(commutator, named_sym3) == count_homs(commutator, fresh_dihedral4) == 40
-    assert named_sym3._stabilisers == fresh_dihedral4._stabilisers != sym3._stabilisers
+    assert named_sym3._orbits == fresh_dihedral4._orbits != sym3._orbits
+    assert named_sym3._orbits is not fresh_dihedral4._orbits
     # x3 is the deepest generator of x1 x1 x2 x2 x3 x1 x3^-1, and x2 of x1 x2 x1 x2
     fresh_sym3 = make_table("sym3", sym3.table)
     deep = P((1, 2, 3), [(1, 1, 2, 2, 3, 1, -3), (1, 2, 1, 2)])
     for g in (fresh_sym3, named_sym3):
         assert count_homs(deep, g) == brute_count_homs((1, 2, 3), [r.letters for r in deep.relators], g)
-    assert named_sym3._stabilisers != fresh_sym3._stabilisers
+    assert named_sym3._orbits != fresh_sym3._orbits
 
 
 @st.composite
@@ -448,8 +451,12 @@ def test_abelian_tables_are_not_reduced():
     assert count_homs(commutator, g) == 1024 ** 2
     assert count_homs(P((1, 2), [(1, 2, 1, 2)]), g) == 2048
     assert count_homs(P((1, 2), [(1, 2, 1, -2)]), g) == 2048
-    # counted from the abelian invariants: no stabiliser data is built
-    assert "_stabilisers" not in vars(g)
+    # counted from the abelian invariants: no orbit data is built
+    assert "_orbits" not in vars(g)
+    # which the check above would see: an enumeration into an abelian table builds it
+    c4 = make_table("c4", builtin_group("c4").table)
+    assert sum(_count_assignments(c4, _plan(commutator)).values()) == 16
+    assert "_orbits" in vars(c4)
 
 
 def _abelian_tables():
@@ -475,7 +482,7 @@ def test_abelian_count_matches_brute_force(p):
     relators = [r.letters for r in p.relators]
     for g in _abelian_tables():
         assert count_homs(p, g) == brute_count_homs(p.generators, relators, g), g.name
-        assert "_stabilisers" not in vars(g)
+        assert "_orbits" not in vars(g)
 
 
 def test_cyclic_count_closed_form():
@@ -507,11 +514,11 @@ def test_stabiliser_below_the_second_depth():
     assert count_homs(p, fresh_sym4) == count_homs(p, builtin_group("sym4"))
     # sym4's elements are its permutations in sorted order; the Klein
     # four-group is the centraliser of no single element, so only a depth
-    # of 2 or more meets it
+    # of 2 or more meets it; a stabiliser is the bitmask of its elements
     index = {perm: i for i, perm in enumerate(sorted(itertools.permutations(range(4))))}
-    klein = tuple(sorted(index[perm] for perm in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))))
-    ids, data = fresh_sym4._stabilisers
-    assert data[ids[klein]][1] is not None  # entered, with its orbits built
+    klein = sum(1 << index[perm] for perm in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)))
+    assert klein not in {t for _, _, t in fresh_sym4._orbit_list((1 << 24) - 1)}
+    assert klein in fresh_sym4._orbits  # entered, with its orbits built
 
 
 def test_count_invariant_under_reordering_and_cycling():

@@ -1,6 +1,7 @@
 """Free group words: reduction, group axioms, cyclic reduction, text form."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -128,6 +129,25 @@ def test_pow():
         for _ in range(abs(n)):
             product = product * (a if n > 0 else ~a)
         assert a ** n == product
+
+
+def test_letter_check_memory_does_not_grow_with_the_ambient():
+    # the letters are checked by arithmetic: nothing of size nx is built
+    amb = Ambient(10 ** 6)
+    for build in (lambda: Word(amb, (1, -10 ** 6)), lambda: parse_word("x1 x1000000^-1", amb)):
+        tracemalloc.start()
+        try:
+            assert build().letters == (1, -10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+    with pytest.raises(ValueError, match=r"^letter 1000001 outside ambient"):
+        Word(amb, (1, 10 ** 6 + 1))
+    # a letter that is no integer is outside every ambient
+    for bad in ("x1", 1.0, None):
+        with pytest.raises(ValueError, match="outside ambient"):
+            Word(amb, (1, bad))
 
 
 def test_pow_joins_once_and_checks_the_size_first(monkeypatch):
