@@ -141,42 +141,6 @@ def serialize(b: BraidWord) -> str:
     )
 
 
-def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Image tuple (pi(1), ..., pi(n)); every letter at position i
-    contributes the transposition (i, i+1), applied left to right."""
-    p = list(range(1, b.strands + 1))
-    for l in b.letters:
-        i, j = l.pos, l.pos + 1
-        for k in range(len(p)):
-            if p[k] == i:
-                p[k] = j
-            elif p[k] == j:
-                p[k] = i
-    return tuple(p)
-
-
-def permutation_cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = set()
-    cycles = []
-    for start in range(1, len(perm) + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        k = perm[start - 1]
-        while k != start:
-            cyc.append(k)
-            seen.add(k)
-            k = perm[k - 1]
-        cycles.append(tuple(cyc))
-    return cycles
-
-
-def is_knot_closure(b: BraidWord) -> bool:
-    """The closure of b is a knot iff the permutation is a single n-cycle."""
-    return len(permutation_cycles(underlying_permutation(b))) == 1
-
-
 def braid_inverse(b: BraidWord) -> BraidWord:
     return BraidWord(
         b.strands, b.theory, tuple(letter_inverse(l) for l in reversed(b.letters))
@@ -236,25 +200,6 @@ def exchange_pair(b1: BraidWord, b2: BraidWord, side: str) -> tuple[BraidWord, B
     classical_form = BraidWord(n + 1, "virtual", l1 + (sigma(pos, -1),) + l2 + (sigma(pos),))
     virtual_form = BraidWord(n + 1, "virtual", l1 + (rho(pos),) + l2 + (rho(pos),))
     return normalize(classical_form), normalize(virtual_form)
-
-
-def to_virtual(b: BraidWord) -> BraidWord:
-    """Regard a classical braid word as a virtual one."""
-    if b.theory == "virtual":
-        return b
-    if b.theory != "classical":
-        raise ValueError("only classical words embed into the virtual theory")
-    return BraidWord(b.strands, "virtual", b.letters)
-
-
-def to_welded(b: BraidWord) -> BraidWord:
-    """The quotient map to the welded theory: sigma stays, rho becomes alpha."""
-    if b.theory == "welded":
-        return b
-    letters = tuple(
-        BraidLetter("a", l.pos, 1) if l.family == "r" else l for l in b.letters
-    )
-    return BraidWord(b.strands, "welded", letters)
 
 
 @dataclass(frozen=True)
@@ -353,12 +298,6 @@ def rewrite_with_relation(b: BraidWord, rel: DefiningRelation, at: int) -> Braid
                 )
             )
     raise ValueError(f"relation {rel.label()} does not match at index {at}")
-
-
-def random_braid(strands: int, length: int, theory: str, seed) -> BraidWord:
-    """A deterministic pseudo-random word, letters uniform over the theory
-    alphabet."""
-    return random_braid_from(random.Random(seed), strands, length, theory)
 
 
 @lru_cache(maxsize=None)

@@ -206,9 +206,12 @@ def _validate(name, table):
     for j in range(m):
         if table[0][j] != j or table[j][0] != j:
             raise ValueError(f"{name}: element 0 is not a two-sided identity")
+    inverse = []
     for i, row in enumerate(table):
-        if 0 not in row:
-            raise ValueError(f"{name}: element {i} has no two-sided inverse")
+        try:
+            inverse.append(row.index(0))
+        except ValueError:
+            raise ValueError(f"{name}: element {i} has no two-sided inverse") from None
     # Light's test: the b with (x b) y = x (b y) for all x, y include 0 and
     # are closed under products, so it is enough that the generators are.
     # Each generator s is tested as it is drawn, so the work is bounded: a
@@ -227,7 +230,7 @@ def _validate(name, table):
             if table[table[x][s]] != times_s(table[x]):
                 y = next(y for y in range(m) if table[table[x][s]][y] != table[x][table[s][y]])
                 raise ValueError(f"{name}: not associative at ({x}, {s}, {y})")
-    return tuple(row.index(0) for row in table)
+    return tuple(inverse)
 
 
 def make_table(name: str, table) -> FiniteGroupTable:

@@ -3,11 +3,13 @@
 Everything here is deliberately naive and shares no code with the
 package: repeated-scan reduction, plain substitution and its
 left-to-right fold over a braid word, Tietze elimination that rebuilds
-every relator, arc labels carried down a braid diagram, brute-force hom
-counting over full tuple products, schoolbook matrix multiplication,
-cofactor determinants, kernels mod a prime by Gaussian elimination,
-direct products of multiplication tables and tables of permutation
-groups.
+every relator, arc labels carried down a braid diagram, a braid's
+permutation as the left-to-right fold of its transpositions, the cycle
+lengths of a permutation, the rho -> alpha letter map onto the welded
+alphabet, brute-force hom counting over full tuple products, schoolbook
+matrix multiplication, cofactor determinants, kernels mod a prime by
+Gaussian elimination, direct products of multiplication tables and
+tables of permutation groups.
 """
 
 import itertools
@@ -154,6 +156,27 @@ def perm_of_positions(positions, n):
 def perm_compose(p, q):
     """Apply p first, then q (1-based image tuples)."""
     return tuple(q[v - 1] for v in p)
+
+
+def cycle_lengths(perm):
+    """The sorted cycle lengths of a 1-based image tuple."""
+    seen = set()
+    lengths = []
+    for start in range(1, len(perm) + 1):
+        k, length = start, 0
+        while k not in seen:
+            seen.add(k)
+            k = perm[k - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths)
+
+
+def welded_letters(letters):
+    """The quotient map to the welded alphabet, letter by letter: each
+    virtual rho_i becomes alpha_i, and the crossings stay."""
+    return tuple(l._replace(family="a") if l.family == "r" else l for l in letters)
 
 
 def brute_count_homs(generators, relators, table):

@@ -14,25 +14,30 @@ from linkgroups.braid import (
     defining_relations,
     exchange_pair,
     forbidden_relations,
-    is_knot_closure,
     normalize,
     parse,
-    permutation_cycles,
-    random_braid,
+    random_braid_from,
     rewrite_with_relation,
     rho,
     serialize,
     shift,
     sigma,
     stabilize,
-    to_virtual,
-    to_welded,
-    underlying_permutation,
 )
 
 from linkgroups.examples import EXCHANGE_BRAID, KISHINO_CLOSURE, VIRTUAL_TREFOIL
 
-from oracles import perm_compose, perm_of_positions
+from oracles import cycle_lengths, perm_compose, perm_of_positions, welded_letters
+
+
+def permutation(b):
+    return perm_of_positions([l.pos for l in b.letters], b.strands)
+
+
+def seeded_braid(rng, n, max_length, theory):
+    # a length from rng, then a word from its own generator seeded from rng
+    length = rng.randint(0, max_length)
+    return random_braid_from(random.Random(rng.randrange(2 ** 30)), n, length, theory)
 
 
 def test_parse_examples():
@@ -73,30 +78,30 @@ def test_round_trip_randomized():
     for _ in range(1000):
         theory = rng.choice(("classical", "virtual", "welded"))
         n = rng.randint(2, 5)
-        b = normalize(random_braid(n, rng.randint(0, 12), theory, rng.randrange(2 ** 30)))
+        b = normalize(seeded_braid(rng, n, 12, theory))
         assert parse(serialize(b), n, theory) == b
 
 
 def test_permutation_examples():
-    assert underlying_permutation(parse(VIRTUAL_TREFOIL, 2, "virtual")) == (2, 1)
-    assert is_knot_closure(parse(VIRTUAL_TREFOIL, 2, "virtual"))
-    assert underlying_permutation(BraidWord(3, "virtual", ())) == (1, 2, 3)
-    assert len(permutation_cycles((1, 2, 3))) == 3
+    assert permutation(parse(VIRTUAL_TREFOIL, 2, "virtual")) == (2, 1)
+    assert cycle_lengths(permutation(parse(VIRTUAL_TREFOIL, 2, "virtual"))) == [2]
+    assert permutation(BraidWord(3, "virtual", ())) == (1, 2, 3)
+    assert cycle_lengths((1, 2, 3)) == [1, 1, 1]
+    assert cycle_lengths((3, 1, 2, 5, 4)) == [2, 3]
+    # every letter, crossing or virtual, moves its strands: positions
+    # 1 1 2 1 1 1 2 1 fold to one 3-cycle, so the closure is a knot
     kishino = parse(KISHINO_CLOSURE, 3, "virtual")
-    expected = perm_of_positions([1, 1, 2, 1, 1, 1, 2, 1], 3)
-    assert underlying_permutation(kishino) == expected
-    assert is_knot_closure(kishino)
+    assert permutation(kishino) == (3, 1, 2)
+    assert cycle_lengths(permutation(kishino)) == [3]
 
 
 def test_permutation_is_homomorphism():
     rng = random.Random(23)
     for _ in range(200):
         n = rng.randint(2, 5)
-        a = random_braid(n, rng.randint(0, 8), "virtual", rng.randrange(2 ** 30))
-        b = random_braid(n, rng.randint(0, 8), "virtual", rng.randrange(2 ** 30))
-        assert underlying_permutation(a * b) == perm_compose(
-            underlying_permutation(a), underlying_permutation(b)
-        )
+        a = seeded_braid(rng, n, 8, "virtual")
+        b = seeded_braid(rng, n, 8, "virtual")
+        assert permutation(a * b) == perm_compose(permutation(a), permutation(b))
 
 
 def test_conjugate_examples():
@@ -140,7 +145,7 @@ def test_exchange_pair_right_example():
     cf, vf = exchange_pair(b1, b2, "right")
     assert vf == parse("s1 r1 s1 r2 s1^-1 r1 s1^-1 r2", 3, "virtual")
     assert cf == parse("s1 r1 s1 s2^-1 s1^-1 r1 s1^-1 s2", 3, "virtual")
-    assert underlying_permutation(cf) == underlying_permutation(vf)
+    assert permutation(cf) == permutation(vf)
 
 
 def test_exchange_pair_left_example():
@@ -162,11 +167,11 @@ def test_exchange_pair_equal_permutations_randomized():
     rng = random.Random(4)
     for _ in range(100):
         n = rng.randint(2, 4)
-        b1 = random_braid(n, rng.randint(0, 6), "virtual", rng.randrange(2 ** 30))
-        b2 = random_braid(n, rng.randint(0, 6), "virtual", rng.randrange(2 ** 30))
+        b1 = seeded_braid(rng, n, 6, "virtual")
+        b2 = seeded_braid(rng, n, 6, "virtual")
         side = rng.choice(("left", "right"))
         cf, vf = exchange_pair(b1, b2, side)
-        assert underlying_permutation(cf) == underlying_permutation(vf)
+        assert permutation(cf) == permutation(vf)
 
 
 def test_rewrite_with_relation():
@@ -240,9 +245,9 @@ def test_relation_catalogue_is_pinned():
 def test_rewrites_preserve_permutation():
     for theory in ("classical", "virtual", "welded"):
         for rel in defining_relations(theory, 5):
-            assert underlying_permutation(rel.left) == underlying_permutation(rel.right)
+            assert permutation(rel.left) == permutation(rel.right)
     for rel in forbidden_relations(4):
-        assert underlying_permutation(rel.left) == underlying_permutation(rel.right)
+        assert permutation(rel.left) == permutation(rel.right)
 
 
 def test_normalize_cancels():
@@ -253,23 +258,20 @@ def test_normalize_cancels():
 
 
 def test_random_braid_deterministic():
-    a = random_braid(4, 10, "virtual", seed=42)
-    b = random_braid(4, 10, "virtual", seed=42)
+    a = random_braid_from(random.Random(42), 4, 10, "virtual")
+    b = random_braid_from(random.Random(42), 4, 10, "virtual")
     assert a == b
-    assert len(random_braid(3, 0, "welded", seed=1)) == 0
-    w = random_braid(5, 50, "virtual", seed=3)
+    assert len(random_braid_from(random.Random(1), 3, 0, "welded")) == 0
+    w = random_braid_from(random.Random(3), 5, 50, "virtual")
     assert all(1 <= l.pos <= 4 for l in w.letters)
 
 
 def test_theory_conversions():
-    c = parse("s1 s2^-1", 3, "classical")
-    assert to_virtual(c).theory == "virtual" and to_virtual(c).letters == c.letters
     v = parse("s1 r2", 3, "virtual")
-    w = to_welded(v)
-    assert w.theory == "welded"
-    assert w.letters == (sigma(1), alpha(2))
-    with pytest.raises(ValueError):
-        to_virtual(parse("a1", 2, "welded"))
+    w = BraidWord(3, "welded", welded_letters(v.letters))
+    assert w == parse("s1 a2", 3, "welded")
+    with pytest.raises(ValueError, match="^letter family 'r' illegal for welded braids$"):
+        BraidWord(3, "welded", v.letters)
 
 
 def test_braidword_validation():

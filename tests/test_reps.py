@@ -14,7 +14,6 @@ from linkgroups.braid import (
     random_braid_from,
     rho,
     sigma,
-    to_welded,
 )
 from linkgroups.freegroup import (
     Ambient,
@@ -39,7 +38,7 @@ from linkgroups.reps import (
     wada,
     welded,
 )
-from oracles import label_closure, naive_evaluate
+from oracles import label_closure, naive_evaluate, welded_letters
 
 
 def images_of(act, amb):
@@ -365,5 +364,5 @@ def test_projection_commutes_with_quotient_map():
         n = rng.randint(2, 4)
         b = random_braid_from(rng, n, rng.randint(0, 10), "virtual")
         lhs = project_y(virtual(n).evaluate(b))
-        rhs = welded(n).evaluate(to_welded(b))
+        rhs = welded(n).evaluate(BraidWord(n, "welded", welded_letters(b.letters)))
         assert lhs == rhs
