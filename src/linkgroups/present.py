@@ -57,6 +57,12 @@ def _check_generators(letters, signed: frozenset[int]) -> None:
         raise ValueError(f"relator uses unknown generator {gen_name(abs(bad))}")
 
 
+def _sums_of(letters) -> dict[int, int]:
+    """The nonzero exponent sums of a letter tuple, by generator id."""
+    c = Counter(letters)
+    return {g: c[g] - c[-g] for g in {abs(v) for v in c} if c[g] != c[-g]}
+
+
 class Presentation:
     """Ordered generator list plus cyclically reduced relator words.
 
@@ -65,13 +71,14 @@ class Presentation:
     reduces every relator it is given, as for parsed input and quotient_y.
     The closure builders and the Tietze routine, which wraps only the
     presentation it returns, make relators that are cyclically reduced and
-    over the ambient by construction, and use _built instead.
+    over the ambient by construction, and use _built instead; they carry
+    each relator's exponent sums with it where they know them.
     """
 
-    # _counts, _invariants (abelian_invariants) and _lifted (homcount's
-    # counts into the default battery, from the sym3 lift) are caches, built
-    # on first use and left out of equality and hashing
-    __slots__ = ("generators", "relators", "ambient", "_counts", "_invariants", "_lifted")
+    # _sums, _counts, _invariants (abelian_invariants) and _lifted
+    # (homcount's counts into the default battery, from the sym3 lift) are
+    # caches, built on first use and left out of equality and hashing
+    __slots__ = ("generators", "relators", "ambient", "_sums", "_counts", "_invariants", "_lifted")
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
@@ -90,28 +97,38 @@ class Presentation:
         self.generators = generators
         self.relators = tuple(cleaned)
         self.ambient = ambient
+        self._sums = None
         self._counts = None
         self._invariants = None
         self._lifted = None
 
     @classmethod
-    def _built(cls, generators, relators, ambient, counts) -> "Presentation":
+    def _built(cls, generators, relators, ambient, sums) -> "Presentation":
         """A presentation from nontrivial cyclically reduced relators over
-        ambient that name only generators, with their letter counts, or
-        None to count them on first use."""
+        ambient that name only generators, with their exponent sums (see
+        _exponent_sums), or None to count them on first use."""
         p = object.__new__(cls)
         p.generators = generators
         p.relators = relators
         p.ambient = ambient
-        p._counts = counts
+        p._sums = sums
+        p._counts = None
         p._invariants = None
         p._lifted = None
         return p
 
+    def _exponent_sums(self) -> tuple[dict, ...]:
+        """Each relator's exponent sums, as {generator id: sum} without the
+        zero sums; carried from the closure builders through Tietze steps,
+        or counted once."""
+        if self._sums is None:
+            self._sums = tuple(_sums_of(r.letters) for r in self.relators)
+        return self._sums
+
     def _letter_counts(self) -> tuple[Counter, ...]:
         """How often each signed letter (a generator id g or its inverse
-        -g) occurs in each relator, counted once and carried through
-        Tietze steps."""
+        -g) occurs in each relator, counted on first use (homcount orders
+        and restricts its enumeration by them)."""
         if self._counts is None:
             self._counts = tuple(Counter(r.letters) for r in self.relators)
         return self._counts
@@ -137,10 +154,13 @@ class Presentation:
 def _relators_from(rep: reps.Representation, b: BraidWord) -> Presentation:
     """The closure presentation of b under rep, built from relator words
     that are reduced and over rep's ambient by construction: each is only
-    cyclically reduced and dropped if trivial, not checked again."""
+    cyclically reduced and dropped if trivial, not checked again.  Under
+    a conjugating action each image is c x_t c^-1 with x_t its middle
+    letter, so the relator's exponent sums are x_t - x_i, and none when
+    t = i; the other actions' sums are counted on first use."""
     e = rep.evaluate(b)
     amb = rep.ambient
-    relators = []
+    relators, sums = [], []
     for i in range(1, b.strands + 1):
         image = e.images[i].letters
         _check_size(1 + len(image))
@@ -149,7 +169,9 @@ def _relators_from(rep: reps.Representation, b: BraidWord) -> Presentation:
         core = _cyclic_core(letters)
         if core:
             relators.append(Word._reduced(amb, core))
-    return Presentation._built(amb.gens(), tuple(relators), amb, None)
+            t = image[len(image) // 2]
+            sums.append({t: 1, i: -1} if t != i else {})
+    return Presentation._built(amb.gens(), tuple(relators), amb, tuple(sums) if rep._conjugates else None)
 
 
 def group_of_virtual_link(b: BraidWord) -> Presentation:
@@ -218,10 +240,12 @@ def quotient_y(p: Presentation) -> Presentation:
 # Tietze simplification
 
 
-def _elimination_key(r: tuple[int, ...], count: Counter):
+def _elimination_key(r: tuple[int, ...], sums: dict):
     """(len(r), (is y, id)) for the first generator (x by index, y last)
-    that occurs in r exactly once; None if no generator does."""
-    once = [(abs(v) == YID, abs(v)) for v, c in count.items() if c == 1 and -v not in count]
+    that occurs in r exactly once; None if no generator does.  Only a
+    generator with exponent sum s = +-1 can, and it does iff the letter
+    of sign -s is not in r."""
+    once = [(g == YID, g) for g, s in sums.items() if (s == 1 or s == -1) and -s * g not in r]
     return (len(r), min(once)) if once else None
 
 
@@ -236,11 +260,15 @@ def _eliminate(p: Presentation, budget, max_steps) -> TietzeResult:
     """Up to max_steps eliminations (see tietze_simplify), each solving the
     shortest relator in which a generator occurs once (lowest generator,
     then first relator) for it, substituting everywhere and dropping
-    both.  Relators are carried as letter tuples with their letter counts
+    both.  Relators are carried as letter tuples with their exponent sums
     and elimination keys, and the letter total as a running sum; only the
-    presentation returned is built."""
-    start = gens, rels, counts = p.generators, tuple(r.letters for r in p.relators), p._letter_counts()
-    keys = [_elimination_key(r, c) for r, c in zip(rels, counts)]
+    presentation returned is built.  Free and cyclic reduction keep
+    exponent sums, so a relator holding the solved letter n+ times and
+    its inverse n- times gets its old sums without the eliminated
+    generator plus (n- - n+) times those of the solution's inverse v u
+    (below); no letters are counted again."""
+    start = gens, rels, sums = p.generators, tuple(r.letters for r in p.relators), p._exponent_sums()
+    keys = [_elimination_key(r, e) for r, e in zip(rels, sums)]
     best_total = total = sum(map(len, rels))
     best, steps, exhausted = start, 0, False
     while not exhausted and steps < max_steps:
@@ -249,23 +277,25 @@ def _eliminate(p: Presentation, budget, max_steps) -> TietzeResult:
             break
         ri, gid = keys.index(pick), pick[1][1]
         rel = rels[ri]
-        letter = gid if counts[ri][gid] else -gid
+        letter = gid * sums[ri][gid]
         pos = rel.index(letter)
         # rel = u letter v is cyclically reduced, so the slices v u make a
         # reduced word, and letter = (v u)^-1
         vu = rel[pos + 1 :] + rel[:pos]
+        vu_sums = {g: e for g, e in sums[ri].items() if g != gid}
         pieces_of = {letter: _inverse(vu), -letter: vu}
         total -= len(rel)
         kept = []
-        for k, (ls, count, key) in enumerate(zip(rels, counts, keys)):
-            n = count[gid] + count[-gid]
+        for k, (ls, e, key) in enumerate(zip(rels, sums, keys)):
+            if k == ri:
+                continue
+            plus, minus = ls.count(letter), ls.count(-letter)
+            n = plus + minus
             if n:
-                if k == ri:
-                    continue
                 at = []
-                for v in (gid, -gid):
+                for v, c in ((letter, plus), (-letter, minus)):
                     j = -1
-                    for _ in range(count[v]):
+                    for _ in range(c):
                         j = ls.index(v, j + 1)
                         at.append(j)
                 at.sort()
@@ -279,20 +309,22 @@ def _eliminate(p: Presentation, budget, max_steps) -> TietzeResult:
                 total += len(ls)
                 if not ls:
                     continue
-                count = Counter(ls)
-                key = _elimination_key(ls, count)
-            kept.append((ls, count, key))
+                d = minus - plus
+                e = {g: s for g in e.keys() | vu_sums.keys()
+                     if g != gid and (s := e.get(g, 0) + d * vu_sums.get(g, 0))}
+                key = _elimination_key(ls, e)
+            kept.append((ls, e, key))
         gens = tuple(g for g in gens if g != gid)
-        rels, counts, keys = zip(*kept) if kept else ((), (), ())
+        rels, sums, keys = zip(*kept) if kept else ((), (), ())
         steps += 1
         if total <= best_total:
-            best, best_total = (gens, rels, counts), total
+            best, best_total = (gens, rels, sums), total
         exhausted = total > budget
-    state = best if exhausted else (gens, rels, counts) if steps else start
+    state = best if exhausted else (gens, rels, sums) if steps else start
     if state is not start:
-        gens, rels, counts = state
+        gens, rels, sums = state
         ambient = _ambient_for(gens)
-        p = Presentation._built(gens, tuple(Word._reduced(ambient, r) for r in rels), ambient, counts)
+        p = Presentation._built(gens, tuple(Word._reduced(ambient, r) for r in rels), ambient, sums)
     return TietzeResult(p, exhausted, steps)
 
 
@@ -332,9 +364,9 @@ def _matmul(a, b):
 
 def relation_matrix(p: Presentation) -> list[list[int]]:
     """Rows = relators, columns = generators, entries = exponent sums,
-    read from the relators' letter counts."""
+    read from the sums the presentation carries."""
     gens = p.generators
-    return [[c[g] - c[-g] for g in gens] for c in p._letter_counts()]
+    return [[e.get(g, 0) for g in gens] for e in p._exponent_sums()]
 
 
 @dataclass(frozen=True)
@@ -426,9 +458,13 @@ class AbelianInvariants:
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Free rank and torsion coefficients of the abelianized group, from
-    the Smith normal form of the relation matrix; kept on p."""
+    the Smith normal form of the relation matrix; kept on p.  The form is
+    taken of its nonzero rows and columns only, as the rest change neither
+    the rank nor the torsion."""
     if p._invariants is None:
-        snf = smith_normal_form(relation_matrix(p))
+        rows = [e for e in p._exponent_sums() if e]
+        cols = [g for g in p.generators if any(g in e for e in rows)]
+        snf = smith_normal_form([[e.get(g, 0) for g in cols] for e in rows])
         rank = sum(1 for d in snf.diagonal if d)
         torsion = tuple(d for d in snf.diagonal if d >= 2)
         p._invariants = AbelianInvariants(len(p.generators) - rank, torsion)

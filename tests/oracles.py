@@ -3,10 +3,11 @@
 Everything here is deliberately naive and shares no code with the
 package: repeated-scan reduction, plain substitution and its
 left-to-right fold over a braid word, Tietze elimination that rebuilds
-every relator, arc labels carried down a braid diagram, a braid's
-permutation as the left-to-right fold of its transpositions, the cycle
-lengths of a permutation, the rho -> alpha letter map onto the welded
-alphabet, brute-force hom counting over full tuple products, schoolbook
+every relator and the key that picks its next elimination by counting,
+arc labels carried down a braid diagram, a braid's permutation as the
+left-to-right fold of its transpositions, the cycle lengths of a
+permutation, the rho -> alpha letter map onto the welded alphabet,
+brute-force hom counting over full tuple products, schoolbook
 matrix multiplication, cofactor determinants, kernels mod a prime by
 Gaussian elimination, direct products of multiplication tables and
 tables of permutation groups.
@@ -117,6 +118,17 @@ def naive_tietze(gens, relators, budget, y):
             best = current
         if size(current) > budget:
             return best[0], best[1], True, steps
+
+
+def once_key(letters, y):
+    """(len(letters), (is y, id)) for the lowest generator (y last) that
+    occurs in letters exactly once, counting the occurrences of every
+    generator; None if no generator does."""
+    once = [g for g in set(abs(v) for v in letters) if sum(1 for v in letters if abs(v) == g) == 1]
+    if not once:
+        return None
+    g = min(once, key=lambda g: (g == y, g))
+    return len(letters), (g == y, g)
 
 
 def label_closure(strands, letters, y):

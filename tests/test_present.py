@@ -33,6 +33,7 @@ from linkgroups.present import (
     TIETZE_BUDGET,
     AbelianInvariants,
     Presentation,
+    _elimination_key,
     _matmul,
     abelian_invariants,
     closure_group,
@@ -57,6 +58,7 @@ from oracles import (
     mat_mul,
     mat_nullity_mod,
     naive_tietze,
+    once_key,
     perm_of_positions,
     welded_letters,
 )
@@ -203,7 +205,8 @@ def _seeded_closures():
 
 def test_closure_group_matches_the_checking_constructor():
     # the builders skip Presentation's checks; they must agree with it, and
-    # every Tietze step must carry the letter counts and the ambient
+    # every Tietze step must carry the exponent sums and the ambient; the
+    # conjugating actions' builders carry the sums from the start
     steps = 0
     for b, wada_type, h, rep in _seeded_closures():
         images = rep.evaluate(b).images
@@ -211,12 +214,37 @@ def test_closure_group_matches_the_checking_constructor():
         expected = Presentation(amb.gens(), [Word(amb, (-i,)) * images[i] for i in range(1, b.strands + 1)])
         p = closure_group(b, wada_type, h)
         assert (p.generators, p.relators, p.ambient) == (expected.generators, expected.relators, expected.ambient)
+        assert (p._sums is None) == (rep.name == "wada2")
         while p is not None:
-            _assert_counts_carried(p)
+            _assert_sums_carried(p)
             assert all(r.ambient == p.ambient for r in p.relators)
             p = tietze_step(p)
             steps += p is not None
     assert steps > 60
+
+
+def test_closure_sums_are_the_braid_permutation():
+    # under a conjugating action strand i's relator abelianizes to
+    # x_pi(i) - x_i, pi the braid's permutation, and is zero where pi fixes
+    # i; wada2's relators have no such form, and their sums are counted
+    rng = random.Random(59)
+    moved = fixed = 0
+    for theory, wada_type, h, name in _CLOSURE_ACTIONS:
+        for _ in range(70):
+            n = rng.randint(2, 9)
+            b = random_braid_from(rng, n, rng.randint(0, 30), theory)
+            p = closure_group(b, wada_type, h)
+            m = relation_matrix(p)
+            if name == "wada2":
+                assert m == [exponent_sums(r, p.generators) for r in p.relators]
+                continue
+            pi = perm_of_positions([l.pos for l in b.letters], n)
+            moves = [(i, pi[i - 1]) for i in range(1, n + 1) if pi[i - 1] != i]
+            want = [[(g == t) - (g == i) for g in p.generators] for i, t in moves]
+            assert [row for row in m if any(row)] == want, (name, b)
+            moved += len(want)
+            fixed += len(m) - len(want)
+    assert moved > 1000 and fixed > 50
 
 
 def test_closure_relator_is_held_to_the_word_limit(monkeypatch):
@@ -317,10 +345,40 @@ def test_tietze_deterministic_scan_order():
     assert step.relators == ()
 
 
-def _assert_counts_carried(p):
-    # the signed counts a Tietze step carries, and the matrix read from them
-    assert p._letter_counts() == tuple(Counter(r.letters) for r in p.relators)
+def _sums(p):
+    # each relator's nonzero exponent sums, from freegroup.exponent_sums
+    gens = p.generators
+    return tuple({g: e for g, e in zip(gens, exponent_sums(r, gens)) if e} for r in p.relators)
+
+
+def _assert_sums_carried(p):
+    # the exponent sums a build or Tietze step carries, the matrix read
+    # from them, and the signed letter counts homcount builds on first use
+    assert p._exponent_sums() == _sums(p)
     assert relation_matrix(p) == [exponent_sums(r, p.generators) for r in p.relators]
+    assert p._letter_counts() == tuple(Counter(r.letters) for r in p.relators)
+
+
+def test_elimination_key_matches_the_counting_oracle():
+    # the key looks only at generators with exponent sum +-1 and checks
+    # each for its inverse letter; the oracle counts every generator.
+    # Sparse ids and y, and words that are not reduced, so that a
+    # generator of sum +-1 can occur three times
+    rng = random.Random(67)
+    words = [(1, 1, -1, 2), (1, 1, -1), (YID, 3, -YID, YID), ()]
+    for _ in range(3000):
+        gens = rng.sample([1, 2, 3, 5, 8, 13, YID], rng.randint(1, 4))
+        words.append(tuple(rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randint(1, 10))))
+    found = none = 0
+    for w in words:
+        count = Counter(w)
+        sums = {g: e for g in {abs(v) for v in w} if (e := count[g] - count[-g])}
+        want = once_key(w, YID)
+        assert _elimination_key(w, sums) == want, w
+        found += want is not None
+        none += want is None
+    assert _elimination_key((1, 1, -1, 2), {1: 1, 2: 1}) == (4, (False, 2))
+    assert found > 1000 and none > 500
 
 
 def test_tietze_steps_preserve_fingerprint():
@@ -347,7 +405,7 @@ def test_tietze_steps_preserve_fingerprint():
             if nxt is None:
                 break
             assert fingerprint(nxt, battery) == fp
-            _assert_counts_carried(nxt)
+            _assert_sums_carried(nxt)
             current = nxt
 
 
@@ -417,8 +475,9 @@ def _stepped(p, budget):
 
 
 def test_tietze_simplify_iterates_tietze_step():
-    # tietze_simplify carries relator letters, counts, elimination keys and
-    # the letter total through its steps; tietze_step starts each step afresh
+    # tietze_simplify carries relator letters, exponent sums, elimination
+    # keys and the letter total through its steps; tietze_step starts each
+    # step afresh
     cases = [p for _, _, p, _ in _oracle_cases()] + list(_invariants_long_groups())
     exhausted = steps = 0
     for p in cases:
@@ -431,21 +490,21 @@ def test_tietze_simplify_iterates_tietze_step():
             assert got.ambient == Ambient(nx, YID in got.generators)
             assert (res.exhausted, res.steps) == (q_exhausted, q_steps)
             if got is not p:
-                assert got._counts == tuple(Counter(r.letters) for r in got.relators)
+                assert got._sums == _sums(got)
             exhausted += res.exhausted
             steps += res.steps
     assert exhausted > 200 and steps > 1000
 
 
-def test_tietze_steps_carry_signed_letter_counts_on_long_braids():
+def test_tietze_steps_carry_exponent_sums_on_long_braids():
     steps = 0
     for p in _invariants_long_groups():
-        _assert_counts_carried(p)
+        _assert_sums_carried(p)
         while p.total_letters() <= TIETZE_BUDGET:
             p = tietze_step(p)
             if p is None:
                 break
-            _assert_counts_carried(p)
+            _assert_sums_carried(p)
             steps += 1
     assert steps > 40
 
