@@ -37,8 +37,12 @@ depth m is evaluated once on entering depth m+1, from its letters and
 the values of its sub-pieces, and identical pieces are evaluated once.
 A relator is tested at the depth of its deepest generator, as the
 program of that generator's letters and the pieces between them.  The
-pieces and programs form a plan that depends on the presentation
-alone: it is built for each enumeration, after the cap check.
+pieces and programs form a plan that depends only on the slot words,
+the relators with each generator written as its depth: it is built
+after the cap check, for each enumeration into a table.  The default
+battery's counts (below) are memoised by slot words, the 64 latest in
+an lru_cache: a renamed presentation, as the Markov moves often give
+after Tietze, has the same slot words and is not counted again.
 
 The default battery is counted from one enumeration into sym3, the
 permutations of 0, 1, 2 inside sym4.  sym4 is V x| sym3 for the Klein
@@ -330,34 +334,42 @@ def load_table_text(text: str, name: str = "custom") -> FiniteGroupTable:
 # counting
 
 
-def _plan(p: Presentation):
-    """The enumeration plan of p's relators, the same for every group.
-
-    The generators that occur in some relator get slots 0..k-1 by
-    descending occurrence (first listed first on ties).  Values live in
-    one list: index 0 is the identity, 1+2s and 2+2s are slot s's image
-    and its inverse, and the indices after those are pieces.  Each
-    relator goes to the depth d of its deepest generator, as the program
-    of its slot-d letters and the runs between them: a run of one letter
-    is that letter, and a longer one a piece.  A piece whose deepest slot
-    is m is stored the same way, as its slot-m letters and the runs
-    between them, and evaluated once on entering depth m+1; identical
-    pieces share one index.  One pass over a relator builds them all,
-    closing the runs that each letter ends.  Returns
-    (levels, size): per depth, the pieces to evaluate on entering it and
-    the programs of the relators to test, deduplicated, those with the
-    fewest slot-d letters first (in relator order on ties); size is the
-    length of the value list."""
+def _slot_words(p: Presentation):
+    """p's relators in slot letters, as (k, words).  The k generators that
+    occur in some relator get slots 0..k-1 by descending occurrence (first
+    listed first on ties); slot s's letter is 1 + 2s and its inverse
+    2 + 2s.  Renaming the generators in place keeps the slot words, and
+    equal slot words give equal plans and counts up to the factor of the
+    generators that occur in no relator."""
     occ = {}
     for count in p._letter_counts():
         for v, n in count.items():
             occ[abs(v)] = occ.get(abs(v), 0) + n
     order = {gid: i for i, gid in enumerate(p.generators)}
     active = sorted(occ, key=lambda gid: (-occ[gid], order[gid]))
-    k = len(active)
     letter = {}
     for s, gid in enumerate(active):
         letter[gid], letter[-gid] = 1 + 2 * s, 2 + 2 * s
+    return len(active), tuple(tuple(letter[v] for v in r.letters) for r in p.relators)
+
+
+def _plan_of(k, words):
+    """The enumeration plan of relators over k slots, given as slot words
+    (see _slot_words), the same for every group.
+
+    Values live in one list: index 0 is the identity, 1+2s and 2+2s are
+    slot s's image and its inverse, and the indices after those are
+    pieces.  Each relator goes to the depth d of its deepest slot, as the
+    program of its slot-d letters and the runs between them: a run of one
+    letter is that letter, and a longer one a piece.  A piece whose
+    deepest slot is m is stored the same way, as its slot-m letters and
+    the runs between them, and evaluated once on entering depth m+1;
+    identical pieces share one index.  One pass over a relator builds
+    them all, closing the runs that each letter ends.  Returns
+    (levels, size): per depth, the pieces to evaluate on entering it and
+    the programs of the relators to test, deduplicated, those with the
+    fewest slot-d letters first (in relator order on ties); size is the
+    length of the value list."""
     pieces = {}  # program -> index, in evaluation order
     entry = [[] for _ in range(k)]
 
@@ -374,8 +386,7 @@ def _plan(p: Presentation):
         return at
 
     programs = [{} for _ in range(k)]  # insertion-ordered sets, by depth
-    for r in p.relators:
-        word = [letter[v] for v in r.letters]
+    for word in words:
         d = (max(word) - 1) >> 1
         # the open runs, as [m, items...]: the run of items no deeper than
         # m, which holds a slot-m letter; m falls towards the top
@@ -559,20 +570,33 @@ def _count_abelian(p: Presentation, g: FiniteGroupTable) -> int:
     return count
 
 
+@lru_cache(maxsize=64)
+def _lift_sums(slot_words):
+    """The default battery's sums over the sym3 leaves of the relators
+    slot_words (see _slot_words): a leaf of weight w is w conjugates of a
+    hom with image K, each with 2^(2k - rank) lifts to sym4, and
+    w fix(K, H) / 6 of them land in H, for each H containing V.  The
+    sums are those of the slots alone, before the factor of the free
+    generators and the division by 6; the 64 latest are kept."""
+    k = slot_words[0]
+    sums = [0] * len(_BATTERY_NAMES)
+    for (stabiliser, rank), w in _count_assignments(default_battery()[0], _plan_of(*slot_words), lift=True).items():
+        lifts = w << 2 * k - rank
+        sums[0] += w
+        for i, fixed in enumerate(_fixes(stabiliser), 1):
+            sums[i] += lifts * fixed
+    return tuple(sums)
+
+
 def _lifted(p: Presentation, k):
-    """The default battery's counts, kept on p: a sym3 leaf of weight w is
-    w conjugates of a hom with image K, each with 2^(2k - rank) lifts to
-    sym4, and w fix(K, H) / 6 of them land in H, for each H containing V."""
+    """The default battery's counts, kept on p: the sums of its slot
+    words, divided by 6 after sym3's, times |H|^free for the generators
+    that occur in no relator."""
     if p._lifted is None:
-        battery = default_battery()
-        sums = [0] * len(battery)
-        for (stabiliser, rank), w in _count_assignments(battery[0], _plan(p), lift=True).items():
-            lifts = w << 2 * k - rank
-            sums[0] += w
-            for i, fixed in enumerate(_fixes(stabiliser), 1):
-                sums[i] += lifts * fixed
         free = len(p.generators) - k
-        p._lifted = tuple(g.order ** free * (s if i == 0 else s // 6) for i, (g, s) in enumerate(zip(battery, sums)))
+        sums = _lift_sums(_slot_words(p))
+        p._lifted = tuple(g.order ** free * (s if i == 0 else s // 6)
+                          for i, (g, s) in enumerate(zip(default_battery(), sums)))
     return p._lifted
 
 
@@ -591,7 +615,7 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     if order ** k > cap:
         raise CapExceeded(f"{order}^{k} assignments exceed the cap {cap}")
     if lifted is None:
-        return g.order ** (len(p.generators) - k) * sum(_count_assignments(g, _plan(p)).values())
+        return g.order ** (len(p.generators) - k) * sum(_count_assignments(g, _plan_of(*_slot_words(p))).values())
     return _lifted(p, k)[lifted]
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code with the
 package: repeated-scan reduction, plain substitution and its
 left-to-right fold over a braid word, Tietze elimination that rebuilds
 every relator and the key that picks its next elimination by counting,
-arc labels carried down a braid diagram, a braid's permutation as the
+arc labels carried down a braid diagram, as words or multiplied in a
+group to count the diagram's colourings, a braid's permutation as the
 left-to-right fold of its transpositions, the cycle lengths of a
 permutation, the rho -> alpha letter map onto the welded alphabet,
 brute-force hom counting over full tuple products, schoolbook
@@ -155,6 +156,49 @@ def label_closure(strands, letters, y):
         else:
             labels[i], labels[i + 1] = b, a
     return [naive_reduce((-k,) + labels[k]) for k in range(1, strands + 1)]
+
+
+def colour_count(strands, letters, table, y):
+    """|Hom(G, H)| for the closure group G of a braid diagram, counted as
+    the diagram's colourings by H, given by its multiplication table
+    (identity 0).
+
+    letters are (family, position, sign) triples drawn from the top of the
+    diagram down, as for label_closure, and y says whether G has the
+    generator y.  The top arcs get elements h_1..h_n of H and y gets g;
+    the labels are carried down as label_closure carries words, but
+    multiplied in H, and a colouring is an assignment whose bottom labels
+    equal the top ones.  Conjugating every label and g by one element
+    permutes the colourings, so g (or h_1, without y) runs over one
+    representative of each conjugacy class, weighted by the class size."""
+    m = len(table)
+    inv = [row.index(0) for row in table]
+
+    def conj(c, a):  # c a c^-1
+        return table[table[c][a]][inv[c]]
+
+    classes = {}
+    for a in range(m):
+        cls = {conj(c, a) for c in range(m)}
+        classes[min(cls)] = len(cls)
+    count = 0
+    for rep, size in classes.items():
+        for rest in itertools.product(range(m), repeat=strands if y else strands - 1):
+            top = list(rest) if y else [rep, *rest]
+            labels = [None] + top
+            for family, i, sign in letters:
+                a, b = labels[i], labels[i + 1]
+                if family == "s" and sign > 0:
+                    labels[i], labels[i + 1] = conj(a, b), a
+                elif family == "s":
+                    labels[i], labels[i + 1] = b, conj(inv[b], a)
+                elif family == "r":
+                    labels[i], labels[i + 1] = conj(rep, b), conj(inv[rep], a)
+                else:
+                    labels[i], labels[i + 1] = b, a
+            if labels[1:] == top:
+                count += size
+    return count
 
 
 def perm_of_positions(positions, n):

@@ -7,7 +7,7 @@ lines and timings.
 import random
 import time
 
-from linkgroups import examples
+from linkgroups import examples, markov
 from linkgroups.braid import (
     BraidWord,
     forbidden_relations,
@@ -15,8 +15,9 @@ from linkgroups.braid import (
     sigma,
 )
 from linkgroups.freegroup import Word, YID, abelianized_matrix, format_word
+from linkgroups.homcount import _lift_sums
 from linkgroups.markov import fuzz
-from linkgroups.present import AbelianInvariants, abelian_invariants, group_of_virtual_link
+from linkgroups.present import AbelianInvariants, Presentation, abelian_invariants, group_of_virtual_link
 from linkgroups.reps import check_relations, project_y, virtual, wada, welded
 
 from oracles import cycle_lengths, mat_identity, mat_mul, perm_of_positions, welded_letters
@@ -119,7 +120,19 @@ def test_criterion_08_abelianized_wada_power_law():
             assert mat_mul(m, m) == mat_identity(2)  # multiplicative order <= 2
 
 
-def test_criterion_09_markov_fuzz():
+def test_criterion_09_markov_fuzz(monkeypatch):
+    # each distinct presentation's first fingerprint, and whether its
+    # default battery was served from the memo of lifted sums
+    first, fingerprint = {}, markov.fingerprint
+
+    def recording(p):
+        hits = _lift_sums.cache_info().hits
+        fp = fingerprint(p)
+        first.setdefault(p, (fp, _lift_sums.cache_info().hits > hits))
+        return fp
+
+    monkeypatch.setattr(markov, "fingerprint", recording)
+    _lift_sums.cache_clear()
     with Timer("criterion-9 markov fuzz", 600.0):
         virt = fuzz("virtual", 500, 4, 10, 6, seed=2026)
         assert virt.ok and not virt.skipped, virt.render()
@@ -133,6 +146,13 @@ def test_criterion_09_markov_fuzz():
             f"  virtual skipped={len(virt.skipped)} welded skipped={len(weld.skipped)} "
             f"wada1 skipped={len(wada1.skipped)} wada2 skipped={len(wada2.skipped)}"
         )
+    served = sum(hit for _, hit in first.values())
+    print(f"  {len(first)} distinct presentations, {served} served from the memo")
+    assert served > len(first) // 4
+    # the counts served from the memo are those of a count from scratch
+    for p, (fp, _) in first.items():
+        _lift_sums.cache_clear()
+        assert fingerprint(Presentation(p.generators, p.relators)) == fp, p
 
 
 def test_criterion_10_knot_abelianization():

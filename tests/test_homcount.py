@@ -20,9 +20,11 @@ from linkgroups.homcount import (
     _generators,
     _in_sym4,
     _is_abelian,
+    _lift_sums,
     _lift_tables,
     _perms,
-    _plan,
+    _plan_of,
+    _slot_words,
     builtin_group,
     count_homs,
     default_battery,
@@ -53,6 +55,10 @@ def P(gens, relator_letter_tuples):
 # battery by identity, so it enumerates these, and they are the reference
 # that the counts from the sym3 lift are checked against
 COPIES = tuple(make_table(g.name, g.table) for g in default_battery())
+
+
+def plan(p):
+    return _plan_of(*_slot_words(p))
 
 
 def test_builtin_orders():
@@ -323,7 +329,7 @@ def test_plan_shares_identical_pieces():
     # slots x1, x2, x3 by occurrence; both relators reach x3's level, and
     # both start with the piece x1 x2 x1^-1
     p = P((1, 2, 3), [(1, 2, -1, 3), (1, 2, -1, -3, 1, 2)])
-    levels, size = _plan(p)
+    levels, size = plan(p)
     x1, x1inv, x2, x3, x3inv = 1, 2, 3, 5, 6
     assert size == 1 + 2 * 3 + 2
     assert levels[0] == levels[1] == ((), ())
@@ -340,7 +346,7 @@ def test_plan_pieces_have_pieces_of_their_own():
     # depth, and its runs x1 x1 are one piece at x1's, evaluated once per
     # value of x1 rather than once per value of x2
     p = P((1, 2, 3), [(1, 1, 2, 1, 1, 3)])
-    levels, size = _plan(p)
+    levels, size = plan(p)
     x1, x2, x3 = 1, 3, 5
     assert size == 1 + 2 * 3 + 2
     assert levels == (((), ()), (((7, (x1, x1)),), ()), (((8, (7, x2, 7)),), ((8, x3),)))
@@ -351,22 +357,31 @@ def test_plan_pieces_have_pieces_of_their_own():
 def test_over_cap_count_builds_no_plan(monkeypatch):
     plans = []
 
-    def counting_plan(p):
-        plans.append(p)
-        return _plan(p)
+    def counting_plan(k, words):
+        plans.append(words)
+        return _plan_of(k, words)
 
-    monkeypatch.setattr(homcount, "_plan", counting_plan)
+    monkeypatch.setattr(homcount, "_plan_of", counting_plan)
+    _lift_sums.cache_clear()
     p = P((1, 2, 3), [(1, 2, 3)])
     sym3 = builtin_group("sym3")
     with pytest.raises(CapExceeded, match="exceed the cap 10$"):
         count_homs(p, sym3, cap=10)
     assert plans == []
     assert count_homs(p, sym3) == 36
-    assert plans == [p]
+    assert plans == [((1, 3, 5),)]
     # neither a plan built before nor the kept counts are a way round the cap
     with pytest.raises(CapExceeded, match="exceed the cap 10$"):
         count_homs(p, sym3, cap=10)
-    assert plans == [p]
+    # nor the memo: a relabelled copy's count leaves p's slot words memoised
+    _lift_sums.cache_clear()
+    assert count_homs(P((5, YID, 2), [(5, YID, 2)]), sym3) == 36
+    p = P((1, 2, 3), [(1, 2, 3)])
+    with pytest.raises(CapExceeded, match="exceed the cap 10$"):
+        count_homs(p, sym3, cap=10)
+    assert p._lifted is None and _lift_sums.cache_info().hits == 0
+    assert count_homs(p, sym3) == 36 and _lift_sums.cache_info().hits == 1
+    assert plans == [((1, 3, 5),)] * 2
     plans.clear()
     # every battery count reads the one sym3 enumeration, bounded by 6^3 =
     # 216, so a fingerprint below that cap refuses at its first count, in
@@ -455,7 +470,7 @@ def test_abelian_tables_are_not_reduced():
     assert "_orbits" not in vars(g)
     # which the check above would see: an enumeration into an abelian table builds it
     c4 = make_table("c4", builtin_group("c4").table)
-    assert sum(_count_assignments(c4, _plan(commutator)).values()) == 16
+    assert sum(_count_assignments(c4, plan(commutator)).values()) == 16
     assert "_orbits" in vars(c4)
 
 
@@ -699,7 +714,7 @@ def test_lifted_fingerprint_matches_each_group_on_deep_plans():
         p = P(tuple(range(1, n + 1)), rels)
         counts = dict(fingerprint(p, cap=10 ** 9).counts)
         assert counts == {g.name: count_homs(P(p.generators, rels), g, cap=10 ** 9) for g in COPIES}
-        levels = _plan(p)[0]
+        levels = plan(p)[0]
         deep += len(levels) >= 4
         # how many times each relator names its deepest generator
         named = [sum((i - 1) >> 1 == d for i in prog) for d, (_, tests) in enumerate(levels) for prog in tests]
@@ -773,6 +788,85 @@ def test_default_battery_counts_are_kept_on_the_presentation(monkeypatch):
     assert fingerprint(p, (sym3,)).counts == (("sym3", -1),)
     assert [count_homs(p, g) for g in default_battery()[::-1]] == [-4, -3, -2, -1]
     assert fingerprint(p).counts == tuple(zip(("sym3", "dihedral4", "alt4", "sym4"), (-1, -2, -3, -4)))
+
+
+def _renamed(p, ids):
+    """p with its generators renamed in place to ids."""
+    name = dict(zip(p.generators, ids))
+    return P(ids, [tuple(name[v] if v > 0 else -name[-v] for v in r.letters) for r in p.relators])
+
+
+def _random_presentation(rng, gens):
+    pool = [v for g in gens for v in (g, -g)]
+    return P(gens, [tuple(rng.choice(pool) for _ in range(rng.randint(1, 8))) for _ in range(rng.randint(1, 3))])
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The tables enumerated from here on, in call order, from a cleared
+    memo of lifted sums."""
+    tables = []
+
+    def counting(g, plan, lift=False):
+        tables.append(g)
+        return _count_assignments(g, plan, lift)
+
+    monkeypatch.setattr(homcount, "_count_assignments", counting)
+    _lift_sums.cache_clear()
+    return tables
+
+
+def test_renamed_presentations_are_counted_once(enumerations):
+    # renaming the generators in place, y included, keeps the slot words:
+    # the copy's default battery is one memo hit and no enumeration
+    rng = random.Random(33)
+    served = 0
+    for _ in range(150):
+        gens = tuple(rng.sample(range(1, 8), rng.randint(1, 4))) + ((YID,) if rng.random() < 0.5 else ())
+        p = _random_presentation(rng, gens)
+        fp = fingerprint(p)
+        q = _renamed(p, tuple(rng.sample(list(range(1, 10)) + [YID], len(gens))))
+        hits = _lift_sums.cache_info().hits
+        enumerations.clear()
+        assert fingerprint(q) == fp
+        assert enumerations == []
+        assert _lift_sums.cache_info().hits == hits + bool(p.relators)
+        served += bool(p.relators)
+    assert served > 100
+
+
+def test_generators_in_no_relator_keep_the_key(enumerations):
+    rng = random.Random(34)
+    for _ in range(60):
+        p = _random_presentation(rng, (1, 2, 3))
+        counts = [count_homs(p, g) for g in default_battery()]
+        for extra in ((4,), (YID,), (5, 4, YID)):
+            gens = list(p.generators)
+            for g in extra:
+                gens.insert(rng.randint(0, len(gens)), g)
+            q = P(tuple(gens), [r.letters for r in p.relators])
+            assert _slot_words(q) == _slot_words(p)
+            enumerations.clear()
+            assert [count_homs(q, g) for g in default_battery()] == [
+                c * g.order ** len(extra) for c, g in zip(counts, default_battery())]
+            assert enumerations == []
+
+
+def test_tables_outside_the_battery_are_enumerated_afresh(enumerations):
+    sym3 = default_battery()[0]
+    text = "order 6\n" + "\n".join(" ".join(map(str, row)) for row in sym3.table)
+    table = load_table_text(text, "sym3.txt")
+    p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
+    fp = fingerprint(p)
+    assert enumerations == [sym3]
+    # equal copies and table: groups never read the memo, for p or a renamed copy
+    for q in (p, _renamed(p, (4, YID, 1)), p):
+        enumerations.clear()
+        info = _lift_sums.cache_info()
+        assert fingerprint(q, COPIES) == fp
+        assert count_homs(q, table) == dict(fp.counts)["sym3"]
+        assert enumerations == list(COPIES) + [table]
+        assert _lift_sums.cache_info() == info
 
 
 def test_kept_counts_still_check_the_cap():

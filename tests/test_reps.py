@@ -1,5 +1,6 @@
 """Representations: generator displays, relation suites, the y projection."""
 
+import itertools
 import random
 
 import pytest
@@ -38,7 +39,7 @@ from linkgroups.reps import (
     wada,
     welded,
 )
-from oracles import label_closure, naive_evaluate, welded_letters
+from oracles import colour_count, even_permutations, label_closure, naive_evaluate, permutation_table, welded_letters
 
 
 def images_of(act, amb):
@@ -226,6 +227,39 @@ def test_closure_group_reads_the_diagram_from_the_bottom():
         b = parse(text, 3, theory)
         got = fingerprint(closure_group(b))
         assert got == _label_fingerprint(b, b.letters[::-1]) != _label_fingerprint(b, b.letters)
+
+
+# the battery as the oracles' own permutation tables; dihedral4 is the
+# permutations of 0..3 that keep the square 0-1-2-3's edges
+SQUARE = [p for p in itertools.permutations(range(4)) if all((p[(i + 1) % 4] - p[i]) % 4 in (1, 3) for i in range(4))]
+COLOUR_TABLES = {"sym3": permutation_table(itertools.permutations(range(3))), "dihedral4": permutation_table(SQUARE),
+                 "alt4": permutation_table(even_permutations(4)), "sym4": permutation_table(itertools.permutations(range(4)))}
+
+
+def _colour_counts(b, letters):
+    """The colouring oracle's battery counts of a diagram of b's theory
+    and strand count whose crossings are letters, top to bottom; sym4 up
+    to 3 strands."""
+    letters = [(l.family, l.pos, l.sign) for l in letters]
+    return {name: colour_count(b.strands, letters, table, b.theory == "virtual")
+            for name, table in COLOUR_TABLES.items() if name != "sym4" or b.strands <= 3}
+
+
+def test_closure_counts_match_the_colouring_oracle():
+    """The whole pipeline, braid to count, against colourings of the
+    diagram drawn with b's first letter at the bottom."""
+    rng = random.Random(5)
+    for i in range(60):
+        theory = ("classical", "virtual", "welded")[i % 3]
+        b = random_braid_from(rng, rng.randint(2, 4), rng.randint(0, 10), theory)
+        counts = dict(fingerprint(tietze_simplify(closure_group(b)).presentation).counts)
+        colours = _colour_counts(b, b.letters[::-1])
+        assert colours == {name: counts[name] for name in colours}, b
+    # the oracle tells the two readings apart on the direction witnesses
+    for theory, text in (("welded", "s1 a1 s2^-1 a2"), ("virtual", "s1 r1 s2^-1 r2")):
+        b = parse(text, 3, theory)
+        counts = dict(fingerprint(closure_group(b)).counts)
+        assert _colour_counts(b, b.letters[::-1]) == counts != _colour_counts(b, b.letters)
 
 
 def test_evaluate_letter_limit_bounds_suffix_substitutions(monkeypatch):
