@@ -211,10 +211,10 @@ class Word:
         return Word._joined(self.ambient.without_y(), runs, len(ls) - len(cuts))
 
 
-def exponent_sums(w: Word, gens) -> list[int]:
-    """The exponent sum in w of each generator in gens, in that order."""
-    counts = Counter(w.letters)
-    return [counts[g] - counts[-g] for g in gens]
+def exponent_sums(letters) -> dict[int, int]:
+    """The nonzero exponent sums of a letter tuple, by generator id."""
+    c = Counter(letters)
+    return {g: c[g] - c[-g] for g in {abs(v) for v in c} if c[g] != c[-g]}
 
 
 _GEN = re.compile(r"x([1-9][0-9]{0,9})|y")  # YID = 2^30 has 10 digits
@@ -354,6 +354,5 @@ def abelianized_matrix(e: Endomorphism) -> list[list[int]]:
     Contravariantly functorial for the left-to-right composition order:
     matrix(compose(f, g)) = matrix(g) @ matrix(f).
     """
-    rows = e.codomain.gens()
-    cols = [exponent_sums(e.images[g], rows) for g in e.domain.gens()]
-    return [[col[r] for col in cols] for r in range(len(rows))]
+    cols = [exponent_sums(e.images[g].letters) for g in e.domain.gens()]
+    return [[col.get(r, 0) for col in cols] for r in e.codomain.gens()]

@@ -38,11 +38,13 @@ the values of its sub-pieces, and identical pieces are evaluated once.
 A relator is tested at the depth of its deepest generator, as the
 program of that generator's letters and the pieces between them.  The
 pieces and programs form a plan that depends only on the slot words,
-the relators with each generator written as its depth: it is built
-after the cap check, for each enumeration into a table.  The default
+the relators with each generator written as its depth, which are
+counted once per presentation and kept on it: the plan is built after
+the cap check, for each enumeration into a table.  The default
 battery's counts (below) are memoised by slot words, the 64 latest in
-an lru_cache: a renamed presentation, as the Markov moves often give
-after Tietze, has the same slot words and is not counted again.
+an lru_cache, and kept nowhere else: a renamed presentation, as the
+Markov moves often give after Tietze, has the same slot words and is
+not counted again.
 
 The default battery is counted from one enumeration into sym3, the
 permutations of 0, 1, 2 inside sym4.  sym4 is V x| sym3 for the Klein
@@ -67,12 +69,12 @@ its image lies in H meet sym3.  That holds for w fix(K, H) / 6 of the
 conjugates, where fix(K, H) counts the x in sym3 with x K x^-1 inside
 H, so H gets L fix(K, H) / 6, and the division is exact.  count_homs
 counts the default battery's own tables (matched by identity) this way,
-from one enumeration whose four counts are kept on the presentation, and
-enumerates any other non-abelian table.  The cap bounds the enumeration
-a count runs over the k generators that occur in some relator: 6^k for
-the default battery, order^k for any other non-abelian table, and none
-for an abelian one, which enumerates nothing.  So a fingerprint over
-the default battery refuses at its first count or not at all.
+from one enumeration whose four sums the memo keeps, and enumerates any
+other non-abelian table.  The cap bounds the enumeration a count runs
+over the k generators that occur in some relator: 6^k for the default
+battery, order^k for any other non-abelian table, and none for an
+abelian one, which enumerates nothing.  So a fingerprint over the
+default battery refuses at its first count or not at all.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ import operator
 import os
 import re
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -335,22 +337,21 @@ def load_table_text(text: str, name: str = "custom") -> FiniteGroupTable:
 
 
 def _slot_words(p: Presentation):
-    """p's relators in slot letters, as (k, words).  The k generators that
-    occur in some relator get slots 0..k-1 by descending occurrence (first
-    listed first on ties); slot s's letter is 1 + 2s and its inverse
-    2 + 2s.  Renaming the generators in place keeps the slot words, and
-    equal slot words give equal plans and counts up to the factor of the
-    generators that occur in no relator."""
-    occ = {}
-    for count in p._letter_counts():
-        for v, n in count.items():
-            occ[abs(v)] = occ.get(abs(v), 0) + n
-    order = {gid: i for i, gid in enumerate(p.generators)}
-    active = sorted(occ, key=lambda gid: (-occ[gid], order[gid]))
-    letter = {}
-    for s, gid in enumerate(active):
-        letter[gid], letter[-gid] = 1 + 2 * s, 2 + 2 * s
-    return len(active), tuple(tuple(letter[v] for v in r.letters) for r in p.relators)
+    """p's relators in slot letters, as (k, words), kept on p.  The k
+    generators that occur in some relator get slots 0..k-1 by descending
+    occurrence (first listed first on ties); slot s's letter is 1 + 2s and
+    its inverse 2 + 2s.  Renaming the generators in place keeps the slot
+    words, and equal slot words give equal plans and counts up to the
+    factor of the generators that occur in no relator."""
+    if p._slots is None:
+        occ = Counter(abs(v) for r in p.relators for v in r.letters)
+        order = {gid: i for i, gid in enumerate(p.generators)}
+        active = sorted(occ, key=lambda gid: (-occ[gid], order[gid]))
+        letter = {}
+        for s, gid in enumerate(active):
+            letter[gid], letter[-gid] = 1 + 2 * s, 2 + 2 * s
+        p._slots = len(active), tuple(tuple(letter[v] for v in r.letters) for r in p.relators)
+    return p._slots
 
 
 def _plan_of(k, words):
@@ -588,18 +589,6 @@ def _lift_sums(slot_words):
     return tuple(sums)
 
 
-def _lifted(p: Presentation, k):
-    """The default battery's counts, kept on p: the sums of its slot
-    words, divided by 6 after sym3's, times |H|^free for the generators
-    that occur in no relator."""
-    if p._lifted is None:
-        free = len(p.generators) - k
-        sums = _lift_sums(_slot_words(p))
-        p._lifted = tuple(g.order ** free * (s if i == 0 else s // 6)
-                          for i, (g, s) in enumerate(zip(default_battery(), sums)))
-    return p._lifted
-
-
 def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     """The exact number of homomorphisms from the presented group to g; the
     cap bounds the enumeration it runs (see the module docstring)."""
@@ -610,13 +599,16 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     lifted = next((i for i, h in enumerate(battery) if g is h), None)
     if lifted is None and _is_abelian(g):
         return _count_abelian(p, g)
+    slots = _slot_words(p)
+    k = slots[0]
     order = g.order if lifted is None else battery[0].order  # all four read the sym3 enumeration
-    k = len({abs(v) for count in p._letter_counts() for v in count})
     if order ** k > cap:
         raise CapExceeded(f"{order}^{k} assignments exceed the cap {cap}")
+    free = g.order ** (len(p.generators) - k)
     if lifted is None:
-        return g.order ** (len(p.generators) - k) * sum(_count_assignments(g, _plan_of(*_slot_words(p))).values())
-    return _lifted(p, k)[lifted]
+        return free * sum(_count_assignments(g, _plan_of(*slots)).values())
+    s = _lift_sums(slots)[lifted]
+    return free * (s // 6 if lifted else s)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +638,6 @@ def fingerprint(p: Presentation, battery=None, cap=None) -> Fingerprint:
     """Abelian invariants plus hom counts over the battery, in battery
     order.  Equal fingerprints are necessary for isomorphism."""
     battery = default_battery() if battery is None else battery
-    cap = effective_cap(cap)  # once: reading the environment costs more than a kept count
+    cap = effective_cap(cap)  # once: reading the environment costs more than a memo read
     counts = tuple((g.name, count_homs(p, g, cap=cap)) for g in battery)
     return Fingerprint(abelian_invariants(p), counts)

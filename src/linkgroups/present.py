@@ -10,7 +10,6 @@ exponent-sum matrix.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
@@ -25,6 +24,7 @@ from .freegroup import (
     _cyclic_core,
     _inverse,
     _join,
+    exponent_sums,
     format_word,
     gen_name,
     parse_gen,
@@ -57,12 +57,6 @@ def _check_generators(letters, signed: frozenset[int]) -> None:
         raise ValueError(f"relator uses unknown generator {gen_name(abs(bad))}")
 
 
-def _sums_of(letters) -> dict[int, int]:
-    """The nonzero exponent sums of a letter tuple, by generator id."""
-    c = Counter(letters)
-    return {g: c[g] - c[-g] for g in {abs(v) for v in c} if c[g] != c[-g]}
-
-
 class Presentation:
     """Ordered generator list plus cyclically reduced relator words.
 
@@ -75,10 +69,10 @@ class Presentation:
     each relator's exponent sums with it where they know them.
     """
 
-    # _sums, _counts, _invariants (abelian_invariants) and _lifted
-    # (homcount's counts into the default battery, from the sym3 lift) are
-    # caches, built on first use and left out of equality and hashing
-    __slots__ = ("generators", "relators", "ambient", "_sums", "_counts", "_invariants", "_lifted")
+    # _sums, _invariants (abelian_invariants) and _slots (homcount's slot
+    # words, the key of its memo of counts) are caches, built on first use
+    # and left out of equality and hashing
+    __slots__ = ("generators", "relators", "ambient", "_sums", "_invariants", "_slots")
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
@@ -98,9 +92,8 @@ class Presentation:
         self.relators = tuple(cleaned)
         self.ambient = ambient
         self._sums = None
-        self._counts = None
         self._invariants = None
-        self._lifted = None
+        self._slots = None
 
     @classmethod
     def _built(cls, generators, relators, ambient, sums) -> "Presentation":
@@ -112,9 +105,8 @@ class Presentation:
         p.relators = relators
         p.ambient = ambient
         p._sums = sums
-        p._counts = None
         p._invariants = None
-        p._lifted = None
+        p._slots = None
         return p
 
     def _exponent_sums(self) -> tuple[dict, ...]:
@@ -122,16 +114,8 @@ class Presentation:
         zero sums; carried from the closure builders through Tietze steps,
         or counted once."""
         if self._sums is None:
-            self._sums = tuple(_sums_of(r.letters) for r in self.relators)
+            self._sums = tuple(exponent_sums(r.letters) for r in self.relators)
         return self._sums
-
-    def _letter_counts(self) -> tuple[Counter, ...]:
-        """How often each signed letter (a generator id g or its inverse
-        -g) occurs in each relator, counted on first use (homcount orders
-        and restricts its enumeration by them)."""
-        if self._counts is None:
-            self._counts = tuple(Counter(r.letters) for r in self.relators)
-        return self._counts
 
     def total_letters(self) -> int:
         return sum(len(r) for r in self.relators)

@@ -8,6 +8,7 @@ arc labels carried down a braid diagram, as words or multiplied in a
 group to count the diagram's colourings, a braid's permutation as the
 left-to-right fold of its transpositions, the cycle lengths of a
 permutation, the rho -> alpha letter map onto the welded alphabet,
+exponent sums and slot words added up letter by letter,
 brute-force hom counting over full tuple products, schoolbook
 matrix multiplication, cofactor determinants, kernels mod a prime by
 Gaussian elimination, direct products of multiplication tables and
@@ -158,7 +159,7 @@ def label_closure(strands, letters, y):
     return [naive_reduce((-k,) + labels[k]) for k in range(1, strands + 1)]
 
 
-def colour_count(strands, letters, table, y):
+def colour_count(strands, letters, table, y, wada=1, h=1):
     """|Hom(G, H)| for the closure group G of a braid diagram, counted as
     the diagram's colourings by H, given by its multiplication table
     (identity 0).
@@ -168,15 +169,26 @@ def colour_count(strands, letters, table, y):
     generator y.  The top arcs get elements h_1..h_n of H and y gets g;
     the labels are carried down as label_closure carries words, but
     multiplied in H, and a colouring is an assignment whose bottom labels
-    equal the top ones.  Conjugating every label and g by one element
-    permutes the colourings, so g (or h_1, without y) runs over one
-    representative of each conjugacy class, weighted by the class size."""
+    equal the top ones.  A crossing sigma_i with labels a, b entering at
+    i, i + 1 gives, by Wada type (h the conjugation power of type 1;
+    label_closure's rule is type 1 with h = 1):
+
+        type 1: sigma_i  a^h b a^-h, a     sigma_i^-1  b, b^-h a b^h
+        type 2: sigma_i  a b^-1 a, a       sigma_i^-1  b, b a^-1 b
+
+    Conjugating every label and g by one element permutes the colourings,
+    as every rule is a word in the labels, so g (or h_1, without y) runs
+    over one representative of each conjugacy class, weighted by the
+    class size."""
     m = len(table)
     inv = [row.index(0) for row in table]
 
     def conj(c, a):  # c a c^-1
         return table[table[c][a]][inv[c]]
 
+    powers = list(range(m))  # c^h, by c
+    for _ in range(h - 1):
+        powers = [table[x][c] for c, x in enumerate(powers)]
     classes = {}
     for a in range(m):
         cls = {conj(c, a) for c in range(m)}
@@ -188,10 +200,14 @@ def colour_count(strands, letters, table, y):
             labels = [None] + top
             for family, i, sign in letters:
                 a, b = labels[i], labels[i + 1]
-                if family == "s" and sign > 0:
-                    labels[i], labels[i + 1] = conj(a, b), a
+                if family == "s" and wada == 2 and sign > 0:
+                    labels[i], labels[i + 1] = table[table[a][inv[b]]][a], a
+                elif family == "s" and wada == 2:
+                    labels[i], labels[i + 1] = b, table[table[b][inv[a]]][b]
+                elif family == "s" and sign > 0:
+                    labels[i], labels[i + 1] = conj(powers[a], b), a
                 elif family == "s":
-                    labels[i], labels[i + 1] = b, conj(inv[b], a)
+                    labels[i], labels[i + 1] = b, conj(inv[powers[b]], a)
                 elif family == "r":
                     labels[i], labels[i + 1] = conj(rep, b), conj(inv[rep], a)
                 else:
@@ -233,6 +249,29 @@ def welded_letters(letters):
     """The quotient map to the welded alphabet, letter by letter: each
     virtual rho_i becomes alpha_i, and the crossings stay."""
     return tuple(l._replace(family="a") if l.family == "r" else l for l in letters)
+
+
+def exponent_sums(letters, gens):
+    """The exponent sum of each generator in gens, in that order: one pass
+    over the letters, adding 1 for a generator and -1 for an inverse."""
+    sums = dict.fromkeys(gens, 0)
+    for v in letters:
+        sums[abs(v)] += 1 if v > 0 else -1
+    return [sums[g] for g in gens]
+
+
+def slot_words(generators, relators):
+    """(k, words): the relators (letter tuples) rewritten over slots.  The
+    k generators that occur in some relator take slots 0..k-1, most
+    occurrences first and in generator order on ties; slot s is written
+    1 + 2s and its inverse 2 + 2s."""
+    occurrences = dict.fromkeys(generators, 0)
+    for r in relators:
+        for v in r:
+            occurrences[abs(v)] += 1
+    active = sorted((g for g in generators if occurrences[g]), key=lambda g: -occurrences[g])
+    slot = {g: s for s, g in enumerate(active)}
+    return len(active), tuple(tuple(1 + 2 * slot[abs(v)] + (v < 0) for v in r) for r in relators)
 
 
 def brute_count_homs(generators, relators, table):

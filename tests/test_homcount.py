@@ -370,17 +370,20 @@ def test_over_cap_count_builds_no_plan(monkeypatch):
     assert plans == []
     assert count_homs(p, sym3) == 36
     assert plans == [((1, 3, 5),)]
-    # neither a plan built before nor the kept counts are a way round the cap
+    # neither a plan built before, nor the kept slot words, nor p's memo
+    # entry are a way round the cap: the refused count reads no memo
+    info = _lift_sums.cache_info()
     with pytest.raises(CapExceeded, match="exceed the cap 10$"):
         count_homs(p, sym3, cap=10)
-    # nor the memo: a relabelled copy's count leaves p's slot words memoised
+    assert _lift_sums.cache_info() == info
+    # nor a relabelled copy's count, which leaves p's slot words memoised
     _lift_sums.cache_clear()
     assert count_homs(P((5, YID, 2), [(5, YID, 2)]), sym3) == 36
     p = P((1, 2, 3), [(1, 2, 3)])
     with pytest.raises(CapExceeded, match="exceed the cap 10$"):
         count_homs(p, sym3, cap=10)
-    assert p._lifted is None and _lift_sums.cache_info().hits == 0
-    assert count_homs(p, sym3) == 36 and _lift_sums.cache_info().hits == 1
+    assert _lift_sums.cache_info()[:2] == (0, 1)  # no hit, and no miss but the copy's
+    assert count_homs(p, sym3) == 36 and _lift_sums.cache_info()[:2] == (1, 1)
     assert plans == [((1, 3, 5),)] * 2
     plans.clear()
     # every battery count reads the one sym3 enumeration, bounded by 6^3 =
@@ -403,7 +406,7 @@ def test_kept_counts_are_outside_equality_and_hashing():
     p, q = parse_presentation(text), parse_presentation(text)
     before = hash(p)
     fingerprint(p)
-    assert p._lifted is not None and q._lifted is None
+    assert p._slots is not None and q._slots is None
     assert p._invariants is not None and q._invariants is None
     assert p == q and hash(p) == hash(q) == before
 
@@ -759,37 +762,6 @@ def test_fingerprint_routes_by_table_identity():
     assert count_homs(p, c24_named_sym4) != count_homs(p, sym4)
 
 
-def test_default_battery_counts_are_kept_on_the_presentation(monkeypatch):
-    forms = []
-
-    def counting_smith(m):
-        forms.append(m)
-        return smith_normal_form(m)
-
-    monkeypatch.setattr(present, "smith_normal_form", counting_smith)
-    assert default_battery() is default_battery()
-    p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
-    fp = fingerprint(p)
-    kept = p._lifted
-    assert kept == tuple(c for _, c in fp.counts)
-    assert len(forms) == 1 and p._invariants == fp.abelian
-    # a repeat fingerprint reads the kept counts and invariants: no Smith form
-    assert fingerprint(p) == fp and p._lifted is kept and len(forms) == 1
-    free = P((1, YID), [])  # counted from its free rank, nothing kept
-    assert fingerprint(free) == fingerprint(free) and free._lifted is None
-    # equal tables that are not the battery's own are counted afresh, even
-    # past a wrong kept value, which count_homs and fingerprint both read
-    fresh = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
-    assert fingerprint(fresh, COPIES) == fp and fresh._lifted is None
-    sym3 = default_battery()[0]
-    p._lifted = (-1, -2, -3, -4)
-    assert fingerprint(p, COPIES) == fp
-    assert count_homs(p, COPIES[0]) == dict(fp.counts)["sym3"]
-    assert fingerprint(p, (sym3,)).counts == (("sym3", -1),)
-    assert [count_homs(p, g) for g in default_battery()[::-1]] == [-4, -3, -2, -1]
-    assert fingerprint(p).counts == tuple(zip(("sym3", "dihedral4", "alt4", "sym4"), (-1, -2, -3, -4)))
-
-
 def _renamed(p, ids):
     """p with its generators renamed in place to ids."""
     name = dict(zip(p.generators, ids))
@@ -818,7 +790,7 @@ def enumerations(monkeypatch):
 
 def test_renamed_presentations_are_counted_once(enumerations):
     # renaming the generators in place, y included, keeps the slot words:
-    # the copy's default battery is one memo hit and no enumeration
+    # the copy's default battery is a memo hit per count and no enumeration
     rng = random.Random(33)
     served = 0
     for _ in range(150):
@@ -826,11 +798,11 @@ def test_renamed_presentations_are_counted_once(enumerations):
         p = _random_presentation(rng, gens)
         fp = fingerprint(p)
         q = _renamed(p, tuple(rng.sample(list(range(1, 10)) + [YID], len(gens))))
-        hits = _lift_sums.cache_info().hits
+        hits, misses = _lift_sums.cache_info()[:2]
         enumerations.clear()
         assert fingerprint(q) == fp
         assert enumerations == []
-        assert _lift_sums.cache_info().hits == hits + bool(p.relators)
+        assert _lift_sums.cache_info()[:2] == (hits + 4 * bool(p.relators), misses)
         served += bool(p.relators)
     assert served > 100
 
@@ -850,6 +822,57 @@ def test_generators_in_no_relator_keep_the_key(enumerations):
             assert [count_homs(q, g) for g in default_battery()] == [
                 c * g.order ** len(extra) for c, g in zip(counts, default_battery())]
             assert enumerations == []
+
+
+def test_repeated_fingerprints_read_the_memo(enumerations, monkeypatch):
+    forms = []
+
+    def counting_smith(m):
+        forms.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(present, "smith_normal_form", counting_smith)
+    assert default_battery() is default_battery()
+    sym3 = default_battery()[0]
+    p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
+    fp = fingerprint(p)
+    assert enumerations == [sym3] and _lift_sums.cache_info()[:2] == (3, 1)
+    assert len(forms) == 1 and p._invariants == fp.abelian
+    # a repeat fingerprint reads the memo, by the slot words kept on p, and
+    # the kept invariants: no enumeration and no Smith form
+    slots = p._slots
+    enumerations.clear()
+    assert fingerprint(p) == fp and p._slots is slots
+    assert enumerations == [] and len(forms) == 1
+    assert _lift_sums.cache_info()[:2] == (7, 1)
+    free = P((1, YID), [])  # counted from its free rank, no slot words or memo read
+    assert fingerprint(free) == fingerprint(free) and free._slots is None
+    assert _lift_sums.cache_info()[:2] == (7, 1)
+    # equal tables that are not the battery's own are counted afresh, even
+    # past a wrong memoised value, which count_homs and fingerprint both read
+    fresh = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
+    assert fingerprint(fresh, COPIES) == fp and _lift_sums.cache_info()[:2] == (7, 1)
+    monkeypatch.setattr(homcount, "_lift_sums", lambda slots: (-1, -12, -18, -24))
+    assert fingerprint(p, COPIES) == fp
+    assert count_homs(p, COPIES[0]) == dict(fp.counts)["sym3"]
+    assert fingerprint(p, (sym3,)).counts == (("sym3", -1),)
+    assert [count_homs(p, g) for g in default_battery()[::-1]] == [-4, -3, -2, -1]
+    assert fingerprint(p).counts == tuple(zip(("sym3", "dihedral4", "alt4", "sym4"), (-1, -2, -3, -4)))
+
+
+def test_a_fingerprint_outlives_64_other_forms(enumerations):
+    # the memo keeps the 64 latest slot-word forms; a presentation counted
+    # again after 64 others is enumerated once more, to the same counts
+    sym3 = default_battery()[0]
+    p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
+    fp = fingerprint(p)
+    others = [P((1, 2), [(1,) * j + (2, -1, -2)]) for j in range(1, 71)]
+    assert len({_slot_words(q) for q in others} | {_slot_words(p)}) == len(others) + 1
+    for q in others:
+        count_homs(q, sym3)
+    enumerations.clear()
+    assert fingerprint(p) == fp
+    assert enumerations == [sym3]
 
 
 def test_tables_outside_the_battery_are_enumerated_afresh(enumerations):
@@ -873,8 +896,10 @@ def test_kept_counts_still_check_the_cap():
     trial_417 = parse_presentation(TRIAL_417)
     # 6^6 is within the default cap: the battery reads the sym3 enumeration
     fp = fingerprint(trial_417)
-    kept = trial_417._lifted
+    slots = trial_417._slots
     assert dict(fp.counts)["sym3"] == 396
+    # its sums are memoised, but a refused count reads no memo
+    info = _lift_sums.cache_info()
     for _ in range(2):
         with pytest.raises(CapExceeded) as exc:
             fingerprint(trial_417, cap=10 ** 4)
@@ -883,7 +908,9 @@ def test_kept_counts_still_check_the_cap():
             with pytest.raises(CapExceeded) as exc:
                 count_homs(trial_417, g, cap=10 ** 4)
             assert str(exc.value) == "6^6 assignments exceed the cap 10000"
-    assert fingerprint(trial_417, cap=6 ** 6) == fp and trial_417._lifted is kept
+    assert _lift_sums.cache_info() == info
+    assert fingerprint(trial_417, cap=6 ** 6) == fp and trial_417._slots is slots
+    assert _lift_sums.cache_info().hits == info.hits + 4
 
 
 def test_fingerprint_structure():

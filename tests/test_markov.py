@@ -10,11 +10,14 @@ import linkgroups.markov as markov
 from linkgroups.braid import (
     MAX_STRANDS,
     BraidWord,
+    DefiningRelation,
     conjugate,
     defining_relations,
+    forbidden_relations,
     normalize,
     parse,
     random_braid_from,
+    rewrite_with_relation,
     rho,
     serialize,
     stabilize,
@@ -25,7 +28,7 @@ from linkgroups.homcount import Fingerprint, _lift_sums, count_homs, default_bat
 from linkgroups.markov import Mismatch, Move, fuzz, random_move, run_trial
 from linkgroups.present import Presentation, closure_group, group_of_virtual_link, tietze_simplify
 
-from oracles import cycle_lengths, perm_of_positions
+from oracles import cycle_lengths, perm_of_positions, welded_letters
 
 
 def permutation(b):
@@ -119,6 +122,42 @@ def test_relation_moves_preserve_closure_group():
             got = fingerprint(tietze_simplify(group_of_virtual_link(nxt)).presentation)
             assert got == fp
             b = nxt
+
+
+def _forbidden(kind, n):
+    """The relations of a negative-control kind on n strands: virtual F1
+    or F2, or the same words with rho -> alpha as welded relations."""
+    theory, name = kind.split()
+    rels = [r for r in forbidden_relations(n) if r.name == name]
+    if theory == "virtual":
+        return rels
+    return [DefiningRelation("welded", r.name, r.params, BraidWord(n, "welded", welded_letters(r.left.letters)),
+                             BraidWord(n, "welded", welded_letters(r.right.letters))) for r in rels]
+
+
+def test_forbidden_moves_change_fingerprints():
+    """Negative controls: a forbidden relation's move can change the
+    group, and the fingerprint must see it; a fingerprint that never
+    changed, or a memo key that merged two groups, would pass every
+    campaign.  One side of the relation is inserted into a seeded braid
+    and rewritten to the other side, and the closures are fingerprinted
+    after Tietze.  Welded F1 (rho -> alpha) is welded's own mixed
+    relation, so it changes none."""
+    rng = random.Random(3)
+    changed = {}
+    for kind in ("virtual F1", "virtual F2", "welded F2", "welded F1"):
+        changed[kind] = 0
+        for _ in range(80):
+            n = rng.randint(3, 4)
+            b = random_braid_from(rng, n, rng.randint(0, 8), kind.split()[0])
+            rel = rng.choice(_forbidden(kind, n))
+            at = rng.randint(0, len(b))
+            side = rng.choice((rel.left, rel.right)).letters
+            before = BraidWord(n, b.theory, b.letters[:at] + side + b.letters[at:])
+            after = rewrite_with_relation(before, rel, at)
+            fps = [fingerprint(tietze_simplify(closure_group(w)).presentation) for w in (before, after)]
+            changed[kind] += fps[0] != fps[1]
+    assert changed == {"virtual F1": 34, "virtual F2": 33, "welded F2": 17, "welded F1": 0}
 
 
 def test_fuzz_depth_zero():

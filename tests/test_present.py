@@ -23,12 +23,11 @@ from linkgroups.freegroup import (
     Word,
     WordLengthError,
     YID,
-    exponent_sums,
     format_word,
     gen_name,
     parse_word,
 )
-from linkgroups.homcount import builtin_group, count_homs, default_battery, fingerprint, make_table
+from linkgroups.homcount import _slot_words, builtin_group, count_homs, default_battery, fingerprint, make_table
 from linkgroups.present import (
     TIETZE_BUDGET,
     AbelianInvariants,
@@ -53,6 +52,7 @@ from linkgroups.present import (
 
 from oracles import (
     cycle_lengths,
+    exponent_sums,
     mat_det,
     mat_identity,
     mat_mul,
@@ -60,6 +60,7 @@ from oracles import (
     naive_tietze,
     once_key,
     perm_of_positions,
+    slot_words,
     welded_letters,
 )
 
@@ -236,7 +237,7 @@ def test_closure_sums_are_the_braid_permutation():
             p = closure_group(b, wada_type, h)
             m = relation_matrix(p)
             if name == "wada2":
-                assert m == [exponent_sums(r, p.generators) for r in p.relators]
+                assert m == [exponent_sums(r.letters, p.generators) for r in p.relators]
                 continue
             pi = perm_of_positions([l.pos for l in b.letters], n)
             moves = [(i, pi[i - 1]) for i in range(1, n + 1) if pi[i - 1] != i]
@@ -346,17 +347,17 @@ def test_tietze_deterministic_scan_order():
 
 
 def _sums(p):
-    # each relator's nonzero exponent sums, from freegroup.exponent_sums
+    # each relator's nonzero exponent sums, from oracles.exponent_sums
     gens = p.generators
-    return tuple({g: e for g, e in zip(gens, exponent_sums(r, gens)) if e} for r in p.relators)
+    return tuple({g: e for g, e in zip(gens, exponent_sums(r.letters, gens)) if e} for r in p.relators)
 
 
 def _assert_sums_carried(p):
     # the exponent sums a build or Tietze step carries, the matrix read
-    # from them, and the signed letter counts homcount builds on first use
+    # from them, and the slot words homcount counts on first use
     assert p._exponent_sums() == _sums(p)
-    assert relation_matrix(p) == [exponent_sums(r, p.generators) for r in p.relators]
-    assert p._letter_counts() == tuple(Counter(r.letters) for r in p.relators)
+    assert relation_matrix(p) == [exponent_sums(r.letters, p.generators) for r in p.relators]
+    assert _slot_words(p) == slot_words(p.generators, [r.letters for r in p.relators])
 
 
 def test_elimination_key_matches_the_counting_oracle():

@@ -236,12 +236,13 @@ COLOUR_TABLES = {"sym3": permutation_table(itertools.permutations(range(3))), "d
                  "alt4": permutation_table(even_permutations(4)), "sym4": permutation_table(itertools.permutations(range(4)))}
 
 
-def _colour_counts(b, letters):
+def _colour_counts(b, letters, wada=1, h=1):
     """The colouring oracle's battery counts of a diagram of b's theory
-    and strand count whose crossings are letters, top to bottom; sym4 up
-    to 3 strands."""
+    and strand count whose crossings are letters, top to bottom, under
+    the crossing rule of Wada type wada with power h; sym4 up to 3
+    strands."""
     letters = [(l.family, l.pos, l.sign) for l in letters]
-    return {name: colour_count(b.strands, letters, table, b.theory == "virtual")
+    return {name: colour_count(b.strands, letters, table, b.theory == "virtual", wada, h)
             for name, table in COLOUR_TABLES.items() if name != "sym4" or b.strands <= 3}
 
 
@@ -260,6 +261,24 @@ def test_closure_counts_match_the_colouring_oracle():
         b = parse(text, 3, theory)
         counts = dict(fingerprint(closure_group(b)).counts)
         assert _colour_counts(b, b.letters[::-1]) == counts != _colour_counts(b, b.letters)
+
+
+def test_wada_closure_counts_match_the_colouring_oracle():
+    """The Wada groups, braid to count, against colourings of the diagram
+    drawn with b's first letter at the bottom, under the wada1 rule with
+    h = 1 and 2 and the wada2 rule."""
+    rng = random.Random(6)
+    for i in range(120):
+        wada_type, h = ((1, 1), (1, 2), (2, 1))[i % 3]
+        b = random_braid_from(rng, rng.randint(2, 4), rng.randint(0, 10), "welded")
+        counts = dict(fingerprint(tietze_simplify(closure_group(b, wada_type, h)).presentation).counts)
+        colours = _colour_counts(b, b.letters[::-1], wada_type, h)
+        assert colours == {name: counts[name] for name in colours}, (wada_type, h, b)
+    # and tells the two readings apart on a witness for each rule
+    b = parse("a1 s1 s2 a2", 3, "welded")
+    for wada_type, h in ((1, 2), (2, 1)):
+        counts = dict(fingerprint(closure_group(b, wada_type, h)).counts)
+        assert _colour_counts(b, b.letters[::-1], wada_type, h) == counts != _colour_counts(b, b.letters, wada_type, h)
 
 
 def test_evaluate_letter_limit_bounds_suffix_substitutions(monkeypatch):
