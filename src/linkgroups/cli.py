@@ -84,15 +84,22 @@ def _build_parser():
     return top
 
 
+def _path(text: str, flag: str) -> Path:
+    """The path a flag names; Path('') would read the current directory."""
+    if not text:
+        raise ValueError(f"{flag} needs a path, got an empty one")
+    return Path(text)
+
+
 def _read_presentation(path: str) -> present.Presentation:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    text = sys.stdin.read() if path == "-" else _path(path, "--in").read_text()
     return present.parse_presentation(text)
 
 
 def _group_from_flag(flag: str):
     if flag.startswith("table:"):
         path = flag[len("table:") :]
-        return homcount.load_table_text(Path(path).read_text(), name=path)
+        return homcount.load_table_text(_path(path, "--group table:").read_text(), name=path)
     return homcount.builtin_group(flag)
 
 

@@ -178,8 +178,9 @@ def _fingerprint_of(b: BraidWord, wada_type, last):
     """The default-battery fingerprint of b's simplified closure group.
 
     last is the trial's [braid, presentation] of the braid it checked
-    last; an equal braid reuses that presentation and the fingerprint
-    kept on it."""
+    last; an equal braid reuses that presentation, whose abelian
+    invariants and slot words are kept on it, so its fingerprint reads
+    homcount's memo rather than enumerating."""
     if b != last[0]:
         last[:] = b, tietze_simplify(closure_group(b, wada_type)).presentation
     return fingerprint(last[1])

@@ -61,11 +61,14 @@ class Presentation:
     """Ordered generator list plus cyclically reduced relator words.
 
     Trivial relators are dropped at construction; every relator letter
-    must name a listed generator.  The constructor checks and cyclically
-    reduces every relator it is given, as for parsed input and quotient_y.
-    The closure builders and the Tietze routine, which wraps only the
-    presentation it returns, make relators that are cyclically reduced and
-    over the ambient by construction, and use _built instead; they carry
+    must name a listed generator, and every generator id is an int k in
+    1 .. YID - 1, named x<k>, or YID, named y.  The constructor checks the
+    generators and checks and cyclically reduces every relator it is
+    given, as for quotient_y and a caller's own presentations.  The
+    parser checks each letter as it reads it, and the closure builders
+    and the Tietze routine, which wraps only the presentation it returns,
+    make relators that are cyclically reduced and over the ambient by
+    construction; all three use _built instead, and the last two carry
     each relator's exponent sums with it where they know them.
     """
 
@@ -76,6 +79,9 @@ class Presentation:
 
     def __init__(self, generators, relators=()):
         generators = tuple(generators)
+        bad = next((g for g in generators if type(g) is not int or not 0 < g <= YID), None)
+        if bad is not None:
+            raise ValueError(f"bad generator id {bad!r}: ids are ints 1 .. {YID - 1}, or YID = {YID}")
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generators")
         ambient = _ambient_for(generators)
@@ -323,7 +329,7 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
     until the total relator letter count exceeds the budget (in which case
     the smallest presentation seen so far, the last of equals, is
     returned, flagged)."""
-    if budget < 0:
+    if not budget >= 0:  # NaN too
         raise ValueError(f"budget must be at least 0, got {budget}")
     return _eliminate(p, budget, float("inf"))
 

@@ -237,6 +237,16 @@ def test_homcount_cyclic_names_are_ascii_without_leading_zeros(capsys, monkeypat
     assert invoke(capsys, "homcount", "--group", "c12") == (0, "2\n", "")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("abelianize", "--in", ""), "--in"),
+    (("homcount", "--group", "table:"), "--group table:"),
+])
+def test_empty_paths_are_refused(capsys, monkeypatch, argv, flag):
+    # Path('') is the current directory, which read as "Is a directory: '.'"
+    monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1\nrel: x1 x1\n"))
+    assert refused_as(invoke(capsys, *argv), f"{flag} needs a path, got an empty one")
+
+
 def test_homcount_deep_enumeration(capsys, monkeypatch):
     def chain(k):
         names = " ".join(f"x{i}" for i in range(1, k + 1))

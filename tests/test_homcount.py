@@ -17,8 +17,8 @@ from linkgroups.homcount import (
     CapExceeded,
     Fingerprint,
     _count_assignments,
+    _FIXES,
     _generators,
-    _in_sym4,
     _is_abelian,
     _lift_sums,
     _lift_tables,
@@ -603,8 +603,8 @@ def test_cap_below_one_rejected_before_any_work(monkeypatch):
     monkeypatch.delenv("LINKGROUPS_HOM_CAP", raising=False)
     # neither a relator-free input nor the trivial group reaches the enumeration
     for p, g in ((P((1, 2), []), builtin_group("sym3")), (P((1,), [(1, 1)]), builtin_group("c1"))):
-        for cap in (0, -1):
-            with pytest.raises(ValueError, match="--cap"):
+        for cap in (0, -1, float("nan")):  # NaN fails cap < 1 too, and capped nothing
+            with pytest.raises(ValueError, match=f"^the hom-count cap \\(--cap\\) must be at least 1, got {cap}$"):
                 count_homs(p, g, cap=cap)
         for env in ("abc", "0", "-3", "2.5", "1" * 5000):
             monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
@@ -650,6 +650,13 @@ def test_group_order_ceiling_checked_before_the_table():
         load_table_text(f"order {too_big}\n")
 
 
+def _in_sym4(name):
+    """The sym4 id of each element of the battery group name; sym3's
+    permutations fix the point 3."""
+    index = {perm: i for i, perm in enumerate(_perms("sym4"))}
+    return [index[perm + (3,)[len(perm) - 3:]] for perm in _perms(name)]
+
+
 def test_battery_embeds_in_sym4():
     sym4 = builtin_group("sym4")
     for g in default_battery():
@@ -686,6 +693,26 @@ def test_klein_action_is_conjugation_in_sym4():
             product = tuple(apply(matrix(g), column) for column in zip(*matrix(h)))
             assert matrix(sym3.table[g][h]) == tuple(zip(*product))
     assert len({matrix(g) for g in range(sym3.order)}) == sym3.order  # faithful
+
+
+def test_fixes_count_the_conjugates_into_each_group():
+    # fix(K, H), the x in sym3 with x K x^-1 inside H, by brute force from
+    # the battery's permutations for each of the six subgroups K of sym3,
+    # is the row of _FIXES at |C(K)|, the popcount of the leaves' stabiliser
+    sym3 = builtin_group("sym3")
+    mul, inv = sym3.table, sym3.inverse
+    into = _in_sym4("sym3")
+    inside = [{i for i, x in enumerate(into) if x in _in_sym4(name)} for name in ("dihedral4", "alt4", "sym4")]
+    subgroups = [k for k in itertools.chain.from_iterable(itertools.combinations(range(6), n) for n in range(1, 7))
+                 if 0 in k and all(mul[a][b] in k for a in k for b in k)]
+    assert len(subgroups) == 6
+    centraliser_sizes = set()
+    for k in subgroups:
+        stabiliser = sum(1 << h for h in range(6) if all(mul[h][x] == mul[x][h] for x in k))
+        fixes = tuple(sum(all(mul[mul[x][h]][inv[x]] in part for h in k) for x in range(6)) for part in inside)
+        assert _FIXES[stabiliser.bit_count()] == fixes, k
+        centraliser_sizes.add(stabiliser.bit_count())
+    assert centraliser_sizes == set(_FIXES)
 
 
 def test_lifted_fingerprint_matches_each_group_on_deep_plans():
@@ -852,7 +879,7 @@ def test_repeated_fingerprints_read_the_memo(enumerations, monkeypatch):
     # past a wrong memoised value, which count_homs and fingerprint both read
     fresh = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
     assert fingerprint(fresh, COPIES) == fp and _lift_sums.cache_info()[:2] == (7, 1)
-    monkeypatch.setattr(homcount, "_lift_sums", lambda slots: (-1, -12, -18, -24))
+    monkeypatch.setattr(homcount, "_lift_sums", lambda slots: (-1, -2, -3, -4))
     assert fingerprint(p, COPIES) == fp
     assert count_homs(p, COPIES[0]) == dict(fp.counts)["sym3"]
     assert fingerprint(p, (sym3,)).counts == (("sym3", -1),)

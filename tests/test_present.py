@@ -337,6 +337,14 @@ def test_tietze_budget_exhaustion():
         tietze_simplify(p, budget=-5)
 
 
+def test_nan_budget_is_refused():
+    # NaN compares false both ways: a budget < 0 test passed it, and the
+    # budget was never exhausted
+    p = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
+    with pytest.raises(ValueError, match="^budget must be at least 0, got nan$"):
+        tietze_simplify(p, budget=float("nan"))
+
+
 def test_tietze_deterministic_scan_order():
     # two eliminable generators in one relator: the lowest index goes first
     p = P(["x1", "x2"], ["x2^-1 x1"])
@@ -548,6 +556,18 @@ def test_presentation_text_round_trip():
         assert parse_presentation(text) == p
     sparse = P(["x3", "y"], ["x3 y x3^-1 y^-1"])
     assert parse_presentation(format_presentation(sparse)) == sparse
+
+
+def test_generator_ids_name_x_k_or_y():
+    # an id the text form cannot write back (x0, x-1, x1.5, xTrue) is refused
+    for bad in (0, -1, YID + 1, 1.5, True):
+        with pytest.raises(ValueError) as exc:
+            Presentation((bad,))
+        assert str(exc.value) == f"bad generator id {bad!r}: ids are ints 1 .. {YID - 1}, or YID = {YID}"
+    sparse = Presentation((2, 5, YID), [parse_word("x5 y x2^-1 x5", Ambient(5, True))])
+    for structured in (False, True):
+        q = parse_presentation(format_presentation(sparse, structured=structured))
+        assert q == sparse and q.ambient == sparse.ambient
 
 
 def test_parsing_builds_what_the_checking_constructor_builds():
