@@ -3,8 +3,11 @@
 Builders turn a braid word b into the presentation with one relator
 x_i^-1 * (image of x_i under the braid's representation) per strand.
 Tietze simplification eliminates generators that occur exactly once in
-some relator; abelian invariants come from the Smith normal form of the
-exponent-sum matrix.
+some relator.  Under the conjugating actions (artin, virtual, welded,
+wada1) the builders read a closure's abelian invariants off the braid's
+strand permutation, one Z per cycle plus Z for y, and Tietze carries
+them; for every other presentation they come from the Smith normal form
+of the exponent-sum matrix.
 """
 
 from __future__ import annotations
@@ -69,12 +72,13 @@ class Presentation:
     and the Tietze routine, which wraps only the presentation it returns,
     make relators that are cyclically reduced and over the ambient by
     construction; all three use _built instead, and the last two carry
-    each relator's exponent sums with it where they know them.
+    each relator's exponent sums with it, and the abelian invariants,
+    where they know them.
     """
 
     # _sums, _invariants (abelian_invariants) and _slots (homcount's slot
-    # words, the key of its memo of counts) are caches, built on first use
-    # and left out of equality and hashing
+    # words, the key of its memo of counts) are caches, carried from a
+    # build or built on first use, and left out of equality and hashing
     __slots__ = ("generators", "relators", "ambient", "_sums", "_invariants", "_slots")
 
     def __init__(self, generators, relators=()):
@@ -102,16 +106,17 @@ class Presentation:
         self._slots = None
 
     @classmethod
-    def _built(cls, generators, relators, ambient, sums) -> "Presentation":
+    def _built(cls, generators, relators, ambient, sums, invariants=None) -> "Presentation":
         """A presentation from nontrivial cyclically reduced relators over
         ambient that name only generators, with their exponent sums (see
-        _exponent_sums), or None to count them on first use."""
+        _exponent_sums) and abelian invariants where the caller knows
+        them, or None to compute them on first use."""
         p = object.__new__(cls)
         p.generators = generators
         p.relators = relators
         p.ambient = ambient
         p._sums = sums
-        p._invariants = None
+        p._invariants = invariants
         p._slots = None
         return p
 
@@ -147,21 +152,33 @@ def _relators_from(rep: reps.Representation, b: BraidWord) -> Presentation:
     cyclically reduced and dropped if trivial, not checked again.  Under
     a conjugating action each image is c x_t c^-1 with x_t its middle
     letter, so the relator's exponent sums are x_t - x_i, and none when
-    t = i; the other actions' sums are counted on first use."""
+    t = i.  The relation matrix is then P - I for the permutation
+    i -> t, whose cokernel is free on its cycles: the abelian invariants
+    are Z^(cycles), plus Z for y, with no torsion.  The other actions'
+    sums and invariants are computed on first use."""
     e = rep.evaluate(b)
     amb = rep.ambient
-    relators, sums = [], []
+    relators, sums, targets = [], [], {}
     for i in range(1, b.strands + 1):
         image = e.images[i].letters
         _check_size(1 + len(image))
         # x_i^-1 cancels only against a leading x_i of the reduced image
         letters = image[1:] if image[:1] == (i,) else (-i,) + image
         core = _cyclic_core(letters)
+        targets[i] = t = image[len(image) // 2]
         if core:
             relators.append(Word._reduced(amb, core))
-            t = image[len(image) // 2]
             sums.append({t: 1, i: -1} if t != i else {})
-    return Presentation._built(amb.gens(), tuple(relators), amb, tuple(sums) if rep._conjugates else None)
+    if not rep._conjugates:
+        return Presentation._built(amb.gens(), tuple(relators), amb, None)
+    cycles = 0
+    while targets:
+        start, t = targets.popitem()
+        while t != start:
+            t = targets.pop(t)
+        cycles += 1
+    invariants = AbelianInvariants(cycles + amb.has_y, ())
+    return Presentation._built(amb.gens(), tuple(relators), amb, tuple(sums), invariants)
 
 
 def group_of_virtual_link(b: BraidWord) -> Presentation:
@@ -256,7 +273,8 @@ def _eliminate(p: Presentation, budget, max_steps) -> TietzeResult:
     exponent sums, so a relator holding the solved letter n+ times and
     its inverse n- times gets its old sums without the eliminated
     generator plus (n- - n+) times those of the solution's inverse v u
-    (below); no letters are counted again."""
+    (below); no letters are counted again.  Tietze moves keep the group,
+    so the presentation built carries p's abelian invariants, if known."""
     start = gens, rels, sums = p.generators, tuple(r.letters for r in p.relators), p._exponent_sums()
     keys = [_elimination_key(r, e) for r, e in zip(rels, sums)]
     best_total = total = sum(map(len, rels))
@@ -314,7 +332,7 @@ def _eliminate(p: Presentation, budget, max_steps) -> TietzeResult:
     if state is not start:
         gens, rels, sums = state
         ambient = _ambient_for(gens)
-        p = Presentation._built(gens, tuple(Word._reduced(ambient, r) for r in rels), ambient, sums)
+        p = Presentation._built(gens, tuple(Word._reduced(ambient, r) for r in rels), ambient, sums, p._invariants)
     return TietzeResult(p, exhausted, steps)
 
 
@@ -447,10 +465,12 @@ class AbelianInvariants:
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
-    """Free rank and torsion coefficients of the abelianized group, from
-    the Smith normal form of the relation matrix; kept on p.  The form is
-    taken of its nonzero rows and columns only, as the rest change neither
-    the rank nor the torsion."""
+    """Free rank and torsion coefficients of the abelianized group; kept
+    on p.  A closure under a conjugating action, and its Tietze results,
+    carry them from the build (see _relators_from).  Otherwise they come
+    from the Smith normal form of the relation matrix, taken of its
+    nonzero rows and columns only, as the rest change neither the rank
+    nor the torsion."""
     if p._invariants is None:
         rows = [e for e in p._exponent_sums() if e]
         cols = [g for g in p.generators if any(g in e for e in rows)]

@@ -4,8 +4,10 @@ Everything here is deliberately naive and shares no code with the
 package: repeated-scan reduction, plain substitution and its
 left-to-right fold over a braid word, Tietze elimination that rebuilds
 every relator and the key that picks its next elimination by counting,
-arc labels carried down a braid diagram, as words or multiplied in a
-group to count the diagram's colourings, a braid's permutation as the
+arc labels carried down a braid diagram, as words, multiplied in a
+group to count the diagram's colourings, or as integer vectors whose
+cokernel, taken by naive elimination, is the abelianization, a braid's
+permutation as the
 left-to-right fold of its transpositions, the cycle lengths of a
 permutation, the rho -> alpha letter map onto the welded alphabet,
 exponent sums and slot words added up letter by letter,
@@ -215,6 +217,75 @@ def colour_count(strands, letters, table, y, wada=1, h=1):
             if labels[1:] == top:
                 count += size
     return count
+
+
+def abelian_labels(strands, letters, y, wada=1):
+    """(free rank, torsion) of the abelianized closure group of a braid
+    diagram, from its arc labels abelianized.
+
+    letters are (family, position, sign) triples drawn from the top of the
+    diagram down, as for label_closure, and y says whether G has the
+    generator y.  Each label is an integer vector over x_1..x_n (and y),
+    carried down as label_closure carries words.  Conjugation vanishes in
+    the abelianization, so a crossing of Wada type 1 (at any power h), a
+    rho and an alpha swap the two labels; a crossing of type 2 with labels
+    a, b entering at i, i + 1 gives
+
+        sigma_i  2a - b, a       sigma_i^-1  b, 2b - a
+
+    Closing the braid gives the row label_k - x_k for each strand, and the
+    result is the cokernel of those rows (see cokernel)."""
+    width = strands + bool(y)
+    labels = [None] + [[int(j == k) for j in range(width)] for k in range(strands)]
+    for family, i, sign in letters:
+        a, b = labels[i], labels[i + 1]
+        if family == "s" and wada == 2 and sign > 0:
+            labels[i], labels[i + 1] = [2 * u - v for u, v in zip(a, b)], a
+        elif family == "s" and wada == 2:
+            labels[i], labels[i + 1] = b, [2 * v - u for u, v in zip(a, b)]
+        else:
+            labels[i], labels[i + 1] = b, a
+    rows = [[u - int(j == k) for j, u in enumerate(labels[k + 1])] for k in range(strands)]
+    return cokernel(rows, width)
+
+
+def cokernel(rows, width):
+    """(free rank, torsion) of Z^width modulo the span of rows.  An entry
+    of least absolute value in the matrix is the pivot; the other rows and
+    columns lose multiples of its row and column, by floor division, until
+    a remainder is a smaller pivot or the pivot's row and column are clear.
+    A clear pivot that fails to divide some row has that row added to its
+    own and is tried again; one that divides every row is a diagonal entry,
+    and its row and column are deleted.  The torsion is the diagonal
+    entries above 1, in increasing order."""
+    m = [list(r) for r in rows if any(r)]
+    diagonal = []
+    while m:
+        entries = [(abs(v), i, j) for i, r in enumerate(m) for j, v in enumerate(r) if v]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        d = m[i][j]
+        for k, r in enumerate(m):
+            if k != i and r[j]:
+                q = r[j] // d
+                m[k] = [u - q * v for u, v in zip(r, m[i])]
+        for c in range(len(m[i])):
+            if c != j and m[i][c]:
+                q = m[i][c] // d
+                for r in m:
+                    r[c] -= q * r[j]
+        if any(r[j] for k, r in enumerate(m) if k != i) or any(v for c, v in enumerate(m[i]) if c != j):
+            continue
+        bad = next((r for r in m if any(v % d for v in r)), None)
+        if bad is not None:
+            m[i] = [u + v for u, v in zip(m[i], bad)]
+            continue
+        diagonal.append(abs(d))
+        del m[i]
+        for r in m:
+            del r[j]
+    return width - len(diagonal), tuple(sorted(d for d in diagonal if d > 1))
 
 
 def perm_of_positions(positions, n):

@@ -51,6 +51,7 @@ from linkgroups.present import (
 )
 
 from oracles import (
+    abelian_labels,
     cycle_lengths,
     exponent_sums,
     mat_det,
@@ -748,6 +749,11 @@ def test_abelian_invariants_examples():
     assert str(AbelianInvariants(0, (2,))) == "Z/2"
 
 
+def _fresh_invariants(p):
+    # the Smith form's invariants of a copy with nothing cached
+    return abelian_invariants(Presentation(p.generators, p.relators))
+
+
 def test_knot_closures_abelianize_to_rank_two():
     """The closed forms of the conjugating families.  Under classical,
     virtual, welded and wada1 with h = 1, a braid sends each x_i to a
@@ -771,10 +777,107 @@ def test_knot_closures_abelianize_to_rank_two():
         cycles = cycle_lengths(perm_of_positions([l.pos for l in b.letters], n))
         rank = len(cycles) + (theory == "virtual")
         assert abelian_invariants(p) == AbelianInvariants(rank, ()), b
+        # p carries the closed form from the build; a copy made by the
+        # checking constructor has none, so its Smith form is taken
+        assert _fresh_invariants(p) == AbelianInvariants(rank, ()), b
         if cycles == [n] and theory != "virtual" and wada_type is None:
             knots += 1
             assert count_homs(p, d4) == 8, b
     assert knots == 72
+
+
+def _invariants_long_braid(seed):
+    """The invariants-long benchmark braid of a seed, drawn by the rule of
+    perfbench/workloads.invariant_braid, copied here: classical, virtual or
+    welded, 4-9 strands, 20-50 letters uniform over the theory's alphabet."""
+    rng = random.Random(seed)
+    theory = rng.choice(("classical", "virtual", "welded"))
+    strands = rng.randint(4, 9)
+    length = rng.randint(20, 50)
+    families = {"classical": "s", "virtual": "sr", "welded": "sa"}[theory]
+    alphabet = [(f, i, s) for i in range(1, strands) for f in families for s in ((1, -1) if f == "s" else (1,))]
+    return BraidWord(strands, theory, [BraidLetter(*rng.choice(alphabet)) for _ in range(length)])
+
+
+def _label_invariants(b, letters, wada_type):
+    got = abelian_labels(b.strands, [(l.family, l.pos, l.sign) for l in letters], b.theory == "virtual",
+                         wada_type or 1)
+    return AbelianInvariants(*got)
+
+
+def test_closure_invariants_match_the_abelian_label_oracle():
+    """Braid to abelian invariants against the oracle's abelianized arc
+    labels of the diagram drawn with b's first letter at the bottom: 600
+    seeded classical, virtual, welded, wada1 (h = 2) and wada2 braids, as
+    built and after Tietze, and the invariants-long braids of seeds
+    1-350 as built.  The conjugating closures carry the permutation's
+    closed form; wada2's invariants come from the Smith form."""
+    rng = random.Random(36)
+    actions = (("classical", None, 1), ("virtual", None, 1), ("welded", None, 1), ("welded", 1, 2),
+               ("welded", 2, 1))
+    torsion = 0
+    for k in range(600):
+        theory, wada_type, h = actions[k % 5]
+        b = random_braid_from(rng, rng.randint(2, 5), rng.randint(0, 12), theory)
+        p = closure_group(b, wada_type, h)
+        want = _label_invariants(b, b.letters[::-1], wada_type)
+        assert abelian_invariants(p) == want, (wada_type, h, b)
+        assert abelian_invariants(tietze_simplify(p).presentation) == want, (wada_type, h, b)
+        torsion += bool(want.torsion)
+    assert torsion > 40
+    for seed in range(1, 351):
+        b = _invariants_long_braid(seed)
+        assert abelian_invariants(closure_group(b)) == _label_invariants(b, b.letters[::-1], None), seed
+    # the oracle tells the two readings apart on a wada2 witness
+    b = parse("s1 a1 s2^-1 a2", 3, "welded")
+    got = abelian_invariants(closure_group(b, 2))
+    assert got == _label_invariants(b, b.letters[::-1], 2) != _label_invariants(b, b.letters, 2)
+    assert got == AbelianInvariants(1, (2, 2))
+
+
+def test_tietze_results_carry_the_invariants_they_are_given():
+    """Tietze moves keep the group, so each result carries the invariants
+    of the presentation it started from, without computing them again."""
+    multi = best = 0
+    for b, wada_type, h, rep in _seeded_closures():
+        p = closure_group(b, wada_type, h)
+        if rep.name == "wada2":
+            # not conjugating: nothing is carried from the build
+            assert p._invariants is None
+            assert tietze_simplify(p).presentation._invariants is None
+            continue
+        inv = p._invariants
+        assert inv == _fresh_invariants(p)
+        res = tietze_simplify(p)
+        q = tietze_step(p)
+        if q is not None:
+            assert q._invariants is inv
+        assert res.presentation._invariants is inv
+        multi += res.steps > 1
+        # a zero-step result is its input; a run out of budget returns the
+        # smallest presentation seen
+        again = tietze_simplify(res.presentation)
+        assert again.steps == 0 and again.presentation._invariants is inv
+        short = tietze_simplify(p, 0)
+        if short.exhausted and short.presentation is not p:
+            assert short.presentation._invariants is inv
+            best += 1
+    assert multi >= 20 and best >= 30
+
+
+def test_tietze_carries_the_invariants_of_a_parsed_presentation():
+    # a parsed presentation carries nothing until its invariants are computed,
+    # by the Smith form; Tietze then passes them on
+    b = parse("s1 s2^-1 a1 s1 a2 s2", 3, "welded")
+    for wada_type in (None, 2):
+        text = format_presentation(closure_group(b, wada_type))
+        q = parse_presentation(text)
+        assert q._invariants is None
+        assert tietze_simplify(q).presentation._invariants is None
+        inv = abelian_invariants(q)
+        res = tietze_simplify(q)
+        assert res.steps > 0 and res.presentation._invariants is inv
+        assert inv == _fresh_invariants(res.presentation) == abelian_invariants(closure_group(b, wada_type))
 
 
 def test_quotient_matches_welded_fingerprints_randomized():
