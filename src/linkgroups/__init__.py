@@ -10,7 +10,6 @@ from .freegroup import (
     abelianized_matrix,
     compose,
     format_word,
-    identity_endomorphism,
     is_identity,
     parse_word,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "group_of_classical_link",
     "group_of_virtual_link",
     "group_of_welded_link",
-    "identity_endomorphism",
     "is_identity",
     "parse",
     "parse_word",

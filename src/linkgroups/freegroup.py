@@ -308,10 +308,6 @@ class Endomorphism:
         return f"Endomorphism({body})"
 
 
-def identity_endomorphism(ambient: Ambient) -> Endomorphism:
-    return Endomorphism(ambient, ambient, {g: Word(ambient, (g,)) for g in ambient.gens()})
-
-
 def compose(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     """Apply f first, then g: the image of x under compose(f, g) is g(f(x)).
 

@@ -263,23 +263,30 @@ class TietzeResult:
     steps: int
 
 
-def _eliminate(p: Presentation, budget, max_steps) -> TietzeResult:
-    """Up to max_steps eliminations (see tietze_simplify), each solving the
-    shortest relator in which a generator occurs once (lowest generator,
-    then first relator) for it, substituting everywhere and dropping
-    both.  Relators are carried as letter tuples with their exponent sums
-    and elimination keys, and the letter total as a running sum; only the
-    presentation returned is built.  Free and cyclic reduction keep
-    exponent sums, so a relator holding the solved letter n+ times and
-    its inverse n- times gets its old sums without the eliminated
-    generator plus (n- - n+) times those of the solution's inverse v u
-    (below); no letters are counted again.  Tietze moves keep the group,
-    so the presentation built carries p's abelian invariants, if known."""
+def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResult:
+    """Eliminate until no generator occurs exactly once in any relator, or
+    until the total relator letter count exceeds the budget (in which case
+    the smallest presentation seen so far, the last of equals, is
+    returned, flagged).
+
+    Each elimination solves the shortest relator in which a generator
+    occurs once (lowest generator, then first relator) for it,
+    substitutes everywhere and drops both.  Relators are carried as letter
+    tuples with their exponent sums and elimination keys, and the letter
+    total as a running sum; only the presentation returned is built.  Free
+    and cyclic reduction keep exponent sums, so a relator holding the
+    solved letter n+ times and its inverse n- times gets its old sums
+    without the eliminated generator plus (n- - n+) times those of the
+    solution's inverse v u (below); no letters are counted again.  Tietze
+    moves keep the group, so the presentation built carries p's abelian
+    invariants, if known."""
+    if not budget >= 0:  # NaN too
+        raise ValueError(f"budget must be at least 0, got {budget}")
     start = gens, rels, sums = p.generators, tuple(r.letters for r in p.relators), p._exponent_sums()
     keys = [_elimination_key(r, e) for r, e in zip(rels, sums)]
     best_total = total = sum(map(len, rels))
     best, steps, exhausted = start, 0, False
-    while not exhausted and steps < max_steps:
+    while not exhausted:
         pick = min(filter(None, keys), default=None)
         if pick is None:
             break
@@ -336,26 +343,10 @@ def _eliminate(p: Presentation, budget, max_steps) -> TietzeResult:
     return TietzeResult(p, exhausted, steps)
 
 
-def tietze_step(p: Presentation) -> Optional[Presentation]:
-    """One elimination step of tietze_simplify; None at a fixpoint."""
-    res = _eliminate(p, float("inf"), 1)
-    return res.presentation if res.steps else None
-
-
-def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResult:
-    """Eliminate until no generator occurs exactly once in any relator, or
-    until the total relator letter count exceeds the budget (in which case
-    the smallest presentation seen so far, the last of equals, is
-    returned, flagged)."""
-    if not budget >= 0:  # NaN too
-        raise ValueError(f"budget must be at least 0, got {budget}")
-    return _eliminate(p, budget, float("inf"))
-
-
-def free_rank_certificate(p: Presentation, budget: int = TIETZE_BUDGET) -> Optional[int]:
-    """The rank if simplification reaches zero relators; None is
-    inconclusive, not a proof of non-freeness."""
-    res = tietze_simplify(p, budget)
+def free_rank_certificate(p: Presentation) -> Optional[int]:
+    """The rank if simplification within TIETZE_BUDGET reaches zero
+    relators; None is inconclusive, not a proof of non-freeness."""
+    res = tietze_simplify(p)
     if not res.exhausted and not res.presentation.relators:
         return len(res.presentation.generators)
     return None
@@ -368,13 +359,6 @@ def free_rank_certificate(p: Presentation, budget: int = TIETZE_BUDGET) -> Optio
 def _matmul(a, b):
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def relation_matrix(p: Presentation) -> list[list[int]]:
-    """Rows = relators, columns = generators, entries = exponent sums,
-    read from the sums the presentation carries."""
-    gens = p.generators
-    return [[e.get(g, 0) for g in gens] for e in p._exponent_sums()]
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,13 @@ from linkgroups.homcount import (
     make_table,
 )
 from linkgroups.present import (
+    TIETZE_BUDGET,
     Presentation,
     abelian_invariants,
     format_presentation,
     parse_presentation,
     smith_normal_form,
-    tietze_step,
+    tietze_simplify,
 )
 
 from oracles import brute_count_homs, direct_product_table, even_permutations, permutation_table
@@ -412,19 +413,27 @@ def test_kept_counts_are_outside_equality_and_hashing():
 
 
 def test_tietze_steps_count_like_parsed_presentations():
-    # tietze_step builds its result without the public constructor
+    # tietze_simplify builds its result without the public constructor; its
+    # results, final and the best seen on a run out of budget, count as
+    # their parsed copies do
     rng = random.Random(10)
     battery = default_battery() + COPIES
+    steps = exhausted = 0
     for _ in range(60):
         gens = (1, 2, 3, 4)
         pool = [v for g in gens for v in (g, -g)]
         rels = [tuple(rng.choice(pool) for _ in range(rng.randint(1, 10))) for _ in range(3)]
-        current = P(gens, rels)
-        while (current := tietze_step(current)) is not None:
+        p = P(gens, rels)
+        for budget in (0, 10, 40, TIETZE_BUDGET):
+            res = tietze_simplify(p, budget)
+            current = res.presentation
             fresh = parse_presentation(format_presentation(current))
             assert fresh == current
             # the lift and the enumeration, against the enumeration on the parsed presentation
             assert [count_homs(current, g) for g in battery] == [count_homs(fresh, g) for g in COPIES + COPIES]
+            steps += res.steps
+            exhausted += res.exhausted
+    assert steps > 200 and exhausted > 20
 
 
 # criterion 9's virtual trial 417 (seed 2026): 24^6 exceeds DEFAULT_CAP, and

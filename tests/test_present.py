@@ -43,10 +43,8 @@ from linkgroups.present import (
     group_of_welded_link,
     parse_presentation,
     quotient_y,
-    relation_matrix,
     smith_normal_form,
     tietze_simplify,
-    tietze_step,
     wada_group,
 )
 
@@ -59,6 +57,7 @@ from oracles import (
     mat_mul,
     mat_nullity_mod,
     naive_tietze,
+    naive_tietze_step,
     once_key,
     perm_of_positions,
     slot_words,
@@ -66,11 +65,21 @@ from oracles import (
 )
 
 
+def _ambient(gens):
+    # the least ambient holding gens
+    return Ambient(max((g for g in gens if g != YID), default=0), YID in gens)
+
+
 def P(gen_names, relator_texts):
     gens = tuple(YID if n == "y" else int(n[1:]) for n in gen_names)
-    nx = max((g for g in gens if g != YID), default=0)
-    amb = Ambient(nx, YID in gens)
+    amb = _ambient(gens)
     return Presentation(gens, [parse_word(t, amb) for t in relator_texts])
+
+
+def _checked(gens, relators):
+    # a presentation of letter tuples, built by the checking constructor
+    amb = _ambient(gens)
+    return Presentation(gens, [Word(amb, r) for r in relators])
 
 
 # --- builders ---------------------------------------------------------------
@@ -207,9 +216,10 @@ def _seeded_closures():
 
 def test_closure_group_matches_the_checking_constructor():
     # the builders skip Presentation's checks; they must agree with it, and
-    # every Tietze step must carry the exponent sums and the ambient; the
-    # conjugating actions' builders carry the sums from the start
-    steps = 0
+    # every Tietze result, final or best seen, must carry the exponent sums,
+    # the ambient and the invariants; the conjugating actions' builders
+    # carry the sums from the start
+    steps = exhausted = 0
     for b, wada_type, h, rep in _seeded_closures():
         images = rep.evaluate(b).images
         amb = rep.ambient
@@ -217,12 +227,13 @@ def test_closure_group_matches_the_checking_constructor():
         p = closure_group(b, wada_type, h)
         assert (p.generators, p.relators, p.ambient) == (expected.generators, expected.relators, expected.ambient)
         assert (p._sums is None) == (rep.name == "wada2")
-        while p is not None:
-            _assert_sums_carried(p)
-            assert all(r.ambient == p.ambient for r in p.relators)
-            p = tietze_step(p)
-            steps += p is not None
-    assert steps > 60
+        _assert_sums_carried(p)
+        for budget in _BUDGETS:
+            res = tietze_simplify(p, budget)
+            _assert_result_carries(p, res)
+            steps += res.steps
+            exhausted += res.exhausted
+    assert steps > 250 and exhausted > 40
 
 
 def test_closure_sums_are_the_braid_permutation():
@@ -236,7 +247,7 @@ def test_closure_sums_are_the_braid_permutation():
             n = rng.randint(2, 9)
             b = random_braid_from(rng, n, rng.randint(0, 30), theory)
             p = closure_group(b, wada_type, h)
-            m = relation_matrix(p)
+            m = _matrix(p)
             if name == "wada2":
                 assert m == [exponent_sums(r.letters, p.generators) for r in p.relators]
                 continue
@@ -325,8 +336,7 @@ def test_tietze_eliminates_single_occurrence():
 def test_tietze_fixpoint_unchanged():
     p = P(["x1", "x2"], ["x1 x2 x1^-1 x2^-1"])  # no generator occurs once
     res = tietze_simplify(p)
-    assert res.presentation == p
-    assert tietze_step(p) is None
+    assert res.presentation is p and res.steps == 0
 
 
 def test_tietze_budget_exhaustion():
@@ -349,10 +359,10 @@ def test_nan_budget_is_refused():
 def test_tietze_deterministic_scan_order():
     # two eliminable generators in one relator: the lowest index goes first
     p = P(["x1", "x2"], ["x2^-1 x1"])
-    step = tietze_step(p)
-    assert step is not None
-    assert step.generators == (2,)
-    assert step.relators == ()
+    res = tietze_simplify(p)
+    assert res.steps == 1
+    assert res.presentation.generators == (2,)
+    assert res.presentation.relators == ()
 
 
 def _sums(p):
@@ -361,12 +371,29 @@ def _sums(p):
     return tuple({g: e for g, e in zip(gens, exponent_sums(r.letters, gens)) if e} for r in p.relators)
 
 
+def _matrix(p):
+    # the relation matrix, read from the exponent sums p carries
+    return [[e.get(g, 0) for g in p.generators] for e in p._exponent_sums()]
+
+
 def _assert_sums_carried(p):
-    # the exponent sums a build or Tietze step carries, the matrix read
-    # from them, and the slot words homcount counts on first use
+    # the exponent sums a build or Tietze result carries, and the slot
+    # words homcount counts on first use
     assert p._exponent_sums() == _sums(p)
-    assert relation_matrix(p) == [exponent_sums(r.letters, p.generators) for r in p.relators]
     assert _slot_words(p) == slot_words(p.generators, [r.letters for r in p.relators])
+
+
+_BUDGETS = (0, 10, 40, TIETZE_BUDGET)
+
+
+def _assert_result_carries(p, res):
+    # a Tietze result, final or the best seen on a run out of budget,
+    # carries its sums, its ambient and the invariants p carries
+    q = res.presentation
+    _assert_sums_carried(q)
+    assert q.ambient == _ambient(q.generators)
+    assert all(r.ambient == q.ambient for r in q.relators)
+    assert q._invariants is p._invariants
 
 
 def test_elimination_key_matches_the_counting_oracle():
@@ -394,6 +421,7 @@ def test_elimination_key_matches_the_counting_oracle():
 def test_tietze_steps_preserve_fingerprint():
     rng = random.Random(41)
     battery = default_battery()
+    steps = 0
     for _ in range(200):
         ngens = rng.randint(2, 3)
         has_y = rng.random() < 0.5
@@ -409,14 +437,16 @@ def test_tietze_steps_preserve_fingerprint():
         ]
         p = Presentation(gens, relators)
         fp = fingerprint(p, battery)
-        current = p
-        while True:
-            nxt = tietze_step(current)
-            if nxt is None:
-                break
-            assert fingerprint(nxt, battery) == fp
-            _assert_sums_carried(nxt)
-            current = nxt
+        # each state of the oracle's eliminations, built by the checking
+        # constructor, then the package's result
+        current = (gens, [r.letters for r in p.relators])
+        while (current := naive_tietze_step(*current, YID)) is not None:
+            assert fingerprint(_checked(*current), battery) == fp
+            steps += 1
+        res = tietze_simplify(p)
+        assert fingerprint(res.presentation, battery) == fp
+        _assert_result_carries(p, res)
+    assert steps > 200
 
 
 def _oracle_cases():
@@ -425,11 +455,10 @@ def _oracle_cases():
     rng = random.Random(83)
     for _ in range(200):
         gens = tuple(rng.sample([1, 2, 3, 4, 5, 6, YID], rng.randint(1, 6)))
-        amb = Ambient(max((g for g in gens if g != YID), default=0), YID in gens)
         pool = [v for g in gens for v in (g, -g)]
         raw = [[rng.choice(pool) for _ in range(rng.randint(0, 12))] for _ in range(rng.randint(0, 6))]
         budget = rng.choice([0, 10, 40, TIETZE_BUDGET])
-        yield gens, raw, Presentation(gens, [Word(amb, r) for r in raw]), budget
+        yield gens, raw, _checked(gens, raw), budget
 
 
 def test_tietze_matches_the_rebuild_everything_oracle():
@@ -438,6 +467,7 @@ def test_tietze_matches_the_rebuild_everything_oracle():
         res = tietze_simplify(p, budget)
         got = (res.presentation.generators, [r.letters for r in res.presentation.relators])
         assert got + (res.exhausted, res.steps) == naive_tietze(gens, raw, budget, YID)
+        _assert_result_carries(p, res)
         exhausted += res.exhausted
     assert 20 <= exhausted <= 180
 
@@ -470,53 +500,32 @@ def test_seven_generator_long_braids_count_within_the_cap():
             assert counts[g.name] == count_homs(p, g, cap=g.order ** 7)
 
 
-def _stepped(p, budget):
-    # tietze_simplify's stopping and best-seen rule, over tietze_step
-    best = current = p
-    steps = 0
-    while (nxt := tietze_step(current)) is not None:
-        steps += 1
-        current = nxt
-        if current.total_letters() <= best.total_letters():
-            best = current
-        if current.total_letters() > budget:
-            return best, True, steps
-    return current, False, steps
-
-
-def test_tietze_simplify_iterates_tietze_step():
-    # tietze_simplify carries relator letters, exponent sums, elimination
-    # keys and the letter total through its steps; tietze_step starts each
-    # step afresh
-    cases = [p for _, _, p, _ in _oracle_cases()] + list(_invariants_long_groups())
+def test_tietze_matches_the_oracle_on_long_braids():
+    # the invariants-long groups, longer than _oracle_cases' presentations,
+    # against the rebuild-everything oracle at each budget
     exhausted = steps = 0
-    for p in cases:
-        for budget in (0, 10, 40, TIETZE_BUDGET):
+    for p in _invariants_long_groups():
+        raw = [r.letters for r in p.relators]
+        for budget in _BUDGETS:
             res = tietze_simplify(p, budget)
-            q, q_exhausted, q_steps = _stepped(p, budget)
-            got = res.presentation
-            assert (got.generators, got.relators, got.ambient) == (q.generators, q.relators, q.ambient)
-            nx = max((g for g in got.generators if g != YID), default=0)
-            assert got.ambient == Ambient(nx, YID in got.generators)
-            assert (res.exhausted, res.steps) == (q_exhausted, q_steps)
-            if got is not p:
-                assert got._sums == _sums(got)
+            got = (res.presentation.generators, [r.letters for r in res.presentation.relators])
+            assert got + (res.exhausted, res.steps) == naive_tietze(p.generators, raw, budget, YID)
             exhausted += res.exhausted
             steps += res.steps
-    assert exhausted > 200 and steps > 1000
+    assert exhausted > 60 and steps > 120
 
 
 def test_tietze_steps_carry_exponent_sums_on_long_braids():
-    steps = 0
+    # the results, final and best seen, of the invariants-long groups
+    results = 0
     for p in _invariants_long_groups():
         _assert_sums_carried(p)
-        while p.total_letters() <= TIETZE_BUDGET:
-            p = tietze_step(p)
-            if p is None:
-                break
-            _assert_sums_carried(p)
-            steps += 1
-    assert steps > 40
+        assert p._invariants is not None
+        for budget in _BUDGETS:
+            res = tietze_simplify(p, budget)
+            _assert_result_carries(p, res)
+            results += res.steps > 0
+    assert results > 100
 
 
 def test_free_rank_certificate():
@@ -598,11 +607,12 @@ def test_parsing_a_large_generator_index_allocates_little():
 
 def test_relation_matrix_examples():
     p = P(["x1"], ["x1 x1"])
-    assert relation_matrix(p) == [[2]]
+    assert _matrix(p) == [[2]]
     p = P(["x1", "x2"], ["x1 x2 x1^-1 x2^-1"])
-    assert relation_matrix(p) == [[0, 0]]
+    assert _matrix(p) == [[0, 0]]
     vt = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
-    m = relation_matrix(vt)
+    m = _matrix(vt)
+    assert m == [exponent_sums(r.letters, vt.generators) for r in vt.relators]
     assert len(m) == 2 and all(len(row) == 3 for row in m)
     assert all(row[2] == 0 for row in m)  # y column vanishes
     snf = smith_normal_form(m)
@@ -683,7 +693,7 @@ def test_smith_normal_form_entries_stay_small_on_dense_matrices():
     m = _dense_matrix(1)
     gens = [f"x{j}" for j in range(1, 41)]
     p = P(gens, [" ".join(g + ("^-1" if e < 0 else "") for g, e in zip(gens, row) if e) for row in m])
-    assert relation_matrix(p) == m
+    assert [exponent_sums(r.letters, p.generators) for r in p.relators] == m
     expected = 2 ** mat_nullity_mod(m, 2) * 3 ** mat_nullity_mod(m, 3)
     assert count_homs(p, builtin_group("c6")) == expected
 
@@ -849,9 +859,6 @@ def test_tietze_results_carry_the_invariants_they_are_given():
         inv = p._invariants
         assert inv == _fresh_invariants(p)
         res = tietze_simplify(p)
-        q = tietze_step(p)
-        if q is not None:
-            assert q._invariants is inv
         assert res.presentation._invariants is inv
         multi += res.steps > 1
         # a zero-step result is its input; a run out of budget returns the

@@ -18,12 +18,12 @@ from linkgroups.braid import (
 )
 from linkgroups.freegroup import (
     Ambient,
+    Endomorphism,
     Word,
     WordLengthError,
     YID,
     compose,
     format_word,
-    identity_endomorphism,
     is_identity,
     parse_word,
 )
@@ -40,6 +40,10 @@ from linkgroups.reps import (
     welded,
 )
 from oracles import colour_count, even_permutations, label_closure, naive_evaluate, permutation_table, welded_letters
+
+
+def identity(amb):
+    return Endomorphism(amb, amb, {g: Word(amb, (g,)) for g in amb.gens()})
 
 
 def images_of(act, amb):
@@ -117,7 +121,7 @@ def evaluate_against_the_oracle(rep, b):
 def compose_fold(rep, b):
     """The right fold of the letters' actions by compose, with the size of
     the largest substitution it makes."""
-    e, largest = identity_endomorphism(rep.ambient), 0
+    e, largest = identity(rep.ambient), 0
     for letter in reversed(b.letters):
         f = rep.generator_action(letter).forward
         for g, w in f.images.items():
@@ -405,10 +409,10 @@ def test_project_y_examples():
     w = welded(2)
     assert q == w.generator_action(sigma(1)).forward
 
-    ident3 = identity_endomorphism(Ambient(2, True))
-    assert project_y(ident3) == identity_endomorphism(Ambient(2, False))
+    ident3 = identity(Ambient(2, True))
+    assert project_y(ident3) == identity(Ambient(2, False))
     with pytest.raises(ValueError):
-        project_y(identity_endomorphism(Ambient(2, False)))
+        project_y(identity(Ambient(2, False)))
 
 
 def test_projection_commutes_with_quotient_map():
