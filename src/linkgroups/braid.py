@@ -25,6 +25,8 @@ MAX_STRANDS = 64
 
 
 def check_strands(strands: int) -> None:
+    if type(strands) is not int:
+        raise ValueError(f"strand count must be an int, got {strands!r}")
     if strands < 1:
         raise ValueError("strand count must be at least 1")
     if strands > MAX_STRANDS:

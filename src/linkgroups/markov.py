@@ -248,6 +248,10 @@ def fuzz(
         if theory != "welded":
             raise ValueError("Wada fingerprints apply to welded braids")
         check_wada_type(wada_type)
+    for name, value in (("trials", trials), ("strands", strands), ("length", length),
+                        ("depth", depth), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     for name, value, least in (("trials", trials, 0), ("strands", strands, 2),
                                ("length", length, 0), ("depth", depth, 0)):
         if value < least:

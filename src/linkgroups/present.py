@@ -48,16 +48,39 @@ def _ambient_for(gens: tuple[int, ...]) -> Ambient:
     return Ambient(nx, YID in gens)
 
 
-def _signed(gens) -> frozenset[int]:
-    return frozenset(g for gid in gens for g in (gid, -gid))
+def _checked(generators, relators, letters_of) -> tuple:
+    """The generators, relators, ambient and exponent sums of a checked
+    presentation, as _built takes them.  The generator ids are checked
+    once.  Each relator r is read as the letters letters_of(r, ambient),
+    which must all name listed generators, even those that cancel, and
+    number at most LETTER_LIMIT; they are reduced and cyclically reduced,
+    and dropped if trivial.  Errors are raised relator by relator."""
+    generators = tuple(generators)
+    bad = next((g for g in generators if type(g) is not int or not 0 < g <= YID), None)
+    if bad is not None:
+        raise ValueError(f"bad generator id {bad!r}: ids are ints 1 .. {YID - 1}, or YID = {YID}")
+    if len(set(generators)) != len(generators):
+        raise ValueError("duplicate generators")
+    ambient = _ambient_for(generators)
+    signed = frozenset(generators).union(-g for g in generators)
+    cores, sums = [], []
+    for r in relators:
+        letters = letters_of(r, ambient)
+        if not signed.issuperset(letters):
+            bad = next(v for v in letters if v not in signed)
+            raise ValueError(f"relator uses unknown generator {gen_name(abs(bad))}")
+        _check_size(len(letters))
+        core = _cyclic_core(_join(zip(letters)))
+        if core:
+            cores.append(Word._reduced(ambient, core))
+            sums.append(exponent_sums(core))
+    return generators, tuple(cores), ambient, tuple(sums)
 
 
-def _check_generators(letters, signed: frozenset[int]) -> None:
-    """Reject letters unless signed holds each; the error names the
-    generator of the first letter it lacks."""
-    if not signed.issuperset(letters):
-        bad = next(v for v in letters if v not in signed)
-        raise ValueError(f"relator uses unknown generator {gen_name(abs(bad))}")
+def _word_letters(r, ambient) -> tuple[int, ...]:
+    if not isinstance(r, Word) or r.ambient != ambient:
+        raise ValueError("relators must be words over the presentation ambient")
+    return r.letters
 
 
 class Presentation:
@@ -65,52 +88,34 @@ class Presentation:
 
     Trivial relators are dropped at construction; every relator letter
     must name a listed generator, and every generator id is an int k in
-    1 .. YID - 1, named x<k>, or YID, named y.  The constructor checks the
-    generators and checks and cyclically reduces every relator it is
-    given, as for quotient_y and a caller's own presentations.  The
-    parser checks each letter as it reads it, and the closure builders
-    and the Tietze routine, which wraps only the presentation it returns,
-    make relators that are cyclically reduced and over the ambient by
-    construction; all three use _built instead, and the last two carry
-    each relator's exponent sums with it, and the abelian invariants,
-    where they know them.
+    1 .. YID - 1, named x<k>, or YID, named y.  The constructor, for
+    quotient_y and a caller's own presentations, and the parser check
+    the generators and check and cyclically reduce every relator by the
+    one routine _checked.  The closure builders and the Tietze routine,
+    which wraps only the presentation it returns, make relators that are
+    cyclically reduced and over the ambient by construction, and use
+    _built instead.  Every presentation carries each relator's exponent
+    sums from where it is built, and the abelian invariants where its
+    builder knows them.
     """
 
-    # _sums, _invariants (abelian_invariants) and _slots (homcount's slot
-    # words, the key of its memo of counts) are caches, carried from a
-    # build or built on first use, and left out of equality and hashing
+    # _sums is set where the presentation is built; _invariants
+    # (abelian_invariants) and _slots (homcount's slot words, the key of
+    # its memo of counts) are caches, carried from a build or built on
+    # first use.  All three are left out of equality and hashing
     __slots__ = ("generators", "relators", "ambient", "_sums", "_invariants", "_slots")
 
     def __init__(self, generators, relators=()):
-        generators = tuple(generators)
-        bad = next((g for g in generators if type(g) is not int or not 0 < g <= YID), None)
-        if bad is not None:
-            raise ValueError(f"bad generator id {bad!r}: ids are ints 1 .. {YID - 1}, or YID = {YID}")
-        if len(set(generators)) != len(generators):
-            raise ValueError("duplicate generators")
-        ambient = _ambient_for(generators)
-        signed = _signed(generators)
-        cleaned = []
-        for r in relators:
-            if not isinstance(r, Word) or r.ambient != ambient:
-                raise ValueError("relators must be words over the presentation ambient")
-            _check_generators(r.letters, signed)
-            core = r.cyclic_reduce()[0]
-            if core:
-                cleaned.append(core)
-        self.generators = generators
-        self.relators = tuple(cleaned)
-        self.ambient = ambient
-        self._sums = None
+        self.generators, self.relators, self.ambient, self._sums = _checked(generators, relators, _word_letters)
         self._invariants = None
         self._slots = None
 
     @classmethod
     def _built(cls, generators, relators, ambient, sums, invariants=None) -> "Presentation":
         """A presentation from nontrivial cyclically reduced relators over
-        ambient that name only generators, with their exponent sums (see
-        _exponent_sums) and abelian invariants where the caller knows
-        them, or None to compute them on first use."""
+        ambient that name only generators, with each relator's exponent
+        sums, as {generator id: sum} without the zero sums, and the
+        abelian invariants where the caller knows them."""
         p = object.__new__(cls)
         p.generators = generators
         p.relators = relators
@@ -119,14 +124,6 @@ class Presentation:
         p._invariants = invariants
         p._slots = None
         return p
-
-    def _exponent_sums(self) -> tuple[dict, ...]:
-        """Each relator's exponent sums, as {generator id: sum} without the
-        zero sums; carried from the closure builders through Tietze steps,
-        or counted once."""
-        if self._sums is None:
-            self._sums = tuple(exponent_sums(r.letters) for r in self.relators)
-        return self._sums
 
     def total_letters(self) -> int:
         return sum(len(r) for r in self.relators)
@@ -155,7 +152,8 @@ def _relators_from(rep: reps.Representation, b: BraidWord) -> Presentation:
     t = i.  The relation matrix is then P - I for the permutation
     i -> t, whose cokernel is free on its cycles: the abelian invariants
     are Z^(cycles), plus Z for y, with no torsion.  The other actions'
-    sums and invariants are computed on first use."""
+    relators are counted for their sums, and their invariants are
+    computed on first use."""
     e = rep.evaluate(b)
     amb = rep.ambient
     relators, sums, targets = [], [], {}
@@ -168,9 +166,9 @@ def _relators_from(rep: reps.Representation, b: BraidWord) -> Presentation:
         targets[i] = t = image[len(image) // 2]
         if core:
             relators.append(Word._reduced(amb, core))
-            sums.append({t: 1, i: -1} if t != i else {})
+            sums.append(({t: 1, i: -1} if t != i else {}) if rep._conjugates else exponent_sums(core))
     if not rep._conjugates:
-        return Presentation._built(amb.gens(), tuple(relators), amb, None)
+        return Presentation._built(amb.gens(), tuple(relators), amb, tuple(sums))
     cycles = 0
     while targets:
         start, t = targets.popitem()
@@ -201,6 +199,8 @@ def check_wada_type(k: int) -> None:
     give welded invariants since the mixed relation alpha_i sigma_{i+1}
     sigma_i = sigma_{i+1} sigma_i alpha_{i+1} is not preserved by their
     automorphisms."""
+    if type(k) is not int:
+        raise ValueError(f"Wada type must be an int, got {k!r}")
     if k not in WADA_TYPES:
         raise ValueError(
             f"Wada type {k} does not induce a welded-braid homomorphism "
@@ -282,7 +282,7 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
     invariants, if known."""
     if not budget >= 0:  # NaN too
         raise ValueError(f"budget must be at least 0, got {budget}")
-    start = gens, rels, sums = p.generators, tuple(r.letters for r in p.relators), p._exponent_sums()
+    start = gens, rels, sums = p.generators, tuple(r.letters for r in p.relators), p._sums
     keys = [_elimination_key(r, e) for r, e in zip(rels, sums)]
     best_total = total = sum(map(len, rels))
     best, steps, exhausted = start, 0, False
@@ -456,7 +456,7 @@ def abelian_invariants(p: Presentation) -> AbelianInvariants:
     nonzero rows and columns only, as the rest change neither the rank
     nor the torsion."""
     if p._invariants is None:
-        rows = [e for e in p._exponent_sums() if e]
+        rows = [e for e in p._sums if e]
         cols = [g for g in p.generators if any(g in e for e in rows)]
         snf = smith_normal_form([[e.get(g, 0) for g in cols] for e in rows])
         rank = sum(1 for d in snf.diagonal if d)
@@ -515,37 +515,23 @@ def parse_presentation(text: str) -> Presentation:
         if unknown:
             raise ValueError(f"structured presentation: unknown key {unknown[0]!r}")
         gens = tuple(parse_gen(n) for n in _string_list(payload, "generators", None))
-        return _parsed_presentation(gens, _string_list(payload, "relators", []))
-    gens = None
-    rel_lines = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("gens:"):
-            if gens is not None:
-                raise ValueError("duplicate gens line")
-            names = line[len("gens:") :].split()
-            gens = tuple(parse_gen(n) for n in names)
-        elif line.startswith("rel:"):
-            rel_lines.append(line[len("rel:") :].strip())
-        else:
-            raise ValueError(f"bad presentation line {line!r}")
-    if gens is None:
-        raise ValueError("missing gens line")
-    return _parsed_presentation(gens, rel_lines)
-
-
-def _parsed_presentation(gens: tuple[int, ...], relator_texts) -> Presentation:
-    """Every generator a relator names, even one that cancels, must be
-    listed in gens; each letter is checked once, here, against gens."""
-    ambient = Presentation(gens).ambient  # rejects repeated generators
-    signed = _signed(gens)
-    relators = []
-    for text in relator_texts:
-        letters = parse_letters(text)
-        _check_generators(letters, signed)
-        core = Word._joined(ambient, zip(letters), len(letters)).cyclic_reduce()[0]
-        if core:
-            relators.append(core)
-    return Presentation._built(gens, tuple(relators), ambient, None)
+        rel_lines = _string_list(payload, "relators", [])
+    else:
+        gens = None
+        rel_lines = []
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("gens:"):
+                if gens is not None:
+                    raise ValueError("duplicate gens line")
+                names = line[len("gens:") :].split()
+                gens = tuple(parse_gen(n) for n in names)
+            elif line.startswith("rel:"):
+                rel_lines.append(line[len("rel:") :].strip())
+            else:
+                raise ValueError(f"bad presentation line {line!r}")
+        if gens is None:
+            raise ValueError("missing gens line")
+    return Presentation._built(*_checked(gens, rel_lines, lambda line, ambient: parse_letters(line)))

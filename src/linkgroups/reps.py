@@ -235,6 +235,8 @@ def wada(n: int, k: int, h: int = 1) -> Representation:
 def check_conj_power(name: str, h: int) -> None:
     """h is the conjugation power of wada1: at least 1, and 1 for every
     other representation."""
+    if type(h) is not int:
+        raise ValueError(f"conjugation power h must be an int, got {h!r}")
     if h < 1:
         raise ValueError(f"conjugation power h must be at least 1, got {h}")
     if h != 1 and name != "wada1":
@@ -247,12 +249,14 @@ def representation(name: str, strands: int, h: int = 1) -> Representation:
 
     Cached per (name, strands, h), however h is passed, so each generator
     action is built and its inverse verified once per process; callers
-    must not mutate the result.
+    must not mutate the result.  The key holds the arguments' types too,
+    so True or 2.0 misses the entry of 1 or 2 and reaches the
+    constructor's checks.
     """
     return _representation(name, strands, h)
 
 
-_representation = lru_cache(maxsize=None)(Representation)
+_representation = lru_cache(maxsize=None, typed=True)(Representation)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """The move harness: legal moves, determinism, invariance campaigns."""
 
 import random
+import re
 import weakref
 
 import pytest
@@ -300,6 +301,18 @@ def test_fuzz_argument_validation(monkeypatch):
     assert fuzz("welded", 0, 3, 7, 2, seed=0).ok
     with pytest.raises(ValueError, match="length 8 exceeds the word-length limit 7"):
         fuzz("welded", 0, 3, 8, 2, seed=0)
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True, "2"], ids=repr)
+def test_fuzz_sizes_and_seed_are_ints(bad):
+    # each is refused with one line, not ranged over, compared as NaN or
+    # taken as 1 trial when True
+    sizes = {"trials": 1, "strands": 3, "length": 5, "depth": 2, "seed": 0}
+    for name in sizes:
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+            fuzz("virtual", **{**sizes, name: bad})
+    with pytest.raises(ValueError, match=f"^Wada type must be an int, got {re.escape(repr(bad))}$"):
+        fuzz("welded", **sizes, wada_type=bad)
 
 
 def fault_in_trial(monkeypatch, trial, call):

@@ -1,8 +1,10 @@
 """Presentations: builders, Tietze simplification, SNF, abelianization."""
 
 import importlib.util
+import json
 import pathlib
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -193,6 +195,26 @@ def test_closure_group_matches_each_builder():
             closure_group(w, wada_type, h)
 
 
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True, "2"], ids=repr)
+def test_integer_parameters_refuse_non_ints(bad):
+    # a strand count, conjugation power or Wada type must be an int: a float
+    # or NaN is not compared or multiplied, nor True read as 1, even where
+    # the representation of 1 is cached
+    w = parse("s1 a2 s1^-1 s2", 3, "welded")
+    for wada_type in (1, 2):
+        closure_group(w, wada_type)
+    reps.representation("welded", 1)
+    got = re.escape(repr(bad))
+    for build in (lambda: BraidWord(bad, "welded", ()), lambda: reps.representation("welded", bad)):
+        with pytest.raises(ValueError, match=f"^strand count must be an int, got {got}$"):
+            build()
+    for wada_type in (None, 1, 2):
+        with pytest.raises(ValueError, match=f"^conjugation power h must be an int, got {got}$"):
+            closure_group(w, wada_type, bad)
+    with pytest.raises(ValueError, match=f"^Wada type must be an int, got {got}$"):
+        closure_group(w, bad)
+
+
 # (theory, wada type, h, representation) of every closure action
 _CLOSURE_ACTIONS = (
     ("classical", None, 1, "artin"),
@@ -217,8 +239,9 @@ def _seeded_closures():
 def test_closure_group_matches_the_checking_constructor():
     # the builders skip Presentation's checks; they must agree with it, and
     # every Tietze result, final or best seen, must carry the exponent sums,
-    # the ambient and the invariants; the conjugating actions' builders
-    # carry the sums from the start
+    # the ambient and the invariants.  Every presentation carries its sums
+    # from where it is built: the closures of every family, the checking
+    # constructor, the text and JSON parsers and quotient_y
     steps = exhausted = 0
     for b, wada_type, h, rep in _seeded_closures():
         images = rep.evaluate(b).images
@@ -226,8 +249,11 @@ def test_closure_group_matches_the_checking_constructor():
         expected = Presentation(amb.gens(), [Word(amb, (-i,)) * images[i] for i in range(1, b.strands + 1)])
         p = closure_group(b, wada_type, h)
         assert (p.generators, p.relators, p.ambient) == (expected.generators, expected.relators, expected.ambient)
-        assert (p._sums is None) == (rep.name == "wada2")
         _assert_sums_carried(p)
+        built = [expected] + [parse_presentation(format_presentation(p, form)) for form in (False, True)]
+        built += [quotient_y(p)] if YID in p.generators else []
+        for q in built:
+            assert q._sums == _sums(q), rep.name
         for budget in _BUDGETS:
             res = tietze_simplify(p, budget)
             _assert_result_carries(p, res)
@@ -278,6 +304,22 @@ def test_closure_relator_is_held_to_the_word_limit(monkeypatch):
         closure_group(b, wada_type, h)
         checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("structured", [False, True], ids=["text", "json"])
+def test_parsed_relators_are_held_to_the_word_limit(monkeypatch, structured):
+    # a parsed relator is counted as written, before it cancels: at a limit
+    # of 5 the 6-letter relator is refused, though it reduces to 4 letters
+    monkeypatch.setattr(fg, "LETTER_LIMIT", 5)
+
+    def parsed(relator):
+        if structured:
+            return parse_presentation(json.dumps({"generators": ["x1", "x2"], "relators": [relator]}))
+        return parse_presentation(f"gens: x1 x2\nrel: {relator}\n")
+
+    assert parsed("x1 x2 x2^-1 x1 x1") == P(["x1", "x2"], ["x1 x1 x1"])
+    with pytest.raises(WordLengthError, match="^6 letters exceeds limit 5$"):
+        parsed("x1 x2 x2^-1 x1 x1 x1")
 
 
 def test_wada_group_rejects_types_3_and_4():
@@ -373,13 +415,13 @@ def _sums(p):
 
 def _matrix(p):
     # the relation matrix, read from the exponent sums p carries
-    return [[e.get(g, 0) for g in p.generators] for e in p._exponent_sums()]
+    return [[e.get(g, 0) for g in p.generators] for e in p._sums]
 
 
 def _assert_sums_carried(p):
     # the exponent sums a build or Tietze result carries, and the slot
     # words homcount counts on first use
-    assert p._exponent_sums() == _sums(p)
+    assert p._sums == _sums(p)
     assert _slot_words(p) == slot_words(p.generators, [r.letters for r in p.relators])
 
 
@@ -873,7 +915,7 @@ def test_tietze_results_carry_the_invariants_they_are_given():
 
 
 def test_tietze_carries_the_invariants_of_a_parsed_presentation():
-    # a parsed presentation carries nothing until its invariants are computed,
+    # a parsed presentation carries no invariants until they are computed,
     # by the Smith form; Tietze then passes them on
     b = parse("s1 s2^-1 a1 s1 a2 s2", 3, "welded")
     for wada_type in (None, 2):
