@@ -17,7 +17,7 @@ THEORIES = ("classical", "virtual", "welded")
 
 # family codes: 's' = crossing sigma_i (signed), 'r' = virtual rho_i,
 # 'a' = welded alpha_i; rho and alpha are involutions and carry no sign.
-_FAMILIES = {"classical": "s", "virtual": "sr", "welded": "sa"}
+_FAMILIES = {"classical": ("s",), "virtual": ("s", "r"), "welded": ("s", "a")}
 
 # the most strands of a braid word or representation; checking the O(n^2)
 # defining relations on n + 1 generators takes seconds at this ceiling
@@ -56,7 +56,10 @@ def letter_inverse(l: BraidLetter) -> BraidLetter:
 
 
 class BraidWord:
-    """A sequence of letters on a fixed strand count and theory."""
+    """A sequence of letters on a fixed strand count and theory.  The
+    checking constructor checks every letter.  The moves build their words
+    from checked words and alphabet() with _trusted, and check only what
+    comes from elsewhere: a grown strand count, a conjugating letter."""
 
     __slots__ = ("strands", "theory", "letters")
 
@@ -66,20 +69,29 @@ class BraidWord:
         check_strands(strands)
         letters = tuple(letters)
         for l in letters:
-            if l.family not in _FAMILIES[theory]:
-                raise ValueError(f"letter family {l.family!r} illegal for {theory} braids")
-            if not 1 <= l.pos <= strands - 1:
-                raise ValueError(f"position {l.pos} out of range for {strands} strands")
-            if l.sign not in (1, -1) or (l.family != "s" and l.sign != 1):
+            family, pos, sign = l
+            if family not in _FAMILIES[theory]:
+                raise ValueError(f"letter family {family!r} illegal for {theory} braids")
+            if type(pos) is not int or type(sign) is not int:
+                raise ValueError(f"letter {l} must have an int position and sign")
+            if not 0 < pos < strands:
+                raise ValueError(f"position {pos} out of range for {strands} strands")
+            if sign != 1 and (sign != -1 or family != "s"):
                 raise ValueError(f"bad sign on letter {l}")
-        self.strands = strands
-        self.theory = theory
-        self.letters = letters
+        self.strands, self.theory, self.letters = strands, theory, letters
+
+    @classmethod
+    def _trusted(cls, strands: int, theory: str, letters: tuple) -> "BraidWord":
+        """A braid of letters the caller vouches for: of theory and inside
+        a checked strand count."""
+        b = object.__new__(cls)
+        b.strands, b.theory, b.letters = strands, theory, letters
+        return b
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if (self.strands, self.theory) != (other.strands, other.theory):
             raise ValueError("cannot concatenate braids of different strands or theory")
-        return BraidWord(self.strands, self.theory, self.letters + other.letters)
+        return BraidWord._trusted(self.strands, self.theory, self.letters + other.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -102,11 +114,13 @@ def normalize(b: BraidWord) -> BraidWord:
     """Cancel adjacent sigma/sigma^-1 pairs and involution squares."""
     out = []
     for l in b.letters:
-        if out and out[-1] == letter_inverse(l):
-            out.pop()
-        else:
-            out.append(l)
-    return BraidWord(b.strands, b.theory, out)
+        if out:  # is the letter before l's inverse?
+            family, pos, sign = out[-1]
+            if pos == l.pos and family == l.family and (sign != l.sign or family != "s"):
+                out.pop()
+                continue
+        out.append(l)
+    return BraidWord._trusted(b.strands, b.theory, tuple(out))
 
 
 _BRAID_TOKEN = re.compile(r"^([sra])([1-9][0-9]*)(\^-1)?$")
@@ -144,14 +158,13 @@ def serialize(b: BraidWord) -> str:
 
 
 def braid_inverse(b: BraidWord) -> BraidWord:
-    return BraidWord(
-        b.strands, b.theory, tuple(letter_inverse(l) for l in reversed(b.letters))
-    )
+    return BraidWord._trusted(b.strands, b.theory, tuple(letter_inverse(l) for l in reversed(b.letters)))
 
 
 def conjugate(b: BraidWord, g: BraidLetter) -> BraidWord:
-    """g * b * g^-1, normalized."""
-    return normalize(BraidWord(b.strands, b.theory, (g,) + b.letters + (letter_inverse(g),)))
+    """g * b * g^-1, normalized; g is checked against b's strands and theory."""
+    BraidWord(b.strands, b.theory, (g,))
+    return normalize(BraidWord._trusted(b.strands, b.theory, (g,) + b.letters + (letter_inverse(g),)))
 
 
 def stabilize(b: BraidWord, kind: str) -> BraidWord:
@@ -168,16 +181,14 @@ def stabilize(b: BraidWord, kind: str) -> BraidWord:
         extra = rho(n) if b.theory == "virtual" else alpha(n)
     else:
         raise ValueError(f"unknown stabilization kind {kind!r}")
-    return BraidWord(n + 1, b.theory, b.letters + (extra,))
+    check_strands(n + 1)
+    return BraidWord._trusted(n + 1, b.theory, b.letters + (extra,))
 
 
 def shift(b: BraidWord) -> BraidWord:
     """Move every position up by one on an extra strand."""
-    return BraidWord(
-        b.strands + 1,
-        b.theory,
-        tuple(BraidLetter(l.family, l.pos + 1, l.sign) for l in b.letters),
-    )
+    check_strands(b.strands + 1)
+    return BraidWord._trusted(b.strands + 1, b.theory, tuple(BraidLetter(f, i + 1, s) for f, i, s in b.letters))
 
 
 def exchange_pair(b1: BraidWord, b2: BraidWord, side: str) -> tuple[BraidWord, BraidWord]:
@@ -199,8 +210,9 @@ def exchange_pair(b1: BraidWord, b2: BraidWord, side: str) -> tuple[BraidWord, B
         pos = 1
     else:
         raise ValueError(f"unknown exchange side {side!r}")
-    classical_form = BraidWord(n + 1, "virtual", l1 + (sigma(pos, -1),) + l2 + (sigma(pos),))
-    virtual_form = BraidWord(n + 1, "virtual", l1 + (rho(pos),) + l2 + (rho(pos),))
+    check_strands(n + 1)
+    classical_form = BraidWord._trusted(n + 1, "virtual", l1 + (sigma(pos, -1),) + l2 + (sigma(pos),))
+    virtual_form = BraidWord._trusted(n + 1, "virtual", l1 + (rho(pos),) + l2 + (rho(pos),))
     return normalize(classical_form), normalize(virtual_form)
 
 
@@ -289,16 +301,13 @@ def forbidden_relations(n: int) -> tuple[DefiningRelation, ...]:
 
 def rewrite_with_relation(b: BraidWord, rel: DefiningRelation, at: int) -> BraidWord:
     """Replace an occurrence of one side of rel at index `at` by the other
-    side; raises if neither side matches there."""
+    side; raises if neither side matches there.  A side of another strand
+    count or theory is checked against b's."""
     for pattern, repl in ((rel.left, rel.right), (rel.right, rel.left)):
         k = len(pattern.letters)
         if k and b.letters[at : at + k] == pattern.letters:
-            return normalize(
-                BraidWord(
-                    b.strands, b.theory,
-                    b.letters[:at] + repl.letters + b.letters[at + k :],
-                )
-            )
+            make = BraidWord._trusted if (repl.strands, repl.theory) == (b.strands, b.theory) else BraidWord
+            return normalize(make(b.strands, b.theory, b.letters[:at] + repl.letters + b.letters[at + k :]))
     raise ValueError(f"relation {rel.label()} does not match at index {at}")
 
 
@@ -321,5 +330,6 @@ def alphabet(strands: int, theory: str) -> tuple[BraidLetter, ...]:
 def random_braid_from(rng: random.Random, strands: int, length: int, theory: str) -> BraidWord:
     if strands < 2:
         raise ValueError("need at least 2 strands to draw letters")
+    BraidWord(strands, theory)  # checks the strand count and theory
     letters = alphabet(strands, theory)
-    return BraidWord(strands, theory, tuple(rng.choice(letters) for _ in range(length)))
+    return BraidWord._trusted(strands, theory, tuple(rng.choice(letters) for _ in range(length)))

@@ -569,7 +569,7 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     if not p.relators:
         return g.order ** len(p.generators)
     battery = default_battery()
-    lifted = next((i for i, h in enumerate(battery) if g is h), None)
+    lifted = _LIFTED.get(id(g))
     if lifted is None and _is_abelian(g):
         return _count_abelian(p, g)
     slots = _slot_words(p)
@@ -587,13 +587,17 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
 # fingerprints
 
 _BATTERY_NAMES = ("sym3", "dihedral4", "alt4", "sym4")
+_LIFTED = {}  # id of each default-battery table: its index in the battery
 
 
 @lru_cache(maxsize=None)
 def default_battery() -> tuple[FiniteGroupTable, ...]:
     """The smallest groups rich enough to separate the worked example
     pairs while keeping |G|^gens enumerable at desk scale."""
-    return tuple(builtin_group(n) for n in _BATTERY_NAMES)
+    battery = tuple(builtin_group(n) for n in _BATTERY_NAMES)
+    _LIFTED.clear()  # a battery built again may reuse the ids of one freed
+    _LIFTED.update((id(g), i) for i, g in enumerate(battery))
+    return battery
 
 
 @dataclass(frozen=True)

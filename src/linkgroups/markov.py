@@ -121,15 +121,15 @@ def random_move(b: BraidWord, rng: random.Random) -> tuple[Move, BraidWord]:
             if b.strands < 2:
                 continue
             g = rng.choice(alphabet(b.strands, b.theory))
-            return Move("conjugate", f"by {serialize(BraidWord(b.strands, b.theory, (g,)))}"), conjugate(b, g)
+            return Move("conjugate", f"by {serialize(BraidWord._trusted(b.strands, b.theory, (g,)))}"), conjugate(b, g)
         if kind == "stabilize":
             stab = rng.choice(["positive", "negative", "virtual"])
             return Move("stabilize", stab), stabilize(b, stab)
         if kind == "exchange":
             side = rng.choice(["right", "left"])
             cut = rng.randint(0, len(b.letters))
-            b1 = BraidWord(b.strands, b.theory, b.letters[:cut])
-            b2 = BraidWord(b.strands, b.theory, b.letters[cut:])
+            b1 = BraidWord._trusted(b.strands, b.theory, b.letters[:cut])
+            b2 = BraidWord._trusted(b.strands, b.theory, b.letters[cut:])
             classical_form, virtual_form = exchange_pair(b1, b2, side)
             return Move("exchange", f"side={side} cut={cut}", partner=classical_form), virtual_form
 

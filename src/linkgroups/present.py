@@ -248,12 +248,15 @@ def quotient_y(p: Presentation) -> Presentation:
 
 
 def _elimination_key(r: tuple[int, ...], sums: dict):
-    """(len(r), (is y, id)) for the first generator (x by index, y last)
+    """(len(r), (is y, id)) for the least id (y's, YID, is the largest)
     that occurs in r exactly once; None if no generator does.  Only a
     generator with exponent sum s = +-1 can, and it does iff the letter
     of sign -s is not in r."""
-    once = [(g == YID, g) for g, s in sums.items() if (s == 1 or s == -1) and -s * g not in r]
-    return (len(r), min(once)) if once else None
+    once = None
+    for g, s in sums.items():
+        if (s == 1 or s == -1) and (once is None or g < once) and -s * g not in r:
+            once = g
+    return None if once is None else (len(r), (once == YID, once))
 
 
 @dataclass(frozen=True)
@@ -271,72 +274,73 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
 
     Each elimination solves the shortest relator in which a generator
     occurs once (lowest generator, then first relator) for it,
-    substitutes everywhere and drops both.  Relators are carried as letter
-    tuples with their exponent sums and elimination keys, and the letter
-    total as a running sum; only the presentation returned is built.  Free
-    and cyclic reduction keep exponent sums, so a relator holding the
-    solved letter n+ times and its inverse n- times gets its old sums
-    without the eliminated generator plus (n- - n+) times those of the
-    solution's inverse v u (below); no letters are counted again.  Tietze
-    moves keep the group, so the presentation built carries p's abelian
-    invariants, if known."""
+    substitutes everywhere and drops both.  The relators' letter tuples,
+    exponent sums and elimination keys are three lists that each step
+    updates in place, and the letter total is a running sum; tuples are
+    built only for a new best state, and a presentation only for the
+    result.  Free and cyclic reduction keep exponent sums, so a relator
+    holding the solved letter n+ times and its inverse n- times gets its
+    old sums without the eliminated generator plus (n- - n+) times those
+    of the solution's inverse v u (below); no letters are counted again.
+    Tietze moves keep the group, so the presentation built carries p's
+    abelian invariants, if known."""
     if not budget >= 0:  # NaN too
         raise ValueError(f"budget must be at least 0, got {budget}")
-    start = gens, rels, sums = p.generators, tuple(r.letters for r in p.relators), p._sums
+    gens, rels, sums = p.generators, [r.letters for r in p.relators], list(p._sums)
     keys = [_elimination_key(r, e) for r, e in zip(rels, sums)]
     best_total = total = sum(map(len, rels))
-    best, steps, exhausted = start, 0, False
+    best, steps, exhausted = None, 0, False  # best None: p is the best seen
     while not exhausted:
         pick = min(filter(None, keys), default=None)
         if pick is None:
             break
         ri, gid = keys.index(pick), pick[1][1]
-        rel = rels[ri]
-        letter = gid * sums[ri][gid]
+        del keys[ri]
+        rel, vu_sums = rels.pop(ri), sums.pop(ri).copy()
+        letter = gid * vu_sums.pop(gid)
         pos = rel.index(letter)
         # rel = u letter v is cyclically reduced, so the slices v u make a
         # reduced word, and letter = (v u)^-1
         vu = rel[pos + 1 :] + rel[:pos]
-        vu_sums = {g: e for g, e in sums[ri].items() if g != gid}
         pieces_of = {letter: _inverse(vu), -letter: vu}
         total -= len(rel)
-        kept = []
-        for k, (ls, e, key) in enumerate(zip(rels, sums, keys)):
-            if k == ri:
-                continue
+        gone = []
+        for k, ls in enumerate(rels):
             plus, minus = ls.count(letter), ls.count(-letter)
             n = plus + minus
-            if n:
-                at = []
-                for v, c in ((letter, plus), (-letter, minus)):
-                    j = -1
-                    for _ in range(c):
-                        j = ls.index(v, j + 1)
-                        at.append(j)
-                at.sort()
-                pieces = []
-                for a, j in zip([-1] + at, at):
-                    pieces += (ls[a + 1 : j], pieces_of[ls[j]])
-                pieces.append(ls[at[-1] + 1 :])
-                _check_size(len(ls) + n * (len(vu) - 1))
-                total -= len(ls)
-                ls = _cyclic_core(_join(pieces))
-                total += len(ls)
-                if not ls:
-                    continue
-                d = minus - plus
-                e = {g: s for g in e.keys() | vu_sums.keys()
-                     if g != gid and (s := e.get(g, 0) + d * vu_sums.get(g, 0))}
-                key = _elimination_key(ls, e)
-            kept.append((ls, e, key))
+            if not n:
+                continue
+            at = []
+            for v, c in ((letter, plus), (-letter, minus)):
+                j = -1
+                for _ in range(c):
+                    j = ls.index(v, j + 1)
+                    at.append(j)
+            at.sort()
+            pieces = []
+            for a, j in zip([-1] + at, at):
+                pieces += (ls[a + 1 : j], pieces_of[ls[j]])
+            pieces.append(ls[at[-1] + 1 :])
+            _check_size(len(ls) + n * (len(vu) - 1))
+            total -= len(ls)
+            rels[k] = ls = _cyclic_core(_join(pieces))
+            total += len(ls)
+            if not ls:
+                gone.append(k)
+                continue
+            d, e = minus - plus, sums[k]
+            sums[k] = e = {g: s for g in e.keys() | vu_sums.keys()
+                           if g != gid and (s := e.get(g, 0) + d * vu_sums.get(g, 0))}
+            keys[k] = _elimination_key(ls, e)
+        for k in reversed(gone):
+            del rels[k], sums[k], keys[k]
         gens = tuple(g for g in gens if g != gid)
-        rels, sums, keys = zip(*kept) if kept else ((), (), ())
         steps += 1
         if total <= best_total:
-            best, best_total = (gens, rels, sums), total
+            best, best_total = (gens, tuple(rels), tuple(sums)), total
         exhausted = total > budget
-    state = best if exhausted else (gens, rels, sums) if steps else start
-    if state is not start:
+    state = best if exhausted else (gens, rels, tuple(sums)) if steps else None
+    if state is not None:
         gens, rels, sums = state
         ambient = _ambient_for(gens)
         p = Presentation._built(gens, tuple(Word._reduced(ambient, r) for r in rels), ambient, sums, p._invariants)

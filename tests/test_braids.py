@@ -1,6 +1,7 @@
 """Braid words: parsing, permutations, moves, relation catalogue."""
 
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from linkgroups.braid import (
     MAX_STRANDS,
     BraidLetter,
     BraidWord,
+    DefiningRelation,
     alpha,
     braid_inverse,
     conjugate,
@@ -116,6 +118,8 @@ def test_conjugate_theory_mismatch():
         conjugate(parse("s1", 2, "classical"), rho(1))
     with pytest.raises(ValueError, match="^position 2 out of range for 2 strands$"):
         conjugate(parse("s1", 2, "virtual"), sigma(2))
+    with pytest.raises(ValueError, match="^letter .* must have an int position and sign$"):
+        conjugate(parse("s1", 3, "welded"), sigma(1.0))
 
 
 def test_stabilize_examples():
@@ -286,3 +290,43 @@ def test_braidword_validation():
         BraidWord(2, "virtual", (BraidLetter("s", 1, 2),))
     with pytest.raises(ValueError):
         BraidWord(2, "virtual", (BraidLetter("r", 1, -1),))
+
+
+@pytest.mark.parametrize("field", ["pos", "sign"])
+@pytest.mark.parametrize("bad", [True, 1.0, "1", float("nan")], ids=repr)
+def test_braidword_refuses_a_position_or_sign_that_is_no_int(field, bad):
+    # a bool or float equal to 1 would pass the range and sign tests; True
+    # would serialize as sTrue, which the parser refuses
+    letter = sigma(1)._replace(**{field: bad})
+    with pytest.raises(ValueError, match="^letter .* must have an int position and sign$"):
+        BraidWord(3, "classical", [letter])
+
+
+@pytest.mark.parametrize("family", ["", "sr", 5], ids=repr)
+@pytest.mark.parametrize("theory", ["classical", "virtual", "welded"])
+def test_braidword_refuses_a_family_that_is_no_code_of_the_theory(theory, family):
+    # a substring test would take "" (serialized as 1, the empty word) and "sr"
+    with pytest.raises(ValueError, match=f"^letter family {re.escape(repr(family))} illegal for {theory} braids$"):
+        BraidWord(3, theory, [BraidLetter(family, 1, 1)])
+
+
+def test_moves_keep_their_messages():
+    # the moves build their words unchecked, but a strand count past the
+    # ceiling and a relation side from elsewhere are checked, with the
+    # checking constructor's messages (conjugating letters: above)
+    top = BraidWord(MAX_STRANDS, "virtual", ())
+    ceiling = f"^strand count {MAX_STRANDS + 1} exceeds the ceiling {MAX_STRANDS}$"
+    for move in (lambda: stabilize(top, "positive"), lambda: shift(top), lambda: exchange_pair(top, top, "right"),
+                 lambda: random_braid_from(random.Random(0), MAX_STRANDS + 1, 5, "virtual")):
+        with pytest.raises(ValueError, match=ceiling):
+            move()
+    with pytest.raises(ValueError, match="^unknown theory 'nope'$"):
+        random_braid_from(random.Random(0), 3, 5, "nope")
+    braid_1 = defining_relations("virtual", 3)[0]
+    with pytest.raises(ValueError, match=r"^relation braid\(1\) does not match at index 1$"):
+        rewrite_with_relation(parse("s1 s2 s1", 3, "virtual"), braid_1, 1)
+    wide = DefiningRelation("virtual", "wide", (), parse("s1", 5, "virtual"), parse("s4", 5, "virtual"))
+    with pytest.raises(ValueError, match="^position 4 out of range for 3 strands$"):
+        rewrite_with_relation(parse("s1", 3, "virtual"), wide, 0)
+    narrow = DefiningRelation("virtual", "narrow", (), parse("s1", 2, "virtual"), parse("r1", 2, "virtual"))
+    assert rewrite_with_relation(parse("s2 s1", 3, "virtual"), narrow, 1) == parse("s2 r1", 3, "virtual")

@@ -3,6 +3,7 @@
 import random
 import re
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -63,6 +64,43 @@ def test_random_move_produces_legal_words():
             assert nxt.strands == b.strands
             assert cycle_lengths(permutation(nxt)) == cycle_lengths(permutation(b))
     assert seen == {"relation", "conjugate", "stabilize", "exchange"}
+
+
+def _cancelled(letters):
+    # rescan for the first adjacent pair that cancels, sigma_i against
+    # sigma_i^-1 or rho_i, alpha_i against itself, until none does
+    letters = list(letters)
+    while True:
+        for k in range(len(letters) - 1):
+            (f, i, s), (g, j, t) = letters[k], letters[k + 1]
+            if (f, i) == (g, j) and (f != "s" or s == -t):
+                del letters[k : k + 2]
+                break
+        else:
+            return tuple(letters)
+
+
+def test_moves_build_the_braids_the_checking_constructor_builds():
+    # the moves build their words unchecked; each word and exchange partner
+    # must be one the checking constructor accepts and equals, and normalize
+    # must cancel as the rescanning oracle does, also on each word followed
+    # by part of its inverse
+    for theory in markov.FUZZ_THEORIES:
+        rng = random.Random(2026)
+        kinds, cancelled = Counter(), 0
+        for _ in range(100):
+            b = normalize(random_braid_from(rng, rng.randint(2, 4), rng.randint(0, 10), theory))
+            for _ in range(5):
+                move, b = random_move(b, rng)
+                kinds[move.kind] += 1
+                for w in (b, move.partner) if move.partner else (b,):
+                    assert w == BraidWord(w.strands, w.theory, w.letters)
+                    tail = [l if l.family != "s" else l._replace(sign=-l.sign) for l in reversed(w.letters)]
+                    raw = BraidWord(w.strands, w.theory, w.letters + tuple(tail[: rng.randint(0, len(tail))]))
+                    assert normalize(raw) == BraidWord(w.strands, w.theory, _cancelled(raw.letters))
+                    cancelled += len(normalize(raw)) < len(raw)
+        assert sum(kinds.values()) == 500 and cancelled > 200
+        assert set(kinds) == {"relation", "conjugate", "stabilize"} | ({"exchange"} if theory == "virtual" else set())
 
 
 def test_random_move_welded_menu_has_no_exchange():

@@ -570,6 +570,44 @@ def test_tietze_steps_carry_exponent_sums_on_long_braids():
     assert results > 100
 
 
+def _fuzz_sized_closures():
+    # welded, wada1 and wada2 closures of the size the welded fuzz trials
+    # build: 2-6 strands, at most 10 letters
+    rng = random.Random(97)
+    for wada_type in (None, 1, 2):
+        for _ in range(60):
+            b = random_braid_from(rng, rng.randint(2, 6), rng.randint(0, 10), "welded")
+            yield closure_group(b, wada_type)
+
+
+def _contents(p):
+    # what a presentation reads, with a copy of each sum dict
+    return p.generators, p.relators, p._sums, [dict(e) for e in p._sums], p._invariants
+
+
+def test_tietze_leaves_its_input_alone():
+    # Tietze updates its relator, sum and key lists in place: the input's
+    # tuples and sum dicts must read the same after each call, two calls
+    # must agree, and the fuzz-sized closures must match the oracle
+    steps, exhausted = Counter(), Counter()
+    cases = [(True, p) for p in _fuzz_sized_closures()] + [(False, p) for p in _invariants_long_groups()]
+    for small, p in cases:
+        before = _contents(p)
+        for budget in _BUDGETS:
+            res, again = tietze_simplify(p, budget), tietze_simplify(p, budget)
+            assert _contents(p) == before
+            q, r = res.presentation, again.presentation
+            assert (q, q._sums, q._invariants, res.steps, res.exhausted) == (r, r._sums, r._invariants, again.steps, again.exhausted)
+            if small:
+                raw = [w.letters for w in p.relators]
+                got = (q.generators, [w.letters for w in q.relators], res.exhausted, res.steps)
+                assert got == naive_tietze(p.generators, raw, budget, YID)
+            steps[small] += res.steps
+            exhausted[small] += res.exhausted
+    assert steps[True] > 600 and exhausted[True] > 100
+    assert steps[False] > 120 and exhausted[False] > 60
+
+
 def test_free_rank_certificate():
     assert free_rank_certificate(P(["x1", "y"], [])) == 2
     assert free_rank_certificate(P(["x1"], ["x1 x1"])) is None
