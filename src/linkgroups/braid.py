@@ -24,11 +24,17 @@ _FAMILIES = {"classical": ("s",), "virtual": ("s", "r"), "welded": ("s", "a")}
 MAX_STRANDS = 64
 
 
+def check_int(name: str, value, least=None) -> None:
+    """A one-line ValueError naming name unless value is an int (not a
+    bool) and, if least is given, at least least."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def check_strands(strands: int) -> None:
-    if type(strands) is not int:
-        raise ValueError(f"strand count must be an int, got {strands!r}")
-    if strands < 1:
-        raise ValueError("strand count must be at least 1")
+    check_int("strand count", strands, 1)
     if strands > MAX_STRANDS:
         raise ValueError(f"strand count {strands} exceeds the ceiling {MAX_STRANDS}")
 
@@ -300,9 +306,10 @@ def forbidden_relations(n: int) -> tuple[DefiningRelation, ...]:
 
 
 def rewrite_with_relation(b: BraidWord, rel: DefiningRelation, at: int) -> BraidWord:
-    """Replace an occurrence of one side of rel at index `at` by the other
-    side; raises if neither side matches there.  A side of another strand
-    count or theory is checked against b's."""
+    """Replace an occurrence of one side of rel at index `at` (an int, at
+    least 0) by the other side; raises if neither side matches there.  A
+    side of another strand count or theory is checked against b's."""
+    check_int("at", at, 0)
     for pattern, repl in ((rel.left, rel.right), (rel.right, rel.left)):
         k = len(pattern.letters)
         if k and b.letters[at : at + k] == pattern.letters:
@@ -328,8 +335,9 @@ def alphabet(strands: int, theory: str) -> tuple[BraidLetter, ...]:
 
 
 def random_braid_from(rng: random.Random, strands: int, length: int, theory: str) -> BraidWord:
-    if strands < 2:
-        raise ValueError("need at least 2 strands to draw letters")
-    BraidWord(strands, theory)  # checks the strand count and theory
+    """length letters drawn from alphabet(strands, theory); ints, strands >= 2 and length >= 0."""
+    check_int("strands", strands, 2)
+    check_int("length", length, 0)
+    BraidWord(strands, theory)  # checks the ceiling and theory
     letters = alphabet(strands, theory)
     return BraidWord._trusted(strands, theory, tuple(rng.choice(letters) for _ in range(length)))

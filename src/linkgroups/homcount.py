@@ -67,7 +67,7 @@ the lifts land in H exactly when the image lies in H meet sym3, which
 holds for w fix(K, H) / 6 of the conjugates, fix(K, H) counting the x
 in sym3 with x K x^-1 inside H; it depends only on |C(K)| (see
 _FIXES).  count_homs counts the default battery's own tables (matched
-by identity) this way, from one enumeration whose four counts the memo
+by name and identity) this way, from one enumeration whose four counts the memo
 keeps, and enumerates any other non-abelian table.  The cap bounds the
 enumeration a count runs over the k generators that occur in some
 relator: 6^k for the default battery, order^k for any other non-abelian
@@ -88,6 +88,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .braid import check_int
 from .present import AbelianInvariants, Presentation, abelian_invariants
 
 DEFAULT_CAP = 10 ** 8
@@ -102,10 +103,9 @@ class CapExceeded(RuntimeError):
 
 
 def effective_cap(cap=None) -> int:
-    """cap, else $LINKGROUPS_HOM_CAP, else DEFAULT_CAP; it must be at least 1."""
+    """cap, else $LINKGROUPS_HOM_CAP, else DEFAULT_CAP; an int of at least 1."""
     if cap is not None:
-        if not cap >= 1:  # NaN too
-            raise ValueError(f"the hom-count cap (--cap) must be at least 1, got {cap}")
+        check_int("the hom-count cap (--cap)", cap, 1)
         return cap
     env = os.environ.get(_CAP_ENV)
     if not env:
@@ -569,7 +569,8 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
     if not p.relators:
         return g.order ** len(p.generators)
     battery = default_battery()
-    lifted = _LIFTED.get(id(g))
+    i = _BATTERY_NAMES.index(g.name) if g.name in _BATTERY_NAMES else 0
+    lifted = i if battery[i] is g else None  # an equal copy or table: group is enumerated
     if lifted is None and _is_abelian(g):
         return _count_abelian(p, g)
     slots = _slot_words(p)
@@ -587,17 +588,13 @@ def count_homs(p: Presentation, g: FiniteGroupTable, cap=None) -> int:
 # fingerprints
 
 _BATTERY_NAMES = ("sym3", "dihedral4", "alt4", "sym4")
-_LIFTED = {}  # id of each default-battery table: its index in the battery
 
 
 @lru_cache(maxsize=None)
 def default_battery() -> tuple[FiniteGroupTable, ...]:
     """The smallest groups rich enough to separate the worked example
     pairs while keeping |G|^gens enumerable at desk scale."""
-    battery = tuple(builtin_group(n) for n in _BATTERY_NAMES)
-    _LIFTED.clear()  # a battery built again may reuse the ids of one freed
-    _LIFTED.update((id(g), i) for i, g in enumerate(battery))
-    return battery
+    return tuple(builtin_group(n) for n in _BATTERY_NAMES)
 
 
 @dataclass(frozen=True)

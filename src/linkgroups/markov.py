@@ -32,6 +32,7 @@ from .braid import (
     MAX_STRANDS,
     BraidWord,
     alphabet,
+    check_int,
     conjugate,
     defining_relations,
     exchange_pair,
@@ -238,24 +239,19 @@ def fuzz(
     wada_type: Optional[int] = None,
 ) -> FuzzReport:
     """Run the campaign's trials in order, in this process; deterministic
-    for a fixed seed.
-
-    length is at most freegroup.LETTER_LIMIT, as a braid word is drawn
-    whole."""
+    for a fixed seed.  trials, strands, length, depth and seed are ints of
+    at least 0, 2, 0, 0 and 0 (Random seeds with |n|, so a negative seed
+    would rerun another campaign's trials); length is at most
+    freegroup.LETTER_LIMIT, as a braid word is drawn whole."""
     if theory not in FUZZ_THEORIES:
         raise ValueError("fuzzing is defined for virtual and welded braids")
     if wada_type is not None:
         if theory != "welded":
             raise ValueError("Wada fingerprints apply to welded braids")
         check_wada_type(wada_type)
-    for name, value in (("trials", trials), ("strands", strands), ("length", length),
-                        ("depth", depth), ("seed", seed)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    for name, value, least in (("trials", trials, 0), ("strands", strands, 2),
-                               ("length", length, 0), ("depth", depth, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+    for name, value, least in (("trials", trials, 0), ("strands", strands, 2), ("length", length, 0),
+                               ("depth", depth, 0), ("seed", seed, 0)):
+        check_int(name, value, least)
     if strands + depth > MAX_STRANDS:  # each move adds at most one strand
         raise ValueError(f"strands + depth {strands + depth} exceeds the ceiling {MAX_STRANDS}")
     if length > freegroup.LETTER_LIMIT:

@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .braid import BraidWord
+from .braid import BraidWord, check_int
 from .freegroup import (
     Ambient,
     Word,
@@ -199,8 +199,7 @@ def check_wada_type(k: int) -> None:
     give welded invariants since the mixed relation alpha_i sigma_{i+1}
     sigma_i = sigma_{i+1} sigma_i alpha_{i+1} is not preserved by their
     automorphisms."""
-    if type(k) is not int:
-        raise ValueError(f"Wada type must be an int, got {k!r}")
+    check_int("Wada type", k)
     if k not in WADA_TYPES:
         raise ValueError(
             f"Wada type {k} does not induce a welded-braid homomorphism "
@@ -268,9 +267,9 @@ class TietzeResult:
 
 def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResult:
     """Eliminate until no generator occurs exactly once in any relator, or
-    until the total relator letter count exceeds the budget (in which case
-    the smallest presentation seen so far, the last of equals, is
-    returned, flagged).
+    until the total relator letter count exceeds the budget, an int of at
+    least 0 (then the smallest presentation seen so far, the last of
+    equals, is returned, flagged).
 
     Each elimination solves the shortest relator in which a generator
     occurs once (lowest generator, then first relator) for it,
@@ -284,8 +283,7 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
     of the solution's inverse v u (below); no letters are counted again.
     Tietze moves keep the group, so the presentation built carries p's
     abelian invariants, if known."""
-    if not budget >= 0:  # NaN too
-        raise ValueError(f"budget must be at least 0, got {budget}")
+    check_int("budget", budget, 0)
     gens, rels, sums = p.generators, [r.letters for r in p.relators], list(p._sums)
     keys = [_elimination_key(r, e) for r, e in zip(rels, sums)]
     best_total = total = sum(map(len, rels))

@@ -60,6 +60,7 @@ from .braid import (
     BraidWord,
     DefiningRelation,
     alphabet,
+    check_int,
     check_strands,
     defining_relations,
 )
@@ -235,10 +236,7 @@ def wada(n: int, k: int, h: int = 1) -> Representation:
 def check_conj_power(name: str, h: int) -> None:
     """h is the conjugation power of wada1: at least 1, and 1 for every
     other representation."""
-    if type(h) is not int:
-        raise ValueError(f"conjugation power h must be an int, got {h!r}")
-    if h < 1:
-        raise ValueError(f"conjugation power h must be at least 1, got {h}")
+    check_int("conjugation power h", h, 1)
     if h != 1 and name != "wada1":
         raise ValueError(f"conjugation power h={h} applies only to wada1, not {name}")
 

@@ -596,6 +596,7 @@ def test_markov_fuzz_cli(capsys):
     ["--trials", "2", "--strands", "1"],
     ["--trials", "2", "--len", "-1"],
     ["--trials", "2", "--depth", "-4"],
+    ["--trials", "2", "--seed", "-1"],  # would rerun the trials of seed 1
 ])
 def test_markov_fuzz_rejects_bad_sizes(capsys, flags):
     result = invoke(capsys, "markov-fuzz", "--theory", "welded", *flags)

@@ -612,9 +612,12 @@ def test_cap_below_one_rejected_before_any_work(monkeypatch):
     monkeypatch.delenv("LINKGROUPS_HOM_CAP", raising=False)
     # neither a relator-free input nor the trivial group reaches the enumeration
     for p, g in ((P((1, 2), []), builtin_group("sym3")), (P((1,), [(1, 1)]), builtin_group("c1"))):
-        for cap in (0, -1, float("nan")):  # NaN fails cap < 1 too, and capped nothing
+        for cap in (0, -1):
             with pytest.raises(ValueError, match=f"^the hom-count cap \\(--cap\\) must be at least 1, got {cap}$"):
                 count_homs(p, g, cap=cap)
+        # NaN compares false both ways, and once capped nothing
+        with pytest.raises(ValueError, match="^the hom-count cap \\(--cap\\) must be an int, got nan$"):
+            count_homs(p, g, cap=float("nan"))
         for env in ("abc", "0", "-3", "2.5", "1" * 5000):
             monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
             with pytest.raises(ValueError, match="LINKGROUPS_HOM_CAP"):
@@ -914,7 +917,9 @@ def test_a_fingerprint_outlives_64_other_forms(enumerations):
 def test_tables_outside_the_battery_are_enumerated_afresh(enumerations):
     sym3 = default_battery()[0]
     text = "order 6\n" + "\n".join(" ".join(map(str, row)) for row in sym3.table)
-    table = load_table_text(text, "sym3.txt")
+    # the battery's tables are found by name, then identity: a table named
+    # sym3 is not the battery's own
+    tables = [load_table_text(text, name) for name in ("sym3.txt", "sym3")]
     p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
     fp = fingerprint(p)
     assert enumerations == [sym3]
@@ -923,8 +928,8 @@ def test_tables_outside_the_battery_are_enumerated_afresh(enumerations):
         enumerations.clear()
         info = _lift_sums.cache_info()
         assert fingerprint(q, COPIES) == fp
-        assert count_homs(q, table) == dict(fp.counts)["sym3"]
-        assert enumerations == list(COPIES) + [table]
+        assert [count_homs(q, table) for table in tables] == [dict(fp.counts)["sym3"]] * 2
+        assert enumerations == list(COPIES) + tables
         assert _lift_sums.cache_info() == info
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import linkgroups.freegroup as fg
 from linkgroups import present, reps
-from linkgroups.braid import BraidLetter, BraidWord, parse, random_braid_from
+from linkgroups.braid import BraidLetter, BraidWord, defining_relations, parse, random_braid_from, rewrite_with_relation
 from linkgroups.examples import (
     EXCHANGE_RELATOR,
     KISHINO_CLOSURE,
@@ -30,6 +30,7 @@ from linkgroups.freegroup import (
     parse_word,
 )
 from linkgroups.homcount import _slot_words, builtin_group, count_homs, default_battery, fingerprint, make_table
+from linkgroups.markov import fuzz
 from linkgroups.present import (
     TIETZE_BUDGET,
     AbelianInvariants,
@@ -195,24 +196,58 @@ def test_closure_group_matches_each_builder():
             closure_group(w, wada_type, h)
 
 
-@pytest.mark.parametrize("bad", [2.5, float("nan"), True, "2"], ids=repr)
+def _int_parameters():
+    """(name, least, call) for each integer parameter of the library, where
+    call(v) passes v as that parameter and valid values for the rest."""
+    w = parse("s1 a2 s1^-1 s2", 3, "welded")
+    p = closure_group(w)
+    free = Presentation((1, 2), [])  # counted at any cap
+    b = parse("s1 s2 s1", 3, "virtual")
+    braid_rel = next(r for r in defining_relations("virtual", 3) if r.label() == "braid(1)")
+    sizes = {"trials": 1, "strands": 3, "length": 5, "depth": 2, "seed": 0}
+    cases = [
+        ("strand count", 1, lambda v: BraidWord(v, "welded", ())),
+        ("strand count", 1, lambda v: reps.representation("welded", v)),
+        ("budget", 0, lambda v: tietze_simplify(p, v)),
+        ("the hom-count cap (--cap)", 1, lambda v: count_homs(free, builtin_group("sym3"), cap=v)),
+        ("the hom-count cap (--cap)", 1, lambda v: fingerprint(free, cap=v)),
+        ("at", 0, lambda v: rewrite_with_relation(b, braid_rel, v)),
+        ("strands", 2, lambda v: random_braid_from(random.Random(0), v, 3, "virtual")),
+        ("length", 0, lambda v: random_braid_from(random.Random(0), 3, v, "virtual")),
+    ]
+    for wada_type in (None, 1, 2):
+        cases.append(("conjugation power h", 1, lambda v, k=wada_type: closure_group(w, k, v)))
+    for name, least in (("trials", 0), ("strands", 2), ("length", 0), ("depth", 0), ("seed", 0)):
+        cases.append((name, least, lambda v, name=name: fuzz("virtual", **{**sizes, name: v})))
+    return cases
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True, "2", float("inf")], ids=repr)
 def test_integer_parameters_refuse_non_ints(bad):
-    # a strand count, conjugation power or Wada type must be an int: a float
-    # or NaN is not compared or multiplied, nor True read as 1, even where
-    # the representation of 1 is cached
+    # every integer parameter must be an int: a float, NaN or infinity is
+    # not compared, ranged over or multiplied, nor True read as 1, even
+    # where the representation of 1 is cached
     w = parse("s1 a2 s1^-1 s2", 3, "welded")
     for wada_type in (1, 2):
         closure_group(w, wada_type)
     reps.representation("welded", 1)
     got = re.escape(repr(bad))
-    for build in (lambda: BraidWord(bad, "welded", ()), lambda: reps.representation("welded", bad)):
-        with pytest.raises(ValueError, match=f"^strand count must be an int, got {got}$"):
-            build()
-    for wada_type in (None, 1, 2):
-        with pytest.raises(ValueError, match=f"^conjugation power h must be an int, got {got}$"):
-            closure_group(w, wada_type, bad)
+    for name, _, call in _int_parameters():
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an int, got {got}$"):
+            call(bad)
     with pytest.raises(ValueError, match=f"^Wada type must be an int, got {got}$"):
         closure_group(w, bad)
+
+
+def test_integer_parameters_refuse_values_below_least():
+    # one message for each; a negative index is not read from the end of
+    # the word, nor a negative fuzz seed as its absolute value
+    for name, least, call in _int_parameters():
+        call(least)
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be at least {least}, got {least - 1}$"):
+            call(least - 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be at least {least}, got -4$"):
+            call(-4)
 
 
 # (theory, wada type, h, representation) of every closure action
@@ -392,9 +427,9 @@ def test_tietze_budget_exhaustion():
 
 def test_nan_budget_is_refused():
     # NaN compares false both ways: a budget < 0 test passed it, and the
-    # budget was never exhausted
+    # budget was never exhausted; it is refused as no int
     p = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
-    with pytest.raises(ValueError, match="^budget must be at least 0, got nan$"):
+    with pytest.raises(ValueError, match="^budget must be an int, got nan$"):
         tietze_simplify(p, budget=float("nan"))
 
 
