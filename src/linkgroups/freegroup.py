@@ -18,12 +18,13 @@ Word._reduced and not re-joined, and a substitution into a one-letter
 word returns its one image as it is.  The public constructor
 Word(ambient, letters) still checks every letter and reduces its input,
 as one-letter pieces.
-LETTER_LIMIT bounds every word built, counted before cancellation.
+LETTER_LIMIT bounds every word built, counted before cancellation, and
+_check_size is the one check of it, whose error names the count.
 _substitute is the one substitution routine, on letter tuples: applying
 an Endomorphism to a word and reps' braid evaluation of the Wada types
 2-4 both use it.  reps' pair fold of the conjugating actions builds no
-whole words to substitute, and bounds each substitution it stands for
-by the same check, _check_image.
+whole words to substitute, and checks the size of each substitution it
+stands for.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import neg
+
+from .braid import check_int
 
 # x_k is the integer id k (k >= 1); y gets a reserved id that can never
 # collide with an x index.  A letter is a signed id: +g is the generator,
@@ -100,18 +103,12 @@ def _check_size(n: int) -> None:
         raise WordLengthError(f"{n} letters exceeds limit {LETTER_LIMIT}")
 
 
-def _check_image(n: int) -> None:
-    """Refuse a substitution of n letters, counted before cancellation."""
-    if n > LETTER_LIMIT:
-        raise WordLengthError(f"image would exceed {LETTER_LIMIT} letters")
-
-
 def _substitute(images: dict, letters: tuple[int, ...]) -> tuple[int, ...]:
     """The reduced word got from letters by replacing each generator g by
     images[g] and each g^-1 by its inverse; images maps generator ids to
     reduced letter tuples.  The substitution, counted before cancellation,
     may have at most LETTER_LIMIT letters."""
-    _check_image(sum(map(len, map(images.__getitem__, map(abs, letters)))))
+    _check_size(sum(map(len, map(images.__getitem__, map(abs, letters)))))
     pieces = [images[v] if v > 0 else _inverse(images[-v]) for v in letters]
     # a single piece is already reduced: it is returned, not copied
     return pieces[0] if len(pieces) == 1 else _join(pieces)
@@ -169,6 +166,7 @@ class Word:
         return Word._joined(self.ambient, (_inverse(self.letters),), len(self))
 
     def __pow__(self, n: int) -> "Word":
+        check_int("exponent", n)
         if n < 0:
             return (~self) ** (-n)
         if not self.letters:  # passes any size check, but would be joined n times

@@ -281,6 +281,12 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
     holding the solved letter n+ times and its inverse n- times gets its
     old sums without the eliminated generator plus (n- - n+) times those
     of the solution's inverse v u (below); no letters are counted again.
+    Those sums are taken before the relator is joined.  A word has at
+    least as many letters as its sums add up to in absolute value, so once
+    the letters of the relators the step has visited plus that sum pass
+    both the budget and the best total, the step's result is fixed: it
+    stops there, and the best state is returned, exhausted, with the step
+    counted.
     Tietze moves keep the group, so the presentation built carries p's
     abelian invariants, if known."""
     check_int("budget", budget, 0)
@@ -302,12 +308,21 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
         vu = rel[pos + 1 :] + rel[:pos]
         pieces_of = {letter: _inverse(vu), -letter: vu}
         total -= len(rel)
-        gone = []
+        # seen is the letter count of the relators this step has visited
+        limit, seen, gone = max(budget, best_total), 0, []
         for k, ls in enumerate(rels):
             plus, minus = ls.count(letter), ls.count(-letter)
             n = plus + minus
             if not n:
+                seen += len(ls)
                 continue
+            d, e = minus - plus, sums[k]
+            sums[k] = e = {g: s for g in e.keys() | vu_sums.keys()
+                           if g != gid and (s := e.get(g, 0) + d * vu_sums.get(g, 0))}
+            # a lower bound on the step's final total (see the docstring)
+            if seen + sum(map(abs, e.values())) > limit:
+                exhausted = True
+                break
             at = []
             for v, c in ((letter, plus), (-letter, minus)):
                 j = -1
@@ -323,17 +338,17 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
             total -= len(ls)
             rels[k] = ls = _cyclic_core(_join(pieces))
             total += len(ls)
+            seen += len(ls)
             if not ls:
                 gone.append(k)
                 continue
-            d, e = minus - plus, sums[k]
-            sums[k] = e = {g: s for g in e.keys() | vu_sums.keys()
-                           if g != gid and (s := e.get(g, 0) + d * vu_sums.get(g, 0))}
             keys[k] = _elimination_key(ls, e)
+        steps += 1
+        if exhausted:
+            break
         for k in reversed(gone):
             del rels[k], sums[k], keys[k]
         gens = tuple(g for g in gens if g != gid)
-        steps += 1
         if total <= best_total:
             best, best_total = (gens, tuple(rels), tuple(sums)), total
         exhausted = total > budget

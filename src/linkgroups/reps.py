@@ -30,9 +30,9 @@ from the one seam between c^-1 and c_s, so for sigma_i's image of x_i
 there is one seam where the full word has two, and about half the
 letters to copy.  Wada types 2-4 are not conjugating (wada2 sends x_i
 to x_i x_j^-1 x_i), so for them evaluate substitutes whole image words
-(freegroup._substitute).  Either way the LETTER_LIMIT check of
-freegroup bounds each substitution of suffix images into a letter's
-image, counted before cancellation; for pairs that is the sum of
+(freegroup._substitute).  Either way freegroup._check_size holds each
+substitution of suffix images into a letter's image to LETTER_LIMIT,
+counted before cancellation; for pairs that count is the sum of
 2|c| + 1 over the letters of the letter's image.
 
 Reading convention: the closure group of b is the Wirtinger group of
@@ -70,7 +70,6 @@ from .freegroup import (
     Endomorphism,
     Word,
     YID,
-    _check_image,
     _check_size,
     _inverse,
     _join,
@@ -110,10 +109,10 @@ def _image_pair(pairs: dict, v: int, k: int, s: int) -> tuple:
     LETTER_LIMIT first, at its size before cancellation."""
     cs, t = pairs[s]
     if not k:
-        _check_image(2 * len(cs) + 1)
+        _check_size(2 * len(cs) + 1)
         return pairs[s]
     c, u = pairs[abs(v)]
-    _check_image(2 * len(cs) + 1 + 2 * k * (2 * len(c) + 1))
+    _check_size(2 * len(cs) + 1 + 2 * k * (2 * len(c) + 1))
     # E(v^k) cs = c x_u^(+-k) c^-1 cs, and c^-1 cs cancels the common prefix
     # of c and cs; if that is all of c, x_u^(+-k) meets the rest of cs
     head = c + (u if v > 0 else -u,) * k

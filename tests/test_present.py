@@ -2,9 +2,12 @@
 
 import importlib.util
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -235,8 +238,13 @@ def test_integer_parameters_refuse_non_ints(bad):
     for name, _, call in _int_parameters():
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an int, got {got}$"):
             call(bad)
-    with pytest.raises(ValueError, match=f"^Wada type must be an int, got {got}$"):
-        closure_group(w, bad)
+    for wada_type_call in (lambda: closure_group(w, bad),
+                           lambda: fuzz("welded", 1, 3, 5, 2, seed=0, wada_type=bad)):
+        with pytest.raises(ValueError, match=f"^Wada type must be an int, got {got}$"):
+            wada_type_call()
+    # a power's exponent is an int of any sign, so it has no least value
+    with pytest.raises(ValueError, match=f"^exponent must be an int, got {got}$"):
+        Word(Ambient(2), (1, 2)) ** bad
 
 
 def test_integer_parameters_refuse_values_below_least():
@@ -431,6 +439,42 @@ def test_nan_budget_is_refused():
     p = group_of_virtual_link(parse(VIRTUAL_TREFOIL, 2, "virtual"))
     with pytest.raises(ValueError, match="^budget must be an int, got nan$"):
         tietze_simplify(p, budget=float("nan"))
+
+
+# eliminating x1 from m relators x1^1000 x2^-i makes each about 999000
+# letters long, far past the budget: the result is the input, exhausted
+_STEP_PAST_THE_BUDGET = """
+import resource
+from linkgroups.freegroup import Ambient, Word
+from linkgroups.present import Presentation, tietze_simplify
+x1, x2 = Word(Ambient(2), (1,)), Word(Ambient(2), (2,))
+p = Presentation((1, 2), [~x1 * x2 ** 999] + [x1 ** 1000 * x2 ** -i for i in range(1, 9)])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+res = tietze_simplify(p)
+grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+assert (res.presentation, res.exhausted, res.steps) == (p, True, 1), res
+print(grew)
+"""
+
+
+def test_a_tietze_step_stops_once_its_result_is_fixed():
+    # the step stops at the first long relator, before joining it; finishing
+    # the step raised the process's peak RSS by tens of MB (ru_maxrss, in KB)
+    src = pathlib.Path(present.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _STEP_PAST_THE_BUDGET], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert int(out.stdout) < 4096
+
+
+@pytest.mark.parametrize("budget", [0, TIETZE_BUDGET])
+def test_a_tietze_step_past_the_letter_limit_returns_the_best_state(budget):
+    # eliminating x1 would substitute 1001000 letters into x1^1001, which
+    # raised WordLengthError; its exponent sums show the step is past the
+    # budget before that word is built
+    x1, x2 = Word(Ambient(2), (1,)), Word(Ambient(2), (2,))
+    p = Presentation((1, 2), [~x1 * x2 ** 1000, x1 ** 1001])
+    res = tietze_simplify(p, budget)
+    assert (res.presentation, res.exhausted, res.steps) == (p, True, 1)
 
 
 def test_tietze_deterministic_scan_order():

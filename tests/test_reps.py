@@ -146,7 +146,9 @@ def test_evaluate_matches_the_letter_by_letter_oracle(monkeypatch, name, h):
         assert e == fold, b
         if largest < 2:
             continue  # a limit of 0 refuses even the identity words the fold starts from
-        # evaluate and the fold fail at the same LETTER_LIMIT, with the same message
+        # evaluate and the fold fail at the same LETTER_LIMIT, with the same
+        # message: both make the same substitutions in the same order, so the
+        # first refused is the largest
         with monkeypatch.context() as m:
             m.setattr(fg, "LETTER_LIMIT", largest)
             assert rep.evaluate(b) == e
@@ -156,7 +158,7 @@ def test_evaluate_matches_the_letter_by_letter_oracle(monkeypatch, name, h):
                 with pytest.raises(WordLengthError) as exc:
                     run(b)
                 messages.append(str(exc.value))
-            assert messages == [f"image would exceed {largest - 1} letters"] * 2
+            assert messages == [f"{largest} letters exceeds limit {largest - 1}"] * 2
 
 
 @pytest.mark.parametrize("name", ["welded", "wada1", "wada2"])
@@ -166,7 +168,7 @@ def test_evaluate_letter_limit_zero_refuses_a_swap(monkeypatch, name):
     rep.evaluate(b)  # builds and caches alpha_1's action, whose words the limit would refuse
     monkeypatch.setattr(fg, "LETTER_LIMIT", 0)
     assert is_identity(rep.evaluate(BraidWord(3, "welded", ())))
-    with pytest.raises(WordLengthError, match="^image would exceed 0 letters$"):
+    with pytest.raises(WordLengthError, match="^1 letters exceeds limit 0$"):
         rep.evaluate(b)
 
 
