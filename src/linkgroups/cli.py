@@ -18,14 +18,16 @@ from .freegroup import Word, format_word, gen_name, parse_letters
 
 def _integer(text: str) -> int:
     """An integer flag's value.  argparse names the flag in front of each
-    error, and keeps the message of an ArgumentTypeError only."""
+    error, and keeps the message of an ArgumentTypeError only.  The digits
+    are counted first: past the interpreter's limit (4300 by default) int()
+    refuses with advice on sys.set_int_max_str_digits()."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    if limit and sum(c.isdecimal() for c in text) > limit:
+        raise argparse.ArgumentTypeError(f"the integer has more than {limit} digits")
     try:
-        value = homcount.read_int(text, "the integer")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if value is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return value
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _build_parser():

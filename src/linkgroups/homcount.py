@@ -81,9 +81,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 import re
-import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -92,7 +90,6 @@ from .braid import check_int
 from .present import AbelianInvariants, Presentation, abelian_invariants
 
 DEFAULT_CAP = 10 ** 8
-_CAP_ENV = "LINKGROUPS_HOM_CAP"
 # the largest order of a c<k> or table: group; its table has order^2 entries
 MAX_GROUP_ORDER = 1024
 
@@ -103,30 +100,12 @@ class CapExceeded(RuntimeError):
 
 
 def effective_cap(cap=None) -> int:
-    """cap, else $LINKGROUPS_HOM_CAP, else DEFAULT_CAP; an int of at least 1."""
-    if cap is not None:
-        check_int("the hom-count cap (--cap)", cap, 1)
-        return cap
-    env = os.environ.get(_CAP_ENV)
-    if not env:
+    """cap, else DEFAULT_CAP; an int of at least 1.  The caller alone sets
+    the cap (--cap on the command line)."""
+    if cap is None:
         return DEFAULT_CAP
-    value = read_int(env, _CAP_ENV)
-    if value is None or value < 1:
-        raise ValueError(f"{_CAP_ENV} must be an integer at least 1, got {env!r}")
-    return value
-
-
-def read_int(text: str, name: str) -> int | None:
-    """int(text), or None if text is no integer.  The digits are counted
-    first: past the interpreter's limit (4300 by default) int() refuses
-    with advice on sys.set_int_max_str_digits(); this names `name`."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
-    if limit and sum(c.isdecimal() for c in text) > limit:
-        raise ValueError(f"{name} has more than {limit} digits")
-    try:
-        return int(text)
-    except ValueError:
-        return None
+    check_int("the hom-count cap (--cap)", cap, 1)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -244,11 +223,6 @@ def make_table(name: str, table) -> FiniteGroupTable:
     return FiniteGroupTable(name, len(table), table, inverse)
 
 
-def _perm_compose(p, q):
-    # apply p first, then q
-    return tuple(q[v] for v in p)
-
-
 def _perms(name):
     """The permutations of the builtin permutation group name, sorted:
     element i of its table is the i-th."""
@@ -267,16 +241,12 @@ _CYCLIC = re.compile(r"c[1-9][0-9]*")
 
 def builtin_group(name: str) -> FiniteGroupTable:
     """sym3, sym4, alt4, dihedral4 (alias d4), or c<k> for the cyclic
-    group of order k; one table per group, whatever name it is asked by."""
-    return _builtin_group("dihedral4" if name == "d4" else name)
-
-
-@lru_cache(maxsize=None)
-def _builtin_group(name):
+    group of order k.  A battery group is default_battery()'s own table,
+    whatever name it is asked by; a c<k> table is built afresh at each
+    call, so none is kept past its last use."""
+    name = "dihedral4" if name == "d4" else name
     if name in _BATTERY_NAMES:
-        perms = _perms(name)
-        index = {p: i for i, p in enumerate(perms)}
-        return make_table(name, [[index[_perm_compose(a, b)] for b in perms] for a in perms])
+        return default_battery()[_BATTERY_NAMES.index(name)]
     if name == "c0":
         raise ValueError("cyclic order must be positive")
     if _CYCLIC.fullmatch(name):
@@ -593,8 +563,15 @@ _BATTERY_NAMES = ("sym3", "dihedral4", "alt4", "sym4")
 @lru_cache(maxsize=None)
 def default_battery() -> tuple[FiniteGroupTable, ...]:
     """The smallest groups rich enough to separate the worked example
-    pairs while keeping |G|^gens enumerable at desk scale."""
-    return tuple(builtin_group(n) for n in _BATTERY_NAMES)
+    pairs while keeping |G|^gens enumerable at desk scale; builtin_group
+    hands out these tables.  Element i is the i-th of _perms, and i * j
+    applies i first."""
+    battery = []
+    for name in _BATTERY_NAMES:
+        perms = _perms(name)
+        index = {p: i for i, p in enumerate(perms)}
+        battery.append(make_table(name, [[index[tuple(b[v] for v in a)] for b in perms] for a in perms]))
+    return tuple(battery)
 
 
 @dataclass(frozen=True)
@@ -611,6 +588,6 @@ def fingerprint(p: Presentation, battery=None, cap=None) -> Fingerprint:
     """Abelian invariants plus hom counts over the battery, in battery
     order.  Equal fingerprints are necessary for isomorphism."""
     battery = default_battery() if battery is None else battery
-    cap = effective_cap(cap)  # once: reading the environment costs more than a memo read
+    cap = effective_cap(cap)  # here too: an empty battery still refuses a bad cap
     counts = tuple((g.name, count_homs(p, g, cap=cap)) for g in battery)
     return Fingerprint(abelian_invariants(p), counts)

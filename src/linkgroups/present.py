@@ -247,15 +247,15 @@ def quotient_y(p: Presentation) -> Presentation:
 
 
 def _elimination_key(r: tuple[int, ...], sums: dict):
-    """(len(r), (is y, id)) for the least id (y's, YID, is the largest)
-    that occurs in r exactly once; None if no generator does.  Only a
-    generator with exponent sum s = +-1 can, and it does iff the letter
-    of sign -s is not in r."""
+    """(len(r), id) for the least id that occurs in r exactly once (y
+    last, as YID is above every x id); None if no generator does.  Only
+    a generator with exponent sum s = +-1 can, and it does iff the
+    letter of sign -s is not in r."""
     once = None
     for g, s in sums.items():
         if (s == 1 or s == -1) and (once is None or g < once) and -s * g not in r:
             once = g
-    return None if once is None else (len(r), (once == YID, once))
+    return None if once is None else (len(r), once)
 
 
 @dataclass(frozen=True)
@@ -298,7 +298,7 @@ def tietze_simplify(p: Presentation, budget: int = TIETZE_BUDGET) -> TietzeResul
         pick = min(filter(None, keys), default=None)
         if pick is None:
             break
-        ri, gid = keys.index(pick), pick[1][1]
+        ri, gid = keys.index(pick), pick[1]
         del keys[ri]
         rel, vu_sums = rels.pop(ri), sums.pop(ri).copy()
         letter = gid * vu_sums.pop(gid)

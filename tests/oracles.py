@@ -13,11 +13,15 @@ permutation, the rho -> alpha letter map onto the welded alphabet,
 exponent sums and slot words added up letter by letter,
 brute-force hom counting over full tuple products, schoolbook
 matrix multiplication, cofactor determinants, kernels mod a prime by
-Gaussian elimination, direct products of multiplication tables and
-tables of permutation groups.
+Gaussian elimination, direct products of multiplication tables,
+tables of permutation groups, and hom counts into the split extensions
+sym3, dihedral4 and alt4 as sums of Fox-Jacobian ranks.
 """
 
+import functools
 import itertools
+import operator
+from collections import Counter
 
 
 def naive_reduce(letters):
@@ -392,12 +396,14 @@ def mat_det(a):
     )
 
 
-def mat_nullity_mod(a, p):
-    """The dimension of the kernel of x -> a x over the integers mod the
-    prime p, by Gaussian elimination."""
+def echelon_mod(a, width, p):
+    """The reduced row echelon form over the integers mod the prime p of
+    the rows a, each of `width` ints, by Gauss-Jordan elimination: its
+    nonzero rows and their pivot columns."""
     rows = [[x % p for x in row] for row in a]
-    rank = 0
-    for j in range(len(a[0])):
+    pivots = []
+    for j in range(width):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
         if pivot is None:
             continue
@@ -408,8 +414,28 @@ def mat_nullity_mod(a, p):
             if i != rank and rows[i][j]:
                 f = rows[i][j]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return len(a[0]) - rank
+        pivots.append(j)
+    return rows[: len(pivots)], pivots
+
+
+def kernel_mod(a, width, p):
+    """A basis of the kernel of x -> a x over the integers mod the prime p,
+    one vector for each column of the echelon form without a pivot."""
+    rows, pivots = echelon_mod(a, width, p)
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        x = [0] * width
+        x[f] = 1
+        for row, j in zip(rows, pivots):
+            x[j] = -row[f] % p
+        basis.append(x)
+    return basis
+
+
+def mat_nullity_mod(a, p):
+    """The dimension of the kernel of x -> a x over the integers mod the
+    prime p."""
+    return len(kernel_mod(a, len(a[0]), p))
 
 
 def direct_product_table(g, h):
@@ -436,3 +462,155 @@ def even_permutations(n):
     """The permutations of 0..n-1 with an even number of inversions."""
     return [p for p in itertools.permutations(range(n))
             if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0]
+
+
+# The battery groups that split over an elementary abelian normal subgroup
+# M = F_p^d with a cyclic complement C_q, by name: the prime p, a basis of
+# M and a generator t of C_q, as permutations (tuples of the images of
+# 0..n-1).  V = {e, (01)(23), (02)(13), (03)(12)}.
+SPLIT_EXTENSIONS = {
+    "sym3": (3, [(1, 2, 0)], (1, 0, 2)),  # A3 x| <(01)>
+    "dihedral4": (2, [(1, 0, 3, 2), (2, 3, 0, 1)], (0, 3, 2, 1)),  # V x| <(13)>
+    "alt4": (2, [(1, 0, 3, 2), (2, 3, 0, 1)], (1, 2, 0, 3)),  # V x| <(012)>
+}
+
+
+@functools.lru_cache(maxsize=None)
+def split_extension(name):
+    """(p, q, d, blocks) for the split extension M x| C_q named, with
+    M = F_p^d and q the order of t, a prime.  blocks maps each (n_e mod p
+    for e in Z/q) to the d x d matrix sum_e n_e A^e over F_p, A being the
+    action m -> t m t^-1 of t on M in basis coordinates.  Checked: for
+    each unit u mod q some invertible P has P A = A^u P."""
+    p, basis, t = SPLIT_EXTENSIONS[name]
+    d = len(basis)
+
+    def compose(a, b):  # a first, then b
+        return tuple(b[v] for v in a)
+
+    identity = tuple(range(len(t)))
+    coordinates = {}
+    for exponents in itertools.product(range(p), repeat=d):
+        m = identity
+        for g, e in zip(basis, exponents):
+            for _ in range(e):
+                m = compose(m, g)
+        coordinates[m] = exponents
+    assert len(coordinates) == p ** d  # the basis is independent
+    t_inverse = tuple(sorted(identity, key=t.__getitem__))
+    columns = [coordinates[compose(compose(t, g), t_inverse)] for g in basis]
+    q, power = 1, t
+    while power != identity:
+        q, power = q + 1, compose(power, t)
+
+    def times(a, b):
+        return [[x % p for x in row] for row in mat_mul(a, b)]
+
+    a = [list(row) for row in zip(*columns)]
+    powers = [mat_identity(d)]  # A^e, e in Z/q
+    for _ in range(q - 1):
+        powers.append(times(powers[-1], a))
+    blocks = {n: [[sum(n_e * power[x][y] for n_e, power in zip(n, powers)) % p for y in range(d)]
+                  for x in range(d)]
+              for n in itertools.product(range(p), repeat=q)}
+    assert all(q % u for u in range(2, q))
+    matrices = [[list(entries[i * d : i * d + d]) for i in range(d)]
+                for entries in itertools.product(range(p), repeat=d * d)]
+    for u in range(2, q):
+        assert any(times(m, a) == times(powers[u], m) and rank_mod(m, d, p) == d for m in matrices)
+    return p, q, d, blocks
+
+
+def rank_mod(rows, width, p):
+    """The rank over F_p of rows of `width` ints.  Over F_2 each row is
+    packed into an int and reduced by XOR against a basis kept by leading
+    bit."""
+    if p != 2:
+        return len(echelon_mod(rows, width, p)[1])
+    lead = {}
+    for row in rows:
+        x = int("".join(map(str, row)) or "0", 2)
+        while x and x.bit_length() in lead:
+            x ^= lead[x.bit_length()]
+        if x:
+            lead[x.bit_length()] = x
+    return len(lead)
+
+
+def split_extension_count(generators, relators, name):
+    """|Hom(G, H)| for G = <generators | relators>, given as ids and tuples
+    of signed ids, and H = M x| C_q one of SPLIT_EXTENSIONS.
+
+    H's elements are m t^c, multiplied as (m t^c)(m' t^c') =
+    (m + A^c m') t^(c + c'), with A the conjugation action.  A hom sends
+    each x_j to m_j t^(c_j).  Its C_q part rho: x_j -> c_j is a hom into
+    C_q, a vector in the kernel mod q of the exponent-sum matrix.  The
+    M part of a relator's image is then sum_j J_j m_j, where J_j, the Fox
+    derivative by x_j evaluated through rho, adds A^c(u) for each letter
+    x_j and subtracts A^c(u x_j^-1) for each letter x_j^-1, u being the
+    word before that letter and c(u) its image under rho.  So
+    |Hom(G, H)| = sum over rho of p^(dk - rank J_rho), J_rho the Fox
+    Jacobian over F_p (R. Fox, Ann. Math. 1953), over the k generators
+    in some relator, times |H| for each generator in none.
+
+    rho runs over lambda_1 b_1 + ... + lambda_r b_r, b a kernel basis,
+    so c(u) = lambda . v(u) with v(u)_l = (the exponent sums of u) . b_l
+    mod q.  For a unit u mod q, J_(u rho)'s blocks are J_rho's with A^u
+    for A; as A^u = P A P^-1 (see split_extension), J_(u rho) is J_rho
+    conjugated by diag(P), of equal rank.  So only the lambda whose first
+    nonzero coordinate is 1 are visited, each standing for q - 1.  Each letter's term is booked under (relator, j, v(u)), and
+    (relator, j) keeps a bitmask of p - 1 copies of (Z/q)^r, copy c at bit
+    c q^r: a v booked n times net (mod p) sets bit sum_l v_l q^l in the
+    first n copies.  For each lambda the v with lambda . v = e are a
+    bitmask with the same copies, built one coordinate of lambda at a
+    time, so each entry n_e of J_rho is one popcount."""
+    p, q, d, blocks = split_extension(name)
+    active = sorted({abs(v) for r in relators for v in r})
+    k = len(active)
+    free = (q * p ** d) ** (len(generators) - k)
+    slot = {g: j for j, g in enumerate(active)}
+    sums = [[0] * k for _ in relators]
+    for row, r in zip(sums, relators):
+        for v in r:
+            row[slot[abs(v)]] += 1 if v > 0 else -1
+    kernel = kernel_mod(sums, k, q)
+    steps = [[b[j] for b in kernel] for j in range(k)]  # v(x_j), by j
+    booked = [[0] * k for _ in relators]  # bitmasks, by relator and j
+    copies = q ** len(kernel)  # the bits of a copy
+    for masks, r in zip(booked, relators):
+        net, v = Counter(), (0,) * len(kernel)
+        for letter in r:
+            j = slot[abs(letter)]
+            if letter > 0:
+                net[j, v] += 1
+            v = tuple((x + (1 if letter > 0 else -1) * y) % q for x, y in zip(v, steps[j]))
+            if letter < 0:
+                net[j, v] -= 1
+        for (j, v), n in net.items():
+            for c in range(n % p):
+                masks[j] |= 1 << c * copies + sum(x * q ** l for l, x in enumerate(v))
+
+    def terms(level, by_residue, zero):
+        """The sum over lambda_level.. of p^(dk - rank J_rho), by_residue[e]
+        being the bitmask of v in (Z/q)^level with lambda . v = e, and zero
+        whether lambda_0..lambda_(level-1) are all 0."""
+        if level == len(kernel):
+            jacobian = []
+            for masks in booked:
+                row = [blocks[tuple([(mask & s).bit_count() % p for s in by_residue])] for mask in masks]
+                jacobian += [[x for block in row for x in block[i]] for i in range(d)]  # d rows per relator
+            return p ** (d * k - rank_mod(jacobian, d * k, p))
+        # v = (v', x), x at bit x q^level: lambda . v = e iff lambda' . v' = e - lam x
+        shift = q ** level
+        return sum((q - 1 if zero and lam else 1)
+                   * terms(level + 1, [functools.reduce(operator.or_, (by_residue[(e - lam * x) % q] << x * shift
+                                                                      for x in range(q)))
+                                       for e in range(q)], zero and not lam)
+                   for lam in ((0, 1) if zero else range(q)))
+
+    return free * terms(0, [sum(1 << c * copies for c in range(p - 1))] + [0] * (q - 1), True)
+
+
+def split_extension_counts(generators, relators):
+    """split_extension_count into each of SPLIT_EXTENSIONS, by name."""
+    return {name: split_extension_count(generators, relators, name) for name in SPLIT_EXTENSIONS}

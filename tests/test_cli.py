@@ -262,18 +262,11 @@ def test_homcount_deep_enumeration(capsys, monkeypatch):
     assert invoke(capsys, "homcount", "--group", "c2", "--cap", str(10 ** 500)) == (0, f"{2 ** 1499}\n", "")
 
 
-@pytest.mark.parametrize("cap, env, named", [
-    ("0", None, "--cap"), ("-1", None, "--cap"), (HUGE, None, "--cap"),
-    (None, "abc", "LINKGROUPS_HOM_CAP"), (None, "0", "LINKGROUPS_HOM_CAP"),
-    (None, HUGE, "LINKGROUPS_HOM_CAP"),
-])
-def test_homcount_rejects_cap_below_one(capsys, monkeypatch, cap, env, named):
-    if env is None:
-        monkeypatch.delenv("LINKGROUPS_HOM_CAP", raising=False)
-    else:
-        monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
+# the ids keep their earlier form, <cap>-None---cap, so runs compare across versions
+@pytest.mark.parametrize("cap", ["0", "-1", HUGE], ids=lambda cap: f"{cap}-None---cap")
+def test_homcount_rejects_cap_below_one(capsys, monkeypatch, cap):
     monkeypatch.setattr("sys.stdin", io.StringIO("gens: x1 x2\n"))  # no relator to enumerate
-    argv = ["homcount", "--group", "sym3"] + (["--cap", cap] if cap else [])
+    argv = ["homcount", "--group", "sym3", "--cap", cap]
     if cap == HUGE:  # refused by the parser: usage, then the error line, status 2
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -283,9 +276,7 @@ def test_homcount_rejects_cap_below_one(capsys, monkeypatch, cap, env, named):
         assert error == "linkgroups homcount: error: argument --cap: the integer has more than 4300 digits"
         return
     result = invoke(capsys, *argv)
-    assert one_line_error(*result) and named in result[2]
-    if env == HUGE:
-        assert result[2] == "error: LINKGROUPS_HOM_CAP has more than 4300 digits\n"
+    assert one_line_error(*result) and "--cap" in result[2]
 
 
 def test_integer_flags_state_the_digit_limit(capsys):

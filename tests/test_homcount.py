@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +44,15 @@ from linkgroups.present import (
     tietze_simplify,
 )
 
-from oracles import brute_count_homs, direct_product_table, even_permutations, permutation_table
+from oracles import (
+    SPLIT_EXTENSIONS,
+    brute_count_homs,
+    direct_product_table,
+    even_permutations,
+    permutation_table,
+    split_extension_count,
+    split_extension_counts,
+)
 
 
 def P(gens, relator_letter_tuples):
@@ -56,6 +65,10 @@ def P(gens, relator_letter_tuples):
 # battery by identity, so it enumerates these, and they are the reference
 # that the counts from the sym3 lift are checked against
 COPIES = tuple(make_table(g.name, g.table) for g in default_battery())
+
+# the largest cyclic table, built once for the tests that read it: a c<k>
+# table is built afresh at each builtin_group call
+C1024 = builtin_group("c1024")
 
 
 def plan(p):
@@ -76,6 +89,20 @@ def test_builtin_orders():
     assert builtin_group("sym4").order == 24
     with pytest.raises(ValueError):
         builtin_group("nope")
+
+
+def test_only_the_battery_tables_are_kept():
+    # the battery's tables are default_battery()'s own, under either name
+    # of dihedral4; a c<k> table is built afresh and kept by no one
+    for i, name in enumerate(("sym3", "dihedral4", "alt4", "sym4")):
+        assert builtin_group(name) is default_battery()[i]
+    assert builtin_group("d4") is default_battery()[1]
+    c5 = builtin_group("c5")
+    assert c5 == builtin_group("c5") and c5 is not builtin_group("c5")
+    g = builtin_group("c500")
+    dropped = weakref.ref(g)
+    del g
+    assert dropped() is None
 
 
 def test_sym3_class_count():
@@ -117,14 +144,13 @@ def test_class_and_centraliser_orbit_weights():
 
 
 def test_generators_span_every_builtin():
-    for name in ("c1", "c2", "c12", "c1024", "sym3", "dihedral4", "alt4", "sym4"):
-        g = builtin_group(name)
+    for g in (*map(builtin_group, ("c1", "c2", "c12")), C1024, *default_battery()):
         gens = list(_generators(g.table))
         span, frontier = {0}, [0]
         while frontier:
             frontier = [y for y in {g.table[h][s] for h in frontier for s in gens} if y not in span]
             span.update(frontier)
-        assert span == set(range(g.order)), name
+        assert span == set(range(g.order)), g.name
         assert 2 ** len(gens) <= g.order, name  # each generator at least doubles the subgroup
 
 
@@ -454,6 +480,9 @@ def test_criterion_9_trial_417_counts():
         p = parse_presentation(TRIAL_417)
         assert {g.name: count_homs(p, g, cap=10 ** 9) for g in battery} == counts
     assert dict(fingerprint(parse_presentation(TRIAL_417), cap=10 ** 9).counts) == counts
+    # and so do the Fox-Jacobian oracle's, which share no code with the package
+    p = parse_presentation(TRIAL_417)
+    assert split_extension_counts(p.generators, [r.letters for r in p.relators]).items() <= counts.items()
 
 
 def test_abelian_check_matches_the_transpose():
@@ -473,7 +502,7 @@ def test_abelian_check_matches_the_transpose():
 
 
 def test_abelian_tables_are_not_reduced():
-    g = builtin_group("c1024")
+    g = C1024
     commutator = P((1, 2), [(1, 2, -1, -2)])
     assert count_homs(commutator, g) == 1024 ** 2
     assert count_homs(P((1, 2), [(1, 2, 1, 2)]), g) == 2048
@@ -514,7 +543,7 @@ def test_abelian_count_matches_brute_force(p):
 
 def test_cyclic_count_closed_form():
     # |Hom(G, Z/k)| = k^r times the product of gcd(d, k) over the torsion d
-    g = builtin_group("c1024")
+    g = C1024
     for ds in ((1,), (2,), (6, 1000), (512, 768), (1024,), (2048, 3)):
         # x1^d1, x2^d2, ... and a free generator y: Z + Z/d1 + Z/d2 + ...
         gens = tuple(range(1, len(ds) + 1)) + (YID,)
@@ -573,7 +602,7 @@ def test_cap_exceeded():
         count_homs(p, builtin_group("sym3"), cap=10)
     # an abelian group enumerates nothing, so no cap applies: Z^2, 1024^2 maps
     for cap in (None, 1):
-        assert count_homs(p, builtin_group("c1024"), cap=cap) == 1048576
+        assert count_homs(p, C1024, cap=cap) == 1048576
     # the battery is bounded by its sym3 enumeration, 6^k, at every order
     chain = P(tuple(range(1, 12)), [tuple(range(1, 12))])
     for g in default_battery():
@@ -601,15 +630,29 @@ def test_enumeration_deeper_than_the_recursion_limit():
 
 
 def test_effective_cap_env(monkeypatch):
+    # the cap comes from the argument alone: LINKGROUPS_HOM_CAP, valid,
+    # invalid or past the interpreter's digit limit, changes no count and
+    # no refusal
+    p = P((1, 2, 3), [(1, 2, -1, -2), (1, 1, 3, 2, -3), (2, 3, 3, 1, 1)])
+    chain = P(tuple(range(1, 12)), [tuple(range(1, 12))])
+    groups = default_battery() + COPIES + (builtin_group("c6"),)
+
+    def results():
+        with pytest.raises(CapExceeded) as exc:
+            fingerprint(chain)
+        return fingerprint(p), [count_homs(p, g) for g in groups], str(exc.value)
+
     monkeypatch.delenv("LINKGROUPS_HOM_CAP", raising=False)
-    assert effective_cap(None) == 10 ** 8
-    assert effective_cap(123) == 123
-    monkeypatch.setenv("LINKGROUPS_HOM_CAP", "5000")
-    assert effective_cap(None) == 5000
+    want = results()
+    assert want[2] == "6^11 assignments exceed the cap 100000000"
+    for env in ("1", "abc", "1" * 5000):
+        monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
+        assert effective_cap() == effective_cap(None) == homcount.DEFAULT_CAP == 10 ** 8
+        assert effective_cap(123) == 123
+        assert results() == want
 
 
-def test_cap_below_one_rejected_before_any_work(monkeypatch):
-    monkeypatch.delenv("LINKGROUPS_HOM_CAP", raising=False)
+def test_cap_below_one_rejected_before_any_work():
     # neither a relator-free input nor the trivial group reaches the enumeration
     for p, g in ((P((1, 2), []), builtin_group("sym3")), (P((1,), [(1, 1)]), builtin_group("c1"))):
         for cap in (0, -1):
@@ -618,13 +661,6 @@ def test_cap_below_one_rejected_before_any_work(monkeypatch):
         # NaN compares false both ways, and once capped nothing
         with pytest.raises(ValueError, match="^the hom-count cap \\(--cap\\) must be an int, got nan$"):
             count_homs(p, g, cap=float("nan"))
-        for env in ("abc", "0", "-3", "2.5", "1" * 5000):
-            monkeypatch.setenv("LINKGROUPS_HOM_CAP", env)
-            with pytest.raises(ValueError, match="LINKGROUPS_HOM_CAP"):
-                count_homs(p, g)
-        with pytest.raises(ValueError, match="^LINKGROUPS_HOM_CAP has more than 4300 digits$"):
-            count_homs(p, g)
-        monkeypatch.delenv("LINKGROUPS_HOM_CAP")
 
 
 def test_custom_table_text():
@@ -756,6 +792,7 @@ def test_lifted_fingerprint_matches_each_group_on_deep_plans():
         p = P(tuple(range(1, n + 1)), rels)
         counts = dict(fingerprint(p, cap=10 ** 9).counts)
         assert counts == {g.name: count_homs(P(p.generators, rels), g, cap=10 ** 9) for g in COPIES}
+        assert split_extension_counts(p.generators, rels).items() <= counts.items()
         levels = plan(p)[0]
         deep += len(levels) >= 4
         # how many times each relator names its deepest generator
@@ -785,6 +822,18 @@ def test_fingerprint_counts_match_each_group(spec):
     for g in default_battery():
         if g.order ** len(gens) <= 24 ** 3:
             assert counts[g.name] == brute_count_homs(gens, relators, g), g.name
+
+
+def test_split_extension_oracle_matches_brute_force():
+    # the oracle against every tuple of images, on up to three generators,
+    # with free generators and relators that are not reduced
+    rng = random.Random(1953)
+    for _ in range(150):
+        gens = tuple(range(1, rng.randint(1, 3) + 1))
+        rels = [tuple(rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randint(0, 9)))
+                for _ in range(rng.randint(0, 3))]
+        for name in SPLIT_EXTENSIONS:
+            assert split_extension_count(gens, rels, name) == brute_count_homs(gens, rels, builtin_group(name))
 
 
 def test_fingerprint_routes_by_table_identity():

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import linkgroups.freegroup as fg
+import linkgroups.homcount as homcount
 import linkgroups.markov as markov
 from linkgroups.braid import (
     MAX_STRANDS,
@@ -29,7 +30,7 @@ from linkgroups.homcount import Fingerprint, _lift_sums, count_homs, default_bat
 from linkgroups.markov import Mismatch, Move, fuzz, random_move, run_trial
 from linkgroups.present import Presentation, closure_group, group_of_virtual_link, quotient_y, tietze_simplify
 
-from oracles import cycle_lengths, perm_of_positions, welded_letters
+from oracles import cycle_lengths, perm_of_positions, split_extension_counts, welded_letters
 
 
 def permutation(b):
@@ -328,6 +329,8 @@ def test_six_strand_campaign_counts_every_trial(monkeypatch):
         k = len({abs(v) for r in p.relators for v in r.letters})
         want = tuple((g.name, count_homs(p, g, cap=g.order ** k)) for g in copies)
         assert fingerprint(p).counts == want
+        # and so do the Fox-Jacobian oracle's three abelian-top counts
+        assert split_extension_counts(p.generators, [r.letters for r in p.relators]).items() <= set(want)
 
 
 def test_fuzz_keeps_only_mismatches_and_skips(monkeypatch):
@@ -446,7 +449,7 @@ def test_a_faulty_fingerprint_is_reported_with_a_replayable_trace(monkeypatch, c
 def test_a_refused_count_is_reported_as_a_skip(monkeypatch):
     # every count with a relator is over a cap of 1; trial 3 is the first
     # of this campaign whose simplified group keeps a relator
-    monkeypatch.setenv("LINKGROUPS_HOM_CAP", "1")
+    monkeypatch.setattr(homcount, "DEFAULT_CAP", 1)
     report = fuzz("virtual", 4, 3, 6, 3, seed=1)
     assert report.ok and report.render().splitlines() == [
         "theory=virtual trials=4 seed=1 mismatches=0 skipped=1",
